@@ -113,7 +113,7 @@ def apply_edge(dim: Dimension, g: Automorphism, e: Edge) -> Edge:
     check_element(dim, g)
     check_edge(dim, e)
     return Edge(
-        apply_vertex(dim, g, e.even_end),
+        rotate_coords(dim, e.even_end, g.shift) ^ g.flip_mask,
         (e.bit_index - g.shift) % dim.n,
     )
 

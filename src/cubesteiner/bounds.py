@@ -33,7 +33,16 @@ from itertools import combinations
 from typing import Optional
 
 from .autgroup import Automorphism, apply_edge, enumerate_group, sample_uniform
-from .cube import Dimension, Edge, VertexSet, all_edges, edge_between, neighbors, parity
+from .cube import (
+    Dimension,
+    Edge,
+    VertexSet,
+    all_edges,
+    bfs_forest,
+    edge_between,
+    neighbors,
+    parity,
+)
 from .domination import (
     DominatingSetCertificate,
     exact_connected_dominating_set,
@@ -99,21 +108,8 @@ def upper_bound_tree(
         raise ValueError("construction requires a connected dominating set")
     dim = terminals.dim
     members = set(cds.vertex_set)
-
-    root = min(members)
-    edges: set[Edge] = set()
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for b in range(dim.n):
-                w = u ^ (1 << b)
-                if w in members and w not in seen:
-                    seen.add(w)
-                    edges.add(edge_between(dim, u, w))
-                    nxt.append(w)
-        frontier = nxt
+    [spanning] = bfs_forest(dim.n, members)
+    edges = {edge_between(dim, u, p) for u, p in spanning.items() if u != p}
 
     vertices = set(members)
     for t in terminals:

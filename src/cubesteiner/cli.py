@@ -49,7 +49,7 @@ from .domination import (
     hamming_code_dominating_set,
     steinerize,
 )
-from .errors import DEFAULT_BUDGET, BudgetExceededError, ParseError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, ParseError, check_budget
 from .steiner import SteinerInstance, SteinerTree, load_instance, steiner_exact
 
 FORMATS = ("text", "json", "csv")
@@ -88,6 +88,7 @@ def _resolve_set(args: argparse.Namespace) -> tuple[Dimension, VertexSet]:
         if selector == "odd":
             return dim, parity_class(dim, 1, budget=args.budget_states)
         if selector == "all":
+            check_budget("vertex set enumeration", dim.num_vertices, args.budget_states)
             return dim, VertexSet.of(dim, range(dim.num_vertices))
         tokens = selector[len("inline:") :].split(",")
         vertices = [parse_vertex(dim, tok) for tok in tokens]

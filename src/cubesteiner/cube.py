@@ -104,6 +104,32 @@ def edge_between(dim: Dimension, u: int, v: int) -> Edge:
     return Edge(even, diff.bit_length() - 1)
 
 
+def bfs_forest(n: int, vertices: Iterable[int]) -> list[dict[int, int]]:
+    """BFS spanning trees of the subgraph of Q_n induced by `vertices`.
+
+    One {vertex: parent} map per connected component, ordered by smallest
+    member. Each component is rooted at its smallest member, which maps to
+    itself, and its keys appear in BFS order, neighbors taken by flipping
+    bits in increasing order. The vertices must already be valid.
+    """
+    remaining = set(vertices)
+    forest = []
+    while remaining:
+        root = min(remaining)
+        remaining.discard(root)
+        tree = {root: root}
+        queue = [root]
+        for u in queue:
+            for b in range(n):
+                w = u ^ (1 << b)
+                if w in remaining:
+                    remaining.discard(w)
+                    tree[w] = u
+                    queue.append(w)
+        forest.append(tree)
+    return forest
+
+
 def check_edge(dim: Dimension, e: Edge) -> Edge:
     check_vertex(dim, e.even_end)
     if parity(e.even_end) != 0:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cube import Dimension, VertexSet
+from .cube import Dimension, VertexSet, bfs_forest
 from .errors import DEFAULT_BUDGET, check_budget
 from .steiner import shortest_path
 
@@ -42,35 +42,14 @@ def closed_neighborhood_masks(dim: Dimension) -> list[int]:
     return masks
 
 
-def _components_of(n: int, vertices: frozenset[int] | set[int]) -> list[list[int]]:
+def induced_components(members: VertexSet) -> list[list[int]]:
     """Connected components of the induced subgraph, each sorted, ordered
     by smallest member."""
-    remaining = set(vertices)
-    components = []
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for b in range(n):
-                    x = w ^ (1 << b)
-                    if x in remaining and x not in comp:
-                        comp.add(x)
-                        nxt.append(x)
-            frontier = nxt
-        remaining -= comp
-        components.append(sorted(comp))
-    return components
-
-
-def induced_components(members: VertexSet) -> list[list[int]]:
-    return _components_of(members.dim.n, set(members))
+    return [sorted(tree) for tree in bfs_forest(members.dim.n, members)]
 
 
 def is_connected_subset(members: VertexSet) -> bool:
-    return len(induced_components(members)) == 1
+    return len(bfs_forest(members.dim.n, members)) == 1
 
 
 def is_dominating(members: VertexSet) -> bool:
@@ -181,7 +160,7 @@ def steinerize(members: VertexSet) -> DominatingSetCertificate:
     dim = members.dim
     current = set(members)
     while True:
-        comps = _components_of(dim.n, current)
+        comps = bfs_forest(dim.n, current)
         if len(comps) == 1:
             break
         best = None  # (distance, low endpoint, high endpoint)
@@ -234,7 +213,7 @@ def exact_connected_dominating_set(
                 covered |= closed[v]
             if covered != full:
                 continue
-            if len(_components_of(n, set(cand))) == 1:
+            if len(bfs_forest(n, cand)) == 1:
                 return _certify(VertexSet.of(dim, cand), "exact")
     raise AssertionError("the full vertex set is connected and dominating")
 
@@ -262,14 +241,14 @@ def _connected_domination_branch_and_bound(
         nodes += 1
         check_budget("connected domination search", nodes, budget)
         if covered == full:
-            return len(_components_of(n, set(chosen))) == 1
+            return len(bfs_forest(n, chosen)) == 1
         uncovered = full & ~covered
         needed = -(uncovered.bit_count() // -ball)
         slack = limit - len(chosen)
         if needed > slack:
             return False
         # each added vertex can merge at most n of the current components
-        comps = len(_components_of(n, set(chosen)))
+        comps = len(bfs_forest(n, chosen))
         if comps - 1 > slack * (n - 1):
             return False
         u = (uncovered & -uncovered).bit_length() - 1

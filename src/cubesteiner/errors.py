@@ -17,6 +17,14 @@ class ParseError(ValueError):
     """Malformed textual input (vertex strings, instance files, CLI sets)."""
 
 
+def _units_text(units: int) -> str:
+    """Decimal up to 2^64; above it "2^<floor log2>+", since str() of an
+    int past 4300 digits raises."""
+    if units > 1 << 64:
+        return f"2^{units.bit_length() - 1}+"
+    return str(units)
+
+
 class BudgetExceededError(RuntimeError):
     """An operation projected more work than its budget allows."""
 
@@ -25,7 +33,8 @@ class BudgetExceededError(RuntimeError):
         self.projected = projected
         self.limit = limit
         super().__init__(
-            f"{what}: projected {projected} units exceeds budget {limit}"
+            f"{what}: projected {_units_text(projected)} units exceeds budget "
+            f"{_units_text(limit)}"
         )
 
 

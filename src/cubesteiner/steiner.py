@@ -13,24 +13,26 @@ is always a tree. Two independent routes compute it:
   The cube stays implicit; neighbors are computed by bit flips. Runs in
   O(3^k 2^n + 2^k 2^n n) time and returns a witness tree.
 
-Witness reconstruction is deterministic: merge candidates are tried in
-increasing submask order, the grow relaxation processes vertices in
-increasing (distance, vertex) order, and only strict improvements replace
-a recorded predecessor.
+Witnesses are rebuilt from the DP values alone, deterministically. At a
+state (mask, v) the first half-split of mask, in increasing submask order,
+whose two values sum to dp[mask][v] is followed; failing that, the smallest
+neighbor u with dp[mask][u] = dp[mask][v] - 1 is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from operator import add
+from typing import Iterable
 
 from .cube import (
     Dimension,
     Edge,
     VertexSet,
+    bfs_forest,
     check_vertex,
-    edge_between,
+    parity,
     parse_vertex,
 )
 from .errors import DEFAULT_BUDGET, ParseError, check_budget
@@ -105,6 +107,11 @@ def validate_tree(tree: SteinerTree, terminals: Iterable[int]) -> None:
             raise ValueError(f"non-terminal leaf {v}; tree is not edge-minimal")
 
 
+def _edge(v: int, bit: int) -> Edge:
+    """Canonical edge flipping `bit` at the already validated vertex v."""
+    return Edge(v if parity(v) == 0 else v ^ (1 << bit), bit)
+
+
 def shortest_path(dim: Dimension, u: int, v: int) -> list[Edge]:
     """The canonical geodesic: flip differing bits in increasing order."""
     check_vertex(dim, u)
@@ -115,31 +122,11 @@ def shortest_path(dim: Dimension, u: int, v: int) -> list[Edge]:
     bit = 0
     while diff:
         if diff & 1:
-            nxt = cur ^ (1 << bit)
-            path.append(edge_between(dim, cur, nxt))
-            cur = nxt
+            path.append(_edge(cur, bit))
+            cur ^= 1 << bit
         diff >>= 1
         bit += 1
     return path
-
-
-def _induced_connected(dim: Dimension, members: frozenset[int]) -> bool:
-    """Is the subgraph of Q_n induced by `members` connected?"""
-    if not members:
-        return False
-    start = next(iter(members))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for b in range(dim.n):
-                x = w ^ (1 << b)
-                if x in members and x not in seen:
-                    seen.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    return len(seen) == len(members)
 
 
 def steiner_brute_oracle(
@@ -159,12 +146,21 @@ def steiner_brute_oracle(
         for added in combinations(others, extra):
             examined += 1
             check_budget("oracle superset enumeration", examined, budget)
-            if _induced_connected(dim, terms | frozenset(added)):
+            if len(bfs_forest(dim.n, terms.union(added))) == 1:
                 return len(terms) + extra - 1
     raise AssertionError("hypercube is connected; some superset must work")
 
 
-_INF = float("inf")
+def _half_splits(mask: int) -> list[int]:
+    """Submasks sub of mask with sub < mask ^ sub, in increasing order."""
+    subs = []
+    sub = mask & (mask - 1)
+    while sub:
+        if sub < (mask ^ sub):
+            subs.append(sub)
+        sub = (sub - 1) & mask
+    subs.reverse()
+    return subs
 
 
 def steiner_exact(
@@ -191,10 +187,7 @@ def steiner_exact(
     check_budget("subset DP states", projected, budget)
 
     full = (1 << k) - 1
-    dp: list[Optional[list]] = [None] * (1 << k)
-    # parent[mask][v] = ('m', submask) or ('g', neighbor); None at bases.
-    parent: list[Optional[list]] = [None] * (1 << k)
-
+    dp: list[list[int]] = [[]] * (1 << k)
     for i, t in enumerate(terms):
         dp[1 << i] = [(t ^ v).bit_count() for v in range(nverts)]
 
@@ -202,51 +195,35 @@ def steiner_exact(
     for mask in masks_by_size:
         if mask.bit_count() < 2:
             continue
-        arr = [_INF] * nverts
-        par: list = [None] * nverts
 
         # Merge step: combine disjoint halves meeting at a common vertex.
-        subs = []
-        sub = (mask - 1) & mask
-        while sub:
-            if sub < (mask ^ sub):
-                subs.append(sub)
-            sub = (sub - 1) & mask
-        subs.reverse()  # increasing submask order, ties resolved low-first
-        for sub in subs:
+        first, *rest = _half_splits(mask)
+        arr = list(map(add, dp[first], dp[mask ^ first]))
+        for sub in rest:
             left = dp[sub]
             right = dp[mask ^ sub]
             for v in range(nverts):
                 c = left[v] + right[v]
                 if c < arr[v]:
                     arr[v] = c
-                    par[v] = ("m", sub)
 
         # Grow step: unit-weight relaxation from all merged values.
         buckets: dict[int, list[int]] = {}
-        for v in range(nverts):
-            if arr[v] is not _INF:
-                buckets.setdefault(arr[v], []).append(v)
-        d = 0
-        max_d = nverts  # any tree in Q_n has < 2^n edges
-        while d <= max_d:
-            layer = buckets.pop(d, None)
-            if layer:
-                for v in sorted(layer):
-                    if arr[v] != d:
-                        continue
-                    for b in range(n):
-                        u = v ^ (1 << b)
-                        if arr[u] > d + 1:
-                            arr[u] = d + 1
-                            par[u] = ("g", v)
-                            buckets.setdefault(d + 1, []).append(u)
-            if not buckets:
-                break
+        for v, c in enumerate(arr):
+            buckets.setdefault(c, []).append(v)
+        d = min(buckets)
+        while buckets:
+            for v in buckets.pop(d, ()):
+                if arr[v] != d:
+                    continue
+                for b in range(n):
+                    u = v ^ (1 << b)
+                    if arr[u] > d + 1:
+                        arr[u] = d + 1
+                        buckets.setdefault(d + 1, []).append(u)
             d += 1
 
         dp[mask] = arr
-        parent[mask] = par
 
     root = terms[0]
     dist = dp[full][root]
@@ -255,20 +232,21 @@ def steiner_exact(
     stack = [(full, root)]
     while stack:
         mask, v = stack.pop()
-        if mask.bit_count() == 1:
-            t = terms[mask.bit_length() - 1]
-            edges.update(shortest_path(dim, t, v))
+        if mask & (mask - 1) == 0:
+            edges.update(shortest_path(dim, terms[mask.bit_length() - 1], v))
             continue
-        step = parent[mask][v]
-        if step is None:
-            raise AssertionError("unreachable DP state in reconstruction")
-        kind, data = step
-        if kind == "m":
-            stack.append((data, v))
-            stack.append((mask ^ data, v))
+        row = dp[mask]
+        sub = next(
+            (s for s in _half_splits(mask) if dp[s][v] + dp[mask ^ s][v] == row[v]),
+            None,
+        )
+        if sub is not None:
+            stack.append((sub, v))
+            stack.append((mask ^ sub, v))
         else:
-            edges.add(edge_between(dim, data, v))
-            stack.append((mask, data))
+            u = min(v ^ (1 << b) for b in range(n) if row[v ^ (1 << b)] == row[v] - 1)
+            edges.add(_edge(v, (u ^ v).bit_length() - 1))
+            stack.append((mask, u))
 
     vertices: set[int] = set(terms)
     for e in edges:

@@ -36,11 +36,47 @@ def test_exact_inline_example(run):
     assert "001" in fields["tree_vertices"].split()
     assert len(fields["tree_edges"].split()) == 3
 
+    # The chosen witness trees are pinned: overlap statistics depend on them.
+    witnesses = {
+        # an all-even 10-set of Q_5
+        "11000,10100,01100,10010,01010,10001,01001,00101,10111,01111": (
+            "13",
+            "11000-01000 11000-11010 10100-10101 01100-01000 10010-11010 "
+            "01010-01000 10001-10101 01001-01101 01001-01000 00101-10101 "
+            "00101-01101 10111-10101 01111-01101",
+        ),
+        # a random 5-set of Q_10
+        "0110000100,1101000010,1110011110,1010111101,0101001111": (
+            "14",
+            "0100000100-0110000100 0100000100-0101000100 1110000100-0110000100 "
+            "1110000100-1110010100 1110011100-1110010100 1110011100-1110011110 "
+            "1110011100-1110011101 1101000010-0101000010 0101000110-0101000010 "
+            "0101000110-0101000100 0101000110-0101000111 1110111101-1010111101 "
+            "1110111101-1110011101 0101001111-0101000111",
+        ),
+    }
+    for terminals, (distance, edges) in witnesses.items():
+        n = str(len(terminals.split(",")[0]))
+        code, out, _ = run(["exact", "--n", n, "--set", "inline:" + terminals])
+        assert code == 0
+        fields = _parse_text(out)
+        assert (fields["distance"], fields["tree_edges"]) == (distance, edges)
+
 
 def test_exact_even_class(run):
-    code, out, _ = run(["exact", "--n", "3", "--set", "even"])
-    assert code == 0
-    assert _parse_text(out)["distance"] == "5"
+    witnesses = {
+        "3": ("5", "000-010 000-001 110-010 101-001 011-001"),
+        "4": (
+            "10",
+            "0000-1000 0000-0001 1100-1000 1010-1000 0110-0111 1001-0001 "
+            "0101-0001 0011-0111 0011-0001 1111-0111",
+        ),
+    }
+    for n, (distance, edges) in witnesses.items():
+        code, out, _ = run(["exact", "--n", n, "--set", "even"])
+        assert code == 0
+        fields = _parse_text(out)
+        assert (fields["distance"], fields["tree_edges"]) == (distance, edges)
 
 
 def test_group_verify_summary_line(run):
@@ -80,6 +116,19 @@ def test_bound_mixed_parity_has_no_quadratic_lower(run):
     fields = _parse_text(out)
     assert fields["lower"] == "none"
     assert fields["exact"] == "3"
+
+    code, out, _ = run(
+        ["bound", "--n", "4", "--set", "inline:1000,0010,0110,1110,1101"]
+    )
+    assert code == 0
+    fields = _parse_text(out)
+    assert fields["lower"] == "none"
+    assert (fields["exact"], fields["upper"]) == ("5", "8")
+    assert fields["cds_vertices"] == "0000 1000 0100 1010 0101 1011"
+    assert fields["tree_edges"] == (
+        "0000-1000 0000-0100 0000-0010 1010-1110 1010-1000 0110-0100 "
+        "0101-1101 0101-0100"
+    )
 
 
 def test_cds_q3_fields(run):
@@ -225,6 +274,19 @@ def test_budget_exit_code(run):
     assert code == 3
     assert "error[budget]" in err
     assert "exceeds budget 100" in err
+
+    # 2^15 terminals project 2^32784 DP states, past int-to-str's digit cap
+    code, _, err = run(["exact", "--n", "16", "--set", "even"])
+    assert code == 3
+    assert "error[budget]" in err
+    assert "projected 2^32784+ units" in err
+
+    # --set all is charged before its 2^22 vertices are enumerated
+    code, _, err = run(
+        ["exact", "--n", "22", "--set", "all", "--budget-states", "1000"]
+    )
+    assert code == 3
+    assert "error[budget]: vertex set enumeration: projected 4194304" in err
 
 
 def test_precondition_exit_codes(run):

@@ -6,6 +6,7 @@ from cubesteiner.cube import (
     Edge,
     VertexSet,
     all_edges,
+    bfs_forest,
     check_edge,
     check_vertex,
     edge_between,
@@ -16,6 +17,7 @@ from cubesteiner.cube import (
     parse_vertex,
     vertex_to_string,
 )
+from cubesteiner.domination import induced_components
 from cubesteiner.errors import BudgetExceededError, ParseError
 
 
@@ -116,6 +118,21 @@ def test_edge_between_canonicalizes_both_orders():
         assert edge_between(d, u, w) == edge_between(d, w, u) == e
     with pytest.raises(ValueError):
         edge_between(d, 0, 3)
+
+
+def test_bfs_forest_roots_order_and_parents():
+    # BFS from 0 flips bits in increasing order; each vertex keeps the
+    # parent that discovered it first
+    whole = bfs_forest(3, range(8))
+    assert whole == [{0: 0, 1: 0, 2: 0, 4: 0, 3: 1, 5: 1, 6: 2, 7: 3}]
+    assert list(whole[0]) == [0, 1, 2, 4, 3, 5, 6, 7]
+    # components come ordered by root, the smallest member
+    assert bfs_forest(4, [15, 3, 8, 0]) == [{0: 0, 8: 0}, {3: 3}, {15: 15}]
+    assert bfs_forest(2, []) == []
+    members = VertexSet.of(Dimension(3), [6, 0, 1])
+    forest = bfs_forest(3, members)
+    assert forest == [{0: 0, 1: 0}, {6: 6}]
+    assert [sorted(tree) for tree in forest] == induced_components(members)
 
 
 def test_check_edge_rejects_bad_fields():
