@@ -1,7 +1,7 @@
 """Two-sided bounds on hypercube Steiner distances and the randomized
 overlap experiment connecting them.
 
-For an all-even terminal set S in Q_n with |S| = s, the quadratic lower
+For an all-even terminal set S in Q_n with |S| = s >= 2, the quadratic lower
 bound
 
     d(S) >= s + s^2/(n 2^n) - (n+1)/2
@@ -67,8 +67,10 @@ def mirror_set(members: VertexSet) -> VertexSet:
 def lower_bound_even(dim: Dimension, s: int) -> Fraction:
     """The quadratic lower bound s + s^2/(n 2^n) - (n+1)/2, exactly.
 
-    Valid for any all-even terminal set of size s; s is capped by the
-    size 2^{n-1} of the even class.
+    Valid for every all-even terminal set of size s >= 2; s is capped by
+    the size 2^{n-1} of the even class. The derivation uses d(S) >= s,
+    which fails for a single terminal (d = 0, while the bound is 1/2 at
+    n = 1).
     """
     n = dim.n
     half = dim.num_vertices // 2
@@ -371,9 +373,10 @@ def build_bounds_report(
 ) -> BoundsReport:
     """Assemble the full sandwich for one instance.
 
-    The quadratic lower bound is reported only for all-even sets (it is
-    not valid otherwise); the exact distance is attempted and omitted
-    with the budget projection as the reason when it would be too large.
+    The quadratic lower bound is reported only for all-even sets of at
+    least two terminals (it is not valid otherwise); the exact distance
+    is attempted and omitted with the budget projection as the reason
+    when it would be too large.
     """
     if len(terminals) == 0:
         raise ValueError("empty terminal set")
@@ -383,7 +386,7 @@ def build_bounds_report(
     tree, upper = upper_bound_tree(terminals, cds)
     s = len(terminals)
     all_even = all(parity(v) == 0 for v in terminals)
-    lower = lower_bound_even(dim, s) if all_even else None
+    lower = lower_bound_even(dim, s) if all_even and s >= 2 else None
     exact: Optional[int]
     try:
         exact, _ = steiner_exact(SteinerInstance(dim, terminals), budget=budget)

@@ -8,10 +8,20 @@ is always a tree. Two independent routes compute it:
   size and return |W| - 1 for the first W that induces a connected
   subgraph. Slow but transparently correct; the reference the DP is
   validated against.
-- steiner_exact: subset dynamic programming over (terminal subset, vertex)
-  states with merge and grow transitions, the standard exact algorithm.
-  The cube stays implicit; neighbors are computed by bit flips. Runs in
-  O(3^k 2^n + 2^k 2^n n) time and returns a witness tree.
+- steiner_exact: subset dynamic programming (Dreyfus-Wagner) over
+  (terminal subset, vertex) states with merge and grow transitions, in
+  O(3^k 2^n + 2^k 2^n n) time, returning a witness tree.
+
+The DP keeps each row dp[mask] (one value per vertex) packed in one Python
+int, one w-bit field per vertex, and updates whole rows with big-int
+arithmetic ("SIMD within a register"). Fields stay below the guard bit
+2^(w-1), because dp[mask][v] is at most the sum of the Hamming distances
+from v to the terminals in mask, hence at most k*n, and w is chosen with
+k*n + 1 < 2^(w-1); so a sum of two rows or a row plus one never carries
+into the next field, and the field-wise minimum reads the guard bit of
+(a | guard) - b. The merge takes that minimum over the half-splits of a
+mask; the grow is the separable L1 distance transform, one pass per
+coordinate b relaxing every vertex against its neighbour across b.
 
 Witnesses are rebuilt from the DP values alone, deterministically. At a
 state (mask, v) the first half-split of mask, in increasing submask order,
@@ -21,9 +31,10 @@ neighbor u with dp[mask][u] = dp[mask][v] - 1 is.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
-from operator import add
 from typing import Iterable
 
 from .cube import (
@@ -152,15 +163,86 @@ def steiner_brute_oracle(
 
 
 def _half_splits(mask: int) -> list[int]:
-    """Submasks sub of mask with sub < mask ^ sub, in increasing order."""
+    """Submasks sub of mask with sub < mask ^ sub, in increasing order.
+
+    These are the nonempty submasks of mask without its top bit, and
+    `(sub - rest) & rest` steps from one to the next larger one.
+    """
+    rest = mask ^ (1 << (mask.bit_length() - 1))
     subs = []
-    sub = mask & (mask - 1)
+    sub = -rest & rest
     while sub:
-        if sub < (mask ^ sub):
-            subs.append(sub)
-        sub = (sub - 1) & mask
-    subs.reverse()
+        subs.append(sub)
+        sub = (sub - rest) & rest
     return subs
+
+
+def _pmin(a: int, b: int, guard: int, shift: int) -> int:
+    """Field-wise minimum of two packed rows whose fields are below the
+    guard bit: the guard bit of (a | guard) - b survives where a >= b."""
+    t = ((a | guard) - b) & guard
+    return a ^ ((a ^ b) & ((t << 1) - (t >> shift)))
+
+
+_TYPECODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _subset_dp(terms: list[int], n: int) -> list[array]:
+    """Every row dp[mask], mask = 0 .. 2^k - 1, one value per vertex.
+
+    dp[mask][v] is the minimum edge count of a tree spanning the terminals
+    selected by mask together with v (dp[0] is all zeros). Rows are
+    computed packed, field v of a row in bits w*v .. w*v + w - 1, and
+    unpacked into arrays at the end.
+    """
+    k = len(terms)
+    w = next(w for w in (8, 16, 32, 64) if (k * n + 1).bit_length() + 1 <= w)
+    total = w << n
+    ones = ((1 << total) - 1) // ((1 << w) - 1)
+    guard = ones << (w - 1)
+    shift = w - 1
+    # low[b] is all ones on the fields of the vertices with bit b clear:
+    # the lower half of the row for b = n - 1, halved blocks below that.
+    low = [0] * n
+    m = (1 << (total >> 1)) - 1
+    for b in reversed(range(n)):
+        low[b] = m
+        m ^= m << (w << b >> 1)
+
+    dp = [0] * (1 << k)
+    for i, t in enumerate(terms):
+        # Hamming distance to t: one per coordinate where v differs from t.
+        dp[1 << i] = sum(
+            ones & (low[b] if t >> b & 1 else ~low[b]) for b in range(n)
+        )
+
+    # Increasing numeric order visits every submask before its supersets.
+    for mask in range(3, 1 << k):
+        if not mask & (mask - 1):
+            continue
+
+        # Merge step: combine disjoint halves meeting at a common vertex.
+        first, *rest = _half_splits(mask)
+        arr = dp[first] + dp[mask ^ first]
+        for sub in rest:
+            arr = _pmin(arr, dp[sub] + dp[mask ^ sub], guard, shift)
+
+        # Grow step: relax every vertex against its neighbour across bit b
+        # (swap the blocks of 2^b fields), one coordinate at a time.
+        for b, lo in enumerate(low):
+            s = w << b
+            across = ((arr >> s) & lo) | ((arr & lo) << s)
+            arr = _pmin(arr, across + ones, guard, shift)
+
+        dp[mask] = arr
+
+    rows = []
+    for packed in dp:
+        row = array(_TYPECODES[w], packed.to_bytes(total >> 3, "little"))
+        if sys.byteorder == "big":
+            row.byteswap()
+        rows.append(row)
+    return rows
 
 
 def steiner_exact(
@@ -169,61 +251,29 @@ def steiner_exact(
     """Exact Steiner distance plus a witness tree.
 
     dp[mask][v] is the minimum edge count of a tree spanning the terminals
-    selected by mask together with v. Singleton layers are Hamming
-    distances; larger layers combine merges at a shared vertex with a
-    unit-weight relaxation (bucketed BFS) across the implicit cube.
+    selected by mask together with v (see `_subset_dp`). Singleton rows are
+    Hamming distances; a larger row is the field-wise minimum over merges
+    at a shared vertex, followed by the separable grow across the n
+    coordinates. Rows are packed w bits per vertex, the smallest w in
+    8, 16, 32, 64 with k*n + 1 < 2^(w-1): every value is at most the
+    summed Hamming distance from v to its terminals, at most k*n, so sums
+    and +1 stay below the guard bit. The witness is rebuilt from the
+    values and checked by `validate_tree`.
     """
     dim = inst.dim
     terms = list(inst.terminals)
     k = len(terms)
     n = dim.n
-    nverts = dim.num_vertices
 
     if k == 1:
         tree = SteinerTree(dim, frozenset(), frozenset(terms))
         return 0, tree
 
-    projected = (1 << k) * nverts
+    projected = (1 << k) * dim.num_vertices
     check_budget("subset DP states", projected, budget)
 
     full = (1 << k) - 1
-    dp: list[list[int]] = [[]] * (1 << k)
-    for i, t in enumerate(terms):
-        dp[1 << i] = [(t ^ v).bit_count() for v in range(nverts)]
-
-    masks_by_size = sorted(range(1, full + 1), key=lambda m: (m.bit_count(), m))
-    for mask in masks_by_size:
-        if mask.bit_count() < 2:
-            continue
-
-        # Merge step: combine disjoint halves meeting at a common vertex.
-        first, *rest = _half_splits(mask)
-        arr = list(map(add, dp[first], dp[mask ^ first]))
-        for sub in rest:
-            left = dp[sub]
-            right = dp[mask ^ sub]
-            for v in range(nverts):
-                c = left[v] + right[v]
-                if c < arr[v]:
-                    arr[v] = c
-
-        # Grow step: unit-weight relaxation from all merged values.
-        buckets: dict[int, list[int]] = {}
-        for v, c in enumerate(arr):
-            buckets.setdefault(c, []).append(v)
-        d = min(buckets)
-        while buckets:
-            for v in buckets.pop(d, ()):
-                if arr[v] != d:
-                    continue
-                for b in range(n):
-                    u = v ^ (1 << b)
-                    if arr[u] > d + 1:
-                        arr[u] = d + 1
-                        buckets.setdefault(d + 1, []).append(u)
-            d += 1
-
-        dp[mask] = arr
+    dp = _subset_dp(terms, n)
 
     root = terms[0]
     dist = dp[full][root]

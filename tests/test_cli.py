@@ -130,6 +130,14 @@ def test_bound_mixed_parity_has_no_quadratic_lower(run):
         "0101-1101 0101-0100"
     )
 
+    # A single terminal has d = 0, below the quadratic bound (1/2 at n = 1).
+    for spec in ("even", "inline:0"):
+        code, out, _ = run(["bound", "--n", "1", "--set", spec])
+        assert code == 0
+        fields = _parse_text(out)
+        assert fields["lower"] == "none"
+        assert (fields["certified_lower"], fields["exact"]) == ("0", "0")
+
 
 def test_cds_q3_fields(run):
     code, out, _ = run(["cds", "--n", "3"])

@@ -1,15 +1,25 @@
 import random
 from itertools import combinations
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubesteiner.autgroup import apply_vertex, sample_uniform
-from cubesteiner.cube import Dimension, Edge, VertexSet, hamming_distance, parity_class, parse_vertex
+from cubesteiner.cube import (
+    Dimension,
+    Edge,
+    VertexSet,
+    hamming_distance,
+    parity,
+    parity_class,
+    parse_vertex,
+)
 from cubesteiner.errors import BudgetExceededError, ParseError
 from cubesteiner.steiner import (
     SteinerInstance,
     SteinerTree,
+    _subset_dp,
     load_instance,
     parse_instance_text,
     shortest_path,
@@ -235,3 +245,88 @@ def test_exact_matches_oracle_on_random_triples(a, b, c):
         return
     inst = _inst(D3, terms)
     assert steiner_exact(inst)[0] == steiner_brute_oracle(inst)
+
+
+def _reference_subset_dp(terms, n):
+    """The subset DP with one list entry per vertex and a bucketed BFS for
+    the grow step: plain loops, the reference for the packed rows.
+    Returns dp[mask] for mask = 1 .. 2^k - 1 (dp[0] is unused)."""
+    k = len(terms)
+    nverts = 1 << n
+    full = (1 << k) - 1
+    dp = [[]] * (1 << k)
+    for i, t in enumerate(terms):
+        dp[1 << i] = [(t ^ v).bit_count() for v in range(nverts)]
+
+    def half_splits(mask):
+        subs = []
+        sub = mask & (mask - 1)
+        while sub:
+            if sub < (mask ^ sub):
+                subs.append(sub)
+            sub = (sub - 1) & mask
+        return subs[::-1]
+
+    for mask in sorted(range(1, full + 1), key=lambda m: (m.bit_count(), m)):
+        if mask.bit_count() < 2:
+            continue
+        first, *rest = half_splits(mask)
+        arr = list(map(add, dp[first], dp[mask ^ first]))
+        for sub in rest:
+            left = dp[sub]
+            right = dp[mask ^ sub]
+            for v in range(nverts):
+                c = left[v] + right[v]
+                if c < arr[v]:
+                    arr[v] = c
+        buckets = {}
+        for v, c in enumerate(arr):
+            buckets.setdefault(c, []).append(v)
+        d = min(buckets)
+        while buckets:
+            for v in buckets.pop(d, ()):
+                if arr[v] != d:
+                    continue
+                for b in range(n):
+                    u = v ^ (1 << b)
+                    if arr[u] > d + 1:
+                        arr[u] = d + 1
+                        buckets.setdefault(d + 1, []).append(u)
+            d += 1
+        dp[mask] = arr
+    return dp
+
+
+def _assert_rows_match_reference(terms, n):
+    rows = _subset_dp(terms, n)
+    ref = _reference_subset_dp(terms, n)
+    assert len(rows) == 1 << len(terms)
+    assert list(rows[0]) == [0] * (1 << n)
+    for mask in range(1, 1 << len(terms)):
+        assert list(rows[mask]) == ref[mask], (terms, n, mask)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 8), st.booleans(), st.data())
+def test_subset_dp_rows_match_reference(n, all_even, data):
+    pool = [v for v in range(1 << n) if not all_even or parity(v) == 0]
+    k = data.draw(st.integers(1, min(8, len(pool))))
+    terms = data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
+    _assert_rows_match_reference(terms, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_subset_dp_rows_match_reference_on_even_classes(n):
+    _assert_rows_match_reference(list(parity_class(Dimension(n), 0)), n)
+
+
+def test_sixteen_bit_fields_on_a_q4_set_embedded_in_q13():
+    # k*n = 10*13 = 130 needs 16-bit fields (8-bit ones allow k*n <= 126).
+    # XOR with a mask that is zero on coordinates 0..3 moves the Q_4 set
+    # into a 4-dimensional subcube of Q_13, which keeps its distance.
+    small = random.Random(3).sample(range(16), 10)
+    d4, _ = steiner_exact(_inst(D4, small))
+    lifted = [v ^ 0b1011001110000 for v in small]
+    d13, tree = steiner_exact(_inst(Dimension(13), lifted), budget=1 << 23)
+    assert d13 == d4
+    validate_tree(tree, lifted)
