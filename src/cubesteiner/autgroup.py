@@ -104,6 +104,15 @@ def inverse(dim: Dimension, g: Automorphism) -> Automorphism:
     return Automorphism(back, rotate_coords(dim, g.flip_mask, back))
 
 
+def _edge_image(dim: Dimension, g: Automorphism, e: Edge) -> Edge:
+    """apply_edge without the argument checks, for sweeps over elements
+    and edges that the code generated itself."""
+    return Edge(
+        rotate_coords(dim, e.even_end, g.shift) ^ g.flip_mask,
+        (e.bit_index - g.shift) % dim.n,
+    )
+
+
 def apply_edge(dim: Dimension, g: Automorphism, e: Edge) -> Edge:
     """Image of a canonical edge; canonical again because parity is kept.
 
@@ -112,10 +121,7 @@ def apply_edge(dim: Dimension, g: Automorphism, e: Edge) -> Edge:
     """
     check_element(dim, g)
     check_edge(dim, e)
-    return Edge(
-        rotate_coords(dim, e.even_end, g.shift) ^ g.flip_mask,
-        (e.bit_index - g.shift) % dim.n,
-    )
+    return _edge_image(dim, g, e)
 
 
 def group_order(dim: Dimension) -> int:
@@ -182,7 +188,7 @@ def verify_sharp_edge_transitivity(
         seen: set[Edge] = set()
         duplicate: Optional[Edge] = None
         for g in group:
-            img = apply_edge(dim, g, e1)
+            img = _edge_image(dim, g, e1)
             if img in seen and duplicate is None:
                 duplicate = img
             seen.add(img)

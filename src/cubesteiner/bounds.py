@@ -12,7 +12,7 @@ g2 drawn independently and uniformly, the overlap X = |E(g1(T)) n
 E(g2(T'))| has mean exactly d(S)^2/(n 2^{n-1}), while every single pair
 obeys 2 d(S) - X >= 2s - (n+1) because g1(T) u g2(T') connects a set
 containing s disjoint even/odd mirror pairs. `run_intersection_experiment`
-evaluates both facts exactly; `verify_bootstrap` checks the algebra that
+evaluates both facts exactly; `bootstrap_case` checks the algebra that
 turns them into the displayed bound; `lower_bound_even` evaluates the
 bound itself in exact rationals.
 
@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .autgroup import Automorphism, apply_edge, enumerate_group, sample_uniform
+from .autgroup import Automorphism, _edge_image, enumerate_group, sample_uniform
 from .cube import (
     Dimension,
     Edge,
@@ -217,7 +217,7 @@ def _image_mask(
     if m is None:
         m = 0
         for e in edges:
-            m |= 1 << index[apply_edge(dim, g, e)]
+            m |= 1 << index[_edge_image(dim, g, e)]
         cache[g] = m
     return m
 
@@ -327,10 +327,6 @@ def bootstrap_case(dim: Dimension, s: int, d: int) -> BootstrapCase:
     )
 
 
-def verify_bootstrap(dim: Dimension, s: int, d: int) -> bool:
-    return bootstrap_case(dim, s, d).holds
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     """Bound sandwich and certificates for one terminal set."""
@@ -424,16 +420,19 @@ class SdiamReport:
 def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> SdiamReport:
     """Bracket max over k-subsets of the Steiner distance.
 
-    The lower bound instantiates the all-even bound at min(k, 2^{n-1})
+    The lower bound instantiates the all-even bound at s = min(k, 2^{n-1})
     terminals (for larger k a witness contains the whole even class, and
-    distances are monotone under taking supersets). The upper bound
-    k + |cds| - 1 holds for every k-set at once by the attachment
-    construction. The exact value sweeps all C(2^n, k) subsets when the
-    projected state count fits the budget, and is omitted otherwise.
+    distances are monotone under taking supersets). That bound needs
+    s >= 2, so at n = 1 (s = 1) the counting floor k - 1 stands in. The
+    upper bound k + |cds| - 1 holds for every k-set at once by the
+    attachment construction. The exact value sweeps all C(2^n, k) subsets
+    when the projected state count fits the budget, and is omitted
+    otherwise.
     """
     if not 2 <= k <= dim.num_vertices:
         raise ValueError(f"need 2 <= k <= {dim.num_vertices}, got k={k}")
-    lower = lower_bound_even(dim, min(k, dim.num_vertices // 2))
+    s = min(k, dim.num_vertices // 2)
+    lower = lower_bound_even(dim, s) if s >= 2 else Fraction(k - 1)
     cds = best_connected_dominating_set(dim, budget=budget)
     upper = k + cds.size - 1
 

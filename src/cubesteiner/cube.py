@@ -25,10 +25,6 @@ from .errors import DEFAULT_BUDGET, ParseError, check_budget
 # Vertices are packed into one machine word.
 MAX_DIMENSION = 64
 
-# Dual list+bitmask representation of vertex sets only below this dimension
-# (a 2^n-bit membership mask stops being cheap).
-MASK_DIMENSION_LIMIT = 20
-
 
 @dataclass(frozen=True, order=True)
 class Dimension:
@@ -154,8 +150,8 @@ def all_edges(dim: Dimension, *, budget: int = DEFAULT_BUDGET) -> list[Edge]:
 class VertexSet:
     """An ordered, duplicate-free set of vertices under one dimension.
 
-    Keeps both a sorted tuple (deterministic iteration) and, for small n,
-    a 2^n-bit membership mask (cheap set algebra and coverage checks).
+    Keeps both a sorted tuple (deterministic iteration) and a frozenset
+    (membership tests).
     """
 
     dim: Dimension
@@ -181,22 +177,6 @@ class VertexSet:
 
     def __contains__(self, v: object) -> bool:
         return v in self._set
-
-    def bitmask(self) -> int:
-        """2^n-bit membership mask; only available for small dimensions."""
-        if self.dim.n > MASK_DIMENSION_LIMIT:
-            raise ValueError(
-                f"bitmask representation limited to n <= {MASK_DIMENSION_LIMIT}"
-            )
-        mask = 0
-        for v in self.members:
-            mask |= 1 << v
-        return mask
-
-    def union(self, other: "VertexSet") -> "VertexSet":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch in VertexSet.union")
-        return VertexSet.of(self.dim, self.members + other.members)
 
     def to_strings(self) -> list[str]:
         return [vertex_to_string(self.dim, v) for v in self.members]

@@ -11,9 +11,8 @@ neighbor in it. Constructions provided:
   n >= 3).
 - steinerize: connect a disconnected dominating set by repeatedly joining
   the two closest components along a deterministic geodesic.
-- exact minima: smallest dominating / connected dominating set by
-  increasing-size search (exhaustive for n <= 4, pruned branch and bound
-  for connected n = 5).
+- exact: a minimum connected dominating set for n <= 5, found by one
+  pruned branch and bound that returns its witness.
 
 DominatingSetCertificate re-verifies everything it claims at construction
 time, so a certificate that exists is correct; no constructor is trusted.
@@ -22,7 +21,6 @@ time, so a certificate that exists is correct; no constructor is trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .cube import Dimension, VertexSet, bfs_forest
 from .errors import DEFAULT_BUDGET, check_budget
@@ -40,12 +38,6 @@ def closed_neighborhood_masks(dim: Dimension) -> list[int]:
             m |= 1 << (v ^ (1 << b))
         masks.append(m)
     return masks
-
-
-def induced_components(members: VertexSet) -> list[list[int]]:
-    """Connected components of the induced subgraph, each sorted, ordered
-    by smallest member."""
-    return [sorted(tree) for tree in bfs_forest(members.dim.n, members)]
 
 
 def is_connected_subset(members: VertexSet) -> bool:
@@ -163,70 +155,29 @@ def steinerize(members: VertexSet) -> DominatingSetCertificate:
         comps = bfs_forest(dim.n, current)
         if len(comps) == 1:
             break
-        best = None  # (distance, low endpoint, high endpoint)
-        for ia, ib in combinations(range(len(comps)), 2):
-            for u in comps[ia]:
-                for v in comps[ib]:
-                    d = (u ^ v).bit_count()
-                    key = (d, min(u, v), max(u, v))
-                    if best is None or key < best:
-                        best = key
-        _, a, b = best
+        # closest pair across two components: (distance, low, high end)
+        _, a, b = min(
+            ((u ^ v).bit_count(), min(u, v), max(u, v))
+            for ia, comp in enumerate(comps)
+            for other in comps[ia + 1 :]
+            for u in comp
+            for v in other
+        )
         for e in shortest_path(dim, a, b):
             current.update(e.endpoints())
     return _certify(VertexSet.of(dim, current), "steinerized")
 
 
-def exact_domination_number(dim: Dimension, *, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact domination number by increasing-size search (tiny n only)."""
-    closed = closed_neighborhood_masks(dim)
-    full = (1 << dim.num_vertices) - 1
-    examined = 0
-    for size in range(1, dim.num_vertices + 1):
-        for cand in combinations(range(dim.num_vertices), size):
-            examined += 1
-            check_budget("domination search", examined, budget)
-            covered = 0
-            for v in cand:
-                covered |= closed[v]
-            if covered == full:
-                return size
-    raise AssertionError("the full vertex set always dominates")
-
-
-def exact_connected_dominating_set(
-    dim: Dimension, *, budget: int = DEFAULT_BUDGET
-) -> DominatingSetCertificate:
-    """Lexicographically first minimum connected dominating set, n <= 4."""
-    n = dim.n
-    if n > 4:
-        raise ValueError("exact witness search limited to n <= 4")
-    closed = closed_neighborhood_masks(dim)
-    full = (1 << dim.num_vertices) - 1
-    examined = 0
-    for size in range(1, dim.num_vertices + 1):
-        for cand in combinations(range(dim.num_vertices), size):
-            examined += 1
-            check_budget("connected domination search", examined, budget)
-            covered = 0
-            for v in cand:
-                covered |= closed[v]
-            if covered != full:
-                continue
-            if len(bfs_forest(n, cand)) == 1:
-                return _certify(VertexSet.of(dim, cand), "exact")
-    raise AssertionError("the full vertex set is connected and dominating")
-
-
 def _connected_domination_branch_and_bound(
     dim: Dimension, *, budget: int = DEFAULT_BUDGET
-) -> int:
-    """Branch-and-bound minimum connected dominating set size.
+) -> list[int]:
+    """Branch-and-bound minimum connected dominating set, sorted.
 
     By vertex-transitivity some minimum certificate contains vertex 0.
     Each node branches on which closed-neighborhood member covers the
     smallest uncovered vertex, with tried candidates excluded down the
-    remaining branches.
+    remaining branches; the sizes are tried in increasing order from the
+    sphere-covering floor, so the first witness found is minimum.
     """
     n = dim.n
     closed = closed_neighborhood_masks(dim)
@@ -263,24 +214,31 @@ def _connected_domination_branch_and_bound(
         return False
 
     for limit in range(sphere_covering_floor(dim), dim.num_vertices + 1):
-        if search([0], closed[0], 0, limit):
-            return limit
+        chosen = [0]
+        if search(chosen, closed[0], 0, limit):
+            return sorted(chosen)
     raise AssertionError("unreachable; the full cube dominates itself")
+
+
+def exact_connected_dominating_set(
+    dim: Dimension, *, budget: int = DEFAULT_BUDGET
+) -> DominatingSetCertificate:
+    """A minimum connected dominating set for n <= 5, by branch and bound.
+
+    The budget caps the number of search nodes (441 for Q_4, about
+    222,000 for Q_5).
+    """
+    if dim.n > 5:
+        raise ValueError("exact connected domination limited to n <= 5")
+    members = _connected_domination_branch_and_bound(dim, budget=budget)
+    return _certify(VertexSet.of(dim, members), "exact")
 
 
 def exact_connected_domination_number(
     dim: Dimension, *, budget: int = DEFAULT_BUDGET
 ) -> int:
-    """Exact minimum size of a connected dominating set for n <= 5.
-
-    n <= 4 enumerates candidate sets by increasing size; n = 5 uses the
-    branch and bound.
-    """
-    if dim.n > 5:
-        raise ValueError("exact connected domination limited to n <= 5")
-    if dim.n <= 4:
-        return exact_connected_dominating_set(dim, budget=budget).size
-    return _connected_domination_branch_and_bound(dim, budget=budget)
+    """Size of `exact_connected_dominating_set` (n <= 5)."""
+    return exact_connected_dominating_set(dim, budget=budget).size
 
 
 def certificate_to_text(cert: DominatingSetCertificate) -> str:

@@ -175,6 +175,19 @@ def test_apply_edge_examples():
     assert img == edge_between(d, parse_vertex(d, "110"), parse_vertex(d, "010"))
 
 
+def test_apply_edge_rejects_invalid_arguments():
+    d = Dimension(3)
+    e = Edge(0, 0)
+    with pytest.raises(ValueError):
+        apply_edge(d, Automorphism(0, 0b001), e)  # odd-popcount flip mask
+    with pytest.raises(ValueError):
+        apply_edge(d, Automorphism(3, 0), e)  # shift outside [0, n)
+    with pytest.raises(ValueError):
+        apply_edge(d, identity(d), Edge(1, 0))  # stored endpoint is odd
+    with pytest.raises(ValueError):
+        apply_edge(d, identity(d), Edge(0, 3))  # bit index outside n
+
+
 def test_sample_uniform_trivial_dimension():
     rng = random.Random(0)
     d = Dimension(1)

@@ -18,7 +18,6 @@ from cubesteiner.bounds import (
     sdiam_sandwich,
     trivial_lower_floor,
     upper_bound_tree,
-    verify_bootstrap,
 )
 from cubesteiner.cube import Dimension, VertexSet, parity, parity_class
 from cubesteiner.domination import (
@@ -203,7 +202,7 @@ def test_mirror_union_floor():
     evens = list(EVEN3)
     for _ in range(10):
         members = VertexSet.of(D3, rng.sample(evens, rng.randint(2, 4)))
-        union = members.union(mirror_set(members))
+        union = VertexSet.of(D3, [*members, *mirror_set(members)])
         d, _ = steiner_exact(SteinerInstance(D3, union))
         assert d >= 2 * len(members) - 1
 
@@ -217,7 +216,7 @@ def test_mirror_union_connection_step():
         for _ in range(8):
             members = VertexSet.of(dim, rng.sample(evens, rng.randint(2, 4)))
             exp = build_intersection_experiment(members)
-            union = members.union(exp.mirrored)
+            union = VertexSet.of(dim, [*members, *exp.mirrored])
             d, _ = steiner_exact(SteinerInstance(dim, union))
             assert d <= len(exp.tree.edges | exp.mirror_tree.edges) + n
 
@@ -243,7 +242,7 @@ def test_bootstrap_grid_small():
         dim = Dimension(n)
         for s in range(1, dim.num_vertices + 1):
             for d in range(s - 1, dim.num_vertices):
-                assert verify_bootstrap(dim, s, d), (n, s, d)
+                assert bootstrap_case(dim, s, d).holds, (n, s, d)
 
 
 def test_bounds_report_even_class():

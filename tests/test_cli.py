@@ -162,6 +162,15 @@ def test_sdiam_q3(run):
     assert fields["worst_set"] == "000 110 101 011"
 
 
+def test_sdiam_n1_lower_is_the_counting_floor(run):
+    # the quadratic bound needs s = min(k, 2^(n-1)) >= 2; at n = 1 the
+    # counting floor k - 1 is reported instead
+    code, out, _ = run(["sdiam", "--n", "1", "--k", "2"])
+    assert code == 0
+    fields = _parse_text(out)
+    assert (fields["lower"], fields["exact"], fields["upper"]) == ("1/1", "1", "2")
+
+
 def test_sdiam_budget_omission(run):
     code, out, _ = run(["sdiam", "--n", "4", "--k", "8"])
     assert code == 0
@@ -295,6 +304,14 @@ def test_budget_exit_code(run):
     )
     assert code == 3
     assert "error[budget]: vertex set enumeration: projected 4194304" in err
+
+    # the connected domination search is charged per node, 441 on Q_4
+    code, _, err = run(["cds", "--n", "4", "--budget-states", "100"])
+    assert code == 3
+    assert "error[budget]: connected domination search" in err
+    code, out, _ = run(["cds", "--n", "4", "--budget-states", "1000"])
+    assert code == 0
+    assert _parse_text(out)["exact_size"] == "6"
 
 
 def test_precondition_exit_codes(run):

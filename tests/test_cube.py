@@ -17,7 +17,6 @@ from cubesteiner.cube import (
     parse_vertex,
     vertex_to_string,
 )
-from cubesteiner.domination import induced_components
 from cubesteiner.errors import BudgetExceededError, ParseError
 
 
@@ -132,7 +131,6 @@ def test_bfs_forest_roots_order_and_parents():
     members = VertexSet.of(Dimension(3), [6, 0, 1])
     forest = bfs_forest(3, members)
     assert forest == [{0: 0, 1: 0}, {6: 6}]
-    assert [sorted(tree) for tree in forest] == induced_components(members)
 
 
 def test_check_edge_rejects_bad_fields():
@@ -170,21 +168,6 @@ def test_vertex_set_sorts_and_dedups():
 def test_vertex_set_rejects_out_of_range():
     with pytest.raises(ValueError):
         VertexSet.of(Dimension(2), [4])
-
-
-def test_vertex_set_bitmask_and_union():
-    d = Dimension(3)
-    a = VertexSet.of(d, [0, 5])
-    b = VertexSet.of(d, [5, 6])
-    assert a.bitmask() == (1 << 0) | (1 << 5)
-    assert list(a.union(b)) == [0, 5, 6]
-    with pytest.raises(ValueError):
-        a.union(VertexSet.of(Dimension(2), [0]))
-
-
-def test_vertex_set_bitmask_dimension_cap():
-    with pytest.raises(ValueError):
-        VertexSet.of(Dimension(21), [0]).bitmask()
 
 
 def test_vertex_string_examples():

@@ -3,18 +3,21 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from cubesteiner.cube import Dimension, VertexSet, hamming_distance, parity_class
+from cubesteiner.cube import (
+    Dimension,
+    VertexSet,
+    bfs_forest,
+    hamming_distance,
+    parity_class,
+)
 from cubesteiner.domination import (
     DominatingSetCertificate,
-    _connected_domination_branch_and_bound,
     certificate_to_text,
     closed_neighborhood_masks,
     exact_connected_dominating_set,
     exact_connected_domination_number,
-    exact_domination_number,
     greedy_dominating_set,
     hamming_code_dominating_set,
-    induced_components,
     is_connected_subset,
     is_dominating,
     sphere_covering_floor,
@@ -30,7 +33,7 @@ def test_closed_neighborhood_masks():
 
 def test_induced_components_ordering():
     d3 = Dimension(3)
-    comps = induced_components(VertexSet.of(d3, [6, 0, 1]))
+    comps = [sorted(t) for t in bfs_forest(3, VertexSet.of(d3, [6, 0, 1]))]
     assert comps == [[0, 1], [6]]
     assert is_connected_subset(VertexSet.of(d3, [0, 1, 5]))
     assert not is_connected_subset(VertexSet.of(d3, [0, 7]))
@@ -49,26 +52,41 @@ def test_sphere_covering_floor_values():
     ]
 
 
-def test_domination_numbers_small():
-    assert [exact_domination_number(Dimension(n)) for n in range(1, 5)] == [1, 2, 2, 4]
-
-
 def test_connected_domination_numbers_small():
     got = [exact_connected_domination_number(Dimension(n)) for n in range(1, 5)]
     assert got == [1, 2, 4, 6]
 
 
+def _reference_lex_first_cds(dim):
+    """Lexicographically first minimum connected dominating set, by
+    enumerating candidate sets in increasing size (tiny n only)."""
+    closed = closed_neighborhood_masks(dim)
+    full = (1 << dim.num_vertices) - 1
+    for size in range(1, dim.num_vertices + 1):
+        for cand in combinations(range(dim.num_vertices), size):
+            covered = 0
+            for v in cand:
+                covered |= closed[v]
+            if covered == full and len(bfs_forest(dim.n, cand)) == 1:
+                return VertexSet.of(dim, cand)
+    raise AssertionError("the full vertex set is connected and dominating")
+
+
 def test_branch_and_bound_matches_exhaustive():
+    # the branch and bound's first witness is the lexicographically first
+    # minimum, so the certificates match the exhaustive enumeration
     for n in range(1, 5):
         dim = Dimension(n)
-        assert (
-            _connected_domination_branch_and_bound(dim)
-            == exact_connected_dominating_set(dim).size
-        )
+        cert = exact_connected_dominating_set(dim)
+        assert cert.vertex_set == _reference_lex_first_cds(dim)
 
 
 def test_connected_domination_number_q5():
-    assert exact_connected_domination_number(Dimension(5)) == 10
+    cert = exact_connected_dominating_set(Dimension(5))
+    assert cert.size == 10
+    assert cert.connected
+    assert cert.method == "exact"
+    assert list(cert.vertex_set) == [0, 1, 2, 3, 4, 9, 20, 28, 30, 31]
 
 
 def test_exact_connected_witness_is_lex_first():
@@ -77,7 +95,7 @@ def test_exact_connected_witness_is_lex_first():
     assert cert.method == "exact"
     assert cert.connected
     with pytest.raises(ValueError):
-        exact_connected_dominating_set(Dimension(5))
+        exact_connected_dominating_set(Dimension(6))
     with pytest.raises(ValueError):
         exact_connected_domination_number(Dimension(6))
 
@@ -161,7 +179,7 @@ def test_steinerize_rejects_non_dominating():
 def test_steinerize_growth_is_bounded(n):
     dim = Dimension(n)
     base = greedy_dominating_set(dim).vertex_set
-    comps = len(induced_components(base))
+    comps = len(bfs_forest(n, base))
     cert = steinerize(base)
     assert cert.connected
     assert cert.size <= len(base.members) + (comps - 1) * (n - 1)
@@ -192,7 +210,7 @@ def test_certificate_rejects_bad_claims():
 
 def test_search_budget_guards():
     with pytest.raises(BudgetExceededError):
-        exact_domination_number(Dimension(4), budget=10)
+        exact_connected_dominating_set(Dimension(4), budget=100)
     with pytest.raises(BudgetExceededError):
         exact_connected_domination_number(Dimension(5), budget=100)
 
