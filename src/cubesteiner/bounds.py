@@ -43,13 +43,7 @@ from .cube import (
     neighbors,
     parity,
 )
-from .domination import (
-    DominatingSetCertificate,
-    exact_connected_dominating_set,
-    greedy_dominating_set,
-    hamming_code_dominating_set,
-    steinerize,
-)
+from .domination import DominatingSetCertificate, cds_constructions
 from .errors import BudgetExceededError, DEFAULT_BUDGET, check_budget
 from .steiner import SteinerInstance, SteinerTree, steiner_exact, validate_tree
 
@@ -149,15 +143,8 @@ def best_connected_dominating_set(
     dim: Dimension, *, budget: int = DEFAULT_BUDGET
 ) -> DominatingSetCertificate:
     """Smallest connected dominating certificate among the affordable
-    constructions: exact search for n <= 4, steinerized greedy always,
-    steinerized perfect code when n = 2^m - 1. Ties keep that order."""
-    candidates = []
-    if dim.n <= 4:
-        candidates.append(exact_connected_dominating_set(dim, budget=budget))
-    candidates.append(steinerize(greedy_dominating_set(dim, budget=budget).vertex_set))
-    if (dim.n + 1) & dim.n == 0:
-        candidates.append(steinerize(hamming_code_dominating_set(dim).vertex_set))
-    return min(candidates, key=lambda c: c.size)
+    constructions: the best entry of `cds_constructions`."""
+    return cds_constructions(dim, budget=budget)[1]
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from typing import Optional
 
 from .autgroup import element_to_text, group_order, verify_sharp_edge_transitivity
 from .bounds import (
-    best_connected_dominating_set,
     build_bounds_report,
     build_intersection_experiment,
     run_intersection_experiment,
@@ -38,17 +37,13 @@ from .bounds import (
 )
 from .cube import (
     Dimension,
+    Edge,
     VertexSet,
     parity_class,
     parse_vertex,
     vertex_to_string,
 )
-from .domination import (
-    exact_connected_dominating_set,
-    greedy_dominating_set,
-    hamming_code_dominating_set,
-    steinerize,
-)
+from .domination import cds_constructions
 from .errors import DEFAULT_BUDGET, BudgetExceededError, ParseError, check_budget
 from .steiner import SteinerInstance, SteinerTree, load_instance, steiner_exact
 
@@ -63,11 +58,12 @@ def _vertices_text(dim: Dimension, vertices) -> str:
     return " ".join(vertex_to_string(dim, v) for v in vertices)
 
 
+def _edge_text(dim: Dimension, e: Edge) -> str:
+    return f"{vertex_to_string(dim, e.even_end)}-{vertex_to_string(dim, e.odd_end)}"
+
+
 def _edges_text(dim: Dimension, tree: SteinerTree) -> str:
-    return " ".join(
-        f"{vertex_to_string(dim, e.even_end)}-{vertex_to_string(dim, e.odd_end)}"
-        for e in sorted(tree.edges)
-    )
+    return " ".join(_edge_text(dim, e) for e in sorted(tree.edges))
 
 
 def _resolve_set(args: argparse.Namespace) -> tuple[Dimension, VertexSet]:
@@ -164,20 +160,11 @@ def _cmd_cds(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
     dim = _require_n(args)
     fields = _base_fields(args)
     fields["n"] = dim.n
-    greedy = greedy_dominating_set(dim, budget=args.budget_states)
-    fields["greedy_size"] = greedy.size
-    fields["greedy_connected"] = greedy.connected
-    fields["steinerized_greedy_size"] = steinerize(greedy.vertex_set).size
-    if (dim.n + 1) & dim.n == 0:
-        code = hamming_code_dominating_set(dim)
-        fields["hamming_size"] = code.size
-        fields["hamming_connected"] = code.connected
-        fields["steinerized_hamming_size"] = steinerize(code.vertex_set).size
-    if dim.n <= 4:
-        fields["exact_size"] = exact_connected_dominating_set(
-            dim, budget=args.budget_states
-        ).size
-    best = best_connected_dominating_set(dim, budget=args.budget_states)
+    built, best = cds_constructions(dim, budget=args.budget_states)
+    for name, cert in built.items():
+        fields[f"{name}_size"] = cert.size
+        if name in ("greedy", "hamming"):
+            fields[f"{name}_connected"] = cert.connected
     fields["best_method"] = best.method
     fields["best_size"] = best.size
     fields["best_vertices"] = _vertices_text(dim, best.vertex_set)
@@ -202,10 +189,7 @@ def _cmd_group_verify(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
     fields["sharp edge transitivity"] = summary
     if report.counterexample is not None:
         e1, e2 = report.counterexample
-        fields["counterexample"] = (
-            f"{vertex_to_string(dim, e1.even_end)}-{vertex_to_string(dim, e1.odd_end)}"
-            f" -> {vertex_to_string(dim, e2.even_end)}-{vertex_to_string(dim, e2.odd_end)}"
-        )
+        fields["counterexample"] = f"{_edge_text(dim, e1)} -> {_edge_text(dim, e2)}"
     return fields, None
 
 
@@ -267,13 +251,14 @@ def _cmd_sdiam(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
     return fields, None
 
 
+# subcommand -> (handler, help text)
 _COMMANDS = {
-    "exact": _cmd_exact,
-    "bound": _cmd_bound,
-    "cds": _cmd_cds,
-    "group-verify": _cmd_group_verify,
-    "experiment": _cmd_experiment,
-    "sdiam": _cmd_sdiam,
+    "exact": (_cmd_exact, "exact Steiner distance with a witness tree"),
+    "bound": (_cmd_bound, "lower/upper bound report with certificates"),
+    "cds": (_cmd_cds, "dominating-set constructions for Q_n"),
+    "group-verify": (_cmd_group_verify, "verify sharp edge-transitivity of the group"),
+    "experiment": (_cmd_experiment, "overlap experiment over automorphism pairs"),
+    "sdiam": (_cmd_sdiam, "bracket the k-set Steiner diameter"),
 }
 
 
@@ -308,15 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments in hypercubes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subcommands = {
-        "exact": "exact Steiner distance with a witness tree",
-        "bound": "lower/upper bound report with certificates",
-        "cds": "dominating-set constructions for Q_n",
-        "group-verify": "verify sharp edge-transitivity of the group",
-        "experiment": "overlap experiment over automorphism pairs",
-        "sdiam": "bracket the k-set Steiner diameter",
-    }
-    for name, help_text in subcommands.items():
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--n", type=int, default=None, help="cube dimension")
         p.add_argument(
@@ -356,7 +333,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("error[precondition]: --budget-states must be positive", file=sys.stderr)
         return 4
     try:
-        fields, transcript = _COMMANDS[args.command](args)
+        fields, transcript = _COMMANDS[args.command][0](args)
     except ParseError as exc:
         print(f"error[parse]: {exc}", file=sys.stderr)
         return 2

@@ -14,13 +14,16 @@ neighbor in it. Constructions provided:
 - exact: a minimum connected dominating set for n <= 5, found by one
   pruned branch and bound that returns its witness.
 
-DominatingSetCertificate re-verifies everything it claims at construction
-time, so a certificate that exists is correct; no constructor is trusted.
+`cds_constructions` is the one policy for which of these are affordable
+at a given n and which connected set is best. A DominatingSetCertificate
+checks domination and computes its size and connectivity itself when it
+is built, so a certificate that exists is correct and no constructor is
+trusted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cube import Dimension, VertexSet, bfs_forest
 from .errors import DEFAULT_BUDGET, check_budget
@@ -56,35 +59,27 @@ def is_dominating(members: VertexSet) -> bool:
 
 @dataclass(frozen=True)
 class DominatingSetCertificate:
-    """A dominating set whose claimed properties are re-checked on build."""
+    """A dominating set, checked on build; its connectivity is computed
+    once here rather than claimed by the constructor."""
 
     vertex_set: VertexSet
-    connected: bool
-    size: int
     method: str
+    connected: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown construction method {self.method!r}")
-        if self.size != len(self.vertex_set):
-            raise ValueError("certificate size disagrees with the vertex set")
         if not is_dominating(self.vertex_set):
             raise ValueError(f"{self.method} set does not dominate the cube")
-        if self.connected != is_connected_subset(self.vertex_set):
-            raise ValueError("certificate connectivity flag is wrong")
+        object.__setattr__(self, "connected", is_connected_subset(self.vertex_set))
+
+    @property
+    def size(self) -> int:
+        return len(self.vertex_set)
 
     @property
     def dim(self) -> Dimension:
         return self.vertex_set.dim
-
-
-def _certify(members: VertexSet, method: str) -> DominatingSetCertificate:
-    return DominatingSetCertificate(
-        vertex_set=members,
-        connected=is_connected_subset(members),
-        size=len(members),
-        method=method,
-    )
 
 
 def sphere_covering_floor(dim: Dimension) -> int:
@@ -111,7 +106,7 @@ def greedy_dominating_set(
                 best_v = v
         chosen.append(best_v)
         covered |= closed[best_v]
-    return _certify(VertexSet.of(dim, chosen), "greedy")
+    return DominatingSetCertificate(VertexSet.of(dim, chosen), "greedy")
 
 
 def hamming_code_dominating_set(dim: Dimension) -> DominatingSetCertificate:
@@ -135,7 +130,7 @@ def hamming_code_dominating_set(dim: Dimension) -> DominatingSetCertificate:
             bits ^= low
         if syndrome == 0:
             codewords.append(v)
-    return _certify(VertexSet.of(dim, codewords), "hamming_code")
+    return DominatingSetCertificate(VertexSet.of(dim, codewords), "hamming_code")
 
 
 def steinerize(members: VertexSet) -> DominatingSetCertificate:
@@ -165,7 +160,7 @@ def steinerize(members: VertexSet) -> DominatingSetCertificate:
         )
         for e in shortest_path(dim, a, b):
             current.update(e.endpoints())
-    return _certify(VertexSet.of(dim, current), "steinerized")
+    return DominatingSetCertificate(VertexSet.of(dim, current), "steinerized")
 
 
 def _connected_domination_branch_and_bound(
@@ -231,7 +226,7 @@ def exact_connected_dominating_set(
     if dim.n > 5:
         raise ValueError("exact connected domination limited to n <= 5")
     members = _connected_domination_branch_and_bound(dim, budget=budget)
-    return _certify(VertexSet.of(dim, members), "exact")
+    return DominatingSetCertificate(VertexSet.of(dim, members), "exact")
 
 
 def exact_connected_domination_number(
@@ -239,6 +234,31 @@ def exact_connected_domination_number(
 ) -> int:
     """Size of `exact_connected_dominating_set` (n <= 5)."""
     return exact_connected_dominating_set(dim, budget=budget).size
+
+
+def cds_constructions(
+    dim: Dimension, *, budget: int = DEFAULT_BUDGET
+) -> tuple[dict[str, DominatingSetCertificate], DominatingSetCertificate]:
+    """Every affordable construction for Q_n by name, and the best
+    connected one.
+
+    Builds, in this order and each once: "greedy", "steinerized_greedy",
+    "hamming" and "steinerized_hamming" when n = 2^m - 1, and "exact"
+    when n <= 4 (the n = 5 search takes seconds). The best is the
+    smallest of the exact, steinerized greedy and steinerized perfect-code
+    sets, ties kept in that order; a raw greedy or perfect-code set is
+    never chosen.
+    """
+    built = {"greedy": greedy_dominating_set(dim, budget=budget)}
+    built["steinerized_greedy"] = steinerize(built["greedy"].vertex_set)
+    if (dim.n + 1) & dim.n == 0:
+        built["hamming"] = hamming_code_dominating_set(dim)
+        built["steinerized_hamming"] = steinerize(built["hamming"].vertex_set)
+    if dim.n <= 4:
+        built["exact"] = exact_connected_dominating_set(dim, budget=budget)
+    ranked = ("exact", "steinerized_greedy", "steinerized_hamming")
+    best = min((built[m] for m in ranked if m in built), key=lambda c: c.size)
+    return built, best
 
 
 def certificate_to_text(cert: DominatingSetCertificate) -> str:

@@ -342,4 +342,8 @@ def parse_instance_text(text: str) -> SteinerInstance:
 
 def load_instance(path: str) -> SteinerInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"instance file {path!r} is not UTF-8: {exc}") from None
+    return parse_instance_text(text)

@@ -2,9 +2,11 @@ import csv
 import io
 import json
 import re
+import sys
 
 import pytest
 
+from cubesteiner import domination
 from cubesteiner.cli import main
 
 
@@ -152,6 +154,81 @@ def test_cds_q3_fields(run):
     assert fields["best_vertices"] == "000 100 010 110"
 
 
+# `cds --n <n>` bodies after the command/seed/budget_states/n header lines
+CDS_REPORTS = {
+    1: "greedy_size: 1\ngreedy_connected: true\nsteinerized_greedy_size: 1\n"
+    "hamming_size: 1\nhamming_connected: true\nsteinerized_hamming_size: 1\n"
+    "exact_size: 1\nbest_method: exact\nbest_size: 1\nbest_vertices: 0\n",
+    2: "greedy_size: 2\ngreedy_connected: true\nsteinerized_greedy_size: 2\n"
+    "exact_size: 2\nbest_method: exact\nbest_size: 2\nbest_vertices: 00 10\n",
+    3: "greedy_size: 2\ngreedy_connected: false\nsteinerized_greedy_size: 4\n"
+    "hamming_size: 2\nhamming_connected: false\nsteinerized_hamming_size: 4\n"
+    "exact_size: 4\nbest_method: exact\nbest_size: 4\n"
+    "best_vertices: 000 100 010 110\n",
+    4: "greedy_size: 4\ngreedy_connected: false\nsteinerized_greedy_size: 6\n"
+    "exact_size: 6\nbest_method: exact\nbest_size: 6\n"
+    "best_vertices: 0000 1000 0100 1010 0101 1011\n",
+    5: "greedy_size: 8\ngreedy_connected: false\nsteinerized_greedy_size: 12\n"
+    "best_method: steinerized\nbest_size: 12\n"
+    "best_vertices: 00000 10000 01000 11000 00100 10100 01100 11100 10010 01110 "
+    "10011 01111\n",
+    6: "greedy_size: 16\ngreedy_connected: false\nsteinerized_greedy_size: 22\n"
+    "best_method: steinerized\nbest_size: 22\n"
+    "best_vertices: 000000 100000 010000 110000 001000 101000 011000 111000 000100 "
+    "010100 101100 011100 110010 001010 000110 100110 011110 111110 010101 101101 "
+    "110011 001011\n",
+    7: "greedy_size: 16\ngreedy_connected: false\nsteinerized_greedy_size: 36\n"
+    "hamming_size: 16\nhamming_connected: false\nsteinerized_hamming_size: 36\n"
+    "best_method: steinerized\nbest_size: 36\n"
+    "best_vertices: 0000000 1000000 1100000 0010000 0110000 1110000 1001000 0101000 "
+    "1101000 0011000 1011000 0111000 0100100 1100100 0010100 1010100 0001100 "
+    "1001100 0111100 1111100 1000010 0110010 0101010 1011010 1100110 0010110 "
+    "0001110 1111110 1101001 0011001 0100101 1010101 1000011 0110011 0001111 "
+    "1111111\n",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CDS_REPORTS))
+def test_cds_report_is_pinned(run, n):
+    code, out, err = run(["cds", "--n", str(n)])
+    assert (code, err) == (0, "")
+    header = f"command: cds\nseed: 0\nbudget_states: 4194304\nn: {n}\n"
+    assert out == header + CDS_REPORTS[n]
+
+
+def test_cds_builds_each_construction_once(run, monkeypatch):
+    # wrap each construction in every package module that holds it
+    holders = [m for k, m in sys.modules.items() if k.split(".")[0] == "cubesteiner"]
+    names = (
+        "greedy_dominating_set",
+        "hamming_code_dominating_set",
+        "exact_connected_dominating_set",
+        "steinerize",
+    )
+    calls: dict[str, int] = {}
+    for fname in names:
+        orig = getattr(domination, fname)
+
+        def counted(*args, _name=fname, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for holder in holders:
+            if vars(holder).get(fname) is orig:
+                monkeypatch.setattr(holder, fname, counted)
+
+    for n, hamming in ((3, 1), (4, 0)):
+        calls.update(dict.fromkeys(names, 0))
+        code, _, _ = run(["cds", "--n", str(n)])
+        assert code == 0
+        assert calls == {
+            "greedy_dominating_set": 1,
+            "hamming_code_dominating_set": hamming,
+            "exact_connected_dominating_set": 1,
+            "steinerize": 1 + hamming,
+        }
+
+
 def test_sdiam_q3(run):
     code, out, _ = run(["sdiam", "--n", "3", "--k", "4"])
     assert code == 0
@@ -270,6 +347,12 @@ def test_missing_file_is_a_parse_error(run, tmp_path):
     code, _, err = run(["exact", "--set", str(tmp_path / "nope.txt")])
     assert code == 2
     assert "error[parse]" in err
+
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"n=3\n# caf\xe9\n000\n011\n")
+    code, _, err = run(["exact", "--set", str(path)])
+    assert code == 2
+    assert "error[parse]" in err and "not UTF-8" in err
 
 
 def test_inline_duplicates_rejected(run):

@@ -12,6 +12,7 @@ from cubesteiner.cube import (
 )
 from cubesteiner.domination import (
     DominatingSetCertificate,
+    cds_constructions,
     certificate_to_text,
     closed_neighborhood_masks,
     exact_connected_dominating_set,
@@ -196,16 +197,34 @@ def test_certificate_text_block():
 def test_certificate_rejects_bad_claims():
     d3 = Dimension(3)
     good = VertexSet.of(d3, [0, 7])
+    # size and connectivity are computed, never claimed by the caller
+    cert = DominatingSetCertificate(good, "greedy")
+    assert (cert.size, cert.connected) == (2, False)
+    path = DominatingSetCertificate(VertexSet.of(d3, [0, 1, 2, 3]), "exact")
+    assert (path.size, path.connected) == (4, True)
+    with pytest.raises(TypeError):
+        DominatingSetCertificate(good, "greedy", connected=True)
     with pytest.raises(ValueError):
-        DominatingSetCertificate(good, connected=True, size=2, method="greedy")
+        DominatingSetCertificate(good, "magic")
     with pytest.raises(ValueError):
-        DominatingSetCertificate(good, connected=False, size=3, method="greedy")
-    with pytest.raises(ValueError):
-        DominatingSetCertificate(good, connected=False, size=2, method="magic")
-    with pytest.raises(ValueError):
-        DominatingSetCertificate(
-            VertexSet.of(d3, [0, 1]), connected=False, size=2, method="greedy"
-        )
+        DominatingSetCertificate(VertexSet.of(d3, [0, 1]), "greedy")
+
+
+def test_cds_constructions_names_and_best():
+    expected = {
+        1: ["greedy", "steinerized_greedy", "hamming", "steinerized_hamming", "exact"],
+        3: ["greedy", "steinerized_greedy", "hamming", "steinerized_hamming", "exact"],
+        4: ["greedy", "steinerized_greedy", "exact"],
+        5: ["greedy", "steinerized_greedy"],
+    }
+    for n, names in expected.items():
+        built, best = cds_constructions(Dimension(n))
+        assert list(built) == names
+        # ties go to the exact set, then to the steinerized greedy one
+        assert best is built["exact" if n <= 4 else "steinerized_greedy"]
+    # a connected raw greedy set of the same size is still not chosen
+    built, best = cds_constructions(Dimension(2))
+    assert built["greedy"].connected and best.method == "exact"
 
 
 def test_search_budget_guards():
