@@ -412,9 +412,17 @@ def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> S
     distances are monotone under taking supersets). That bound needs
     s >= 2, so at n = 1 (s = 1) the counting floor k - 1 stands in. The
     upper bound k + |cds| - 1 holds for every k-set at once by the
-    attachment construction. The exact value sweeps all C(2^n, k) subsets
-    when the projected state count fits the budget, and is omitted
-    otherwise.
+    attachment construction. The exact value is computed when the
+    projected state count fits the budget, and is omitted otherwise.
+
+    The sweep solves only the C(2^n - 1, k - 1) k-sets that contain vertex
+    0, in lexicographic order: Q_n is vertex-transitive under translation
+    (v -> v ^ t is an automorphism), so every k-set T is a translate T ^ t
+    of one containing 0, with the same Steiner distance. The reported
+    worst set is still the lexicographically first maximiser over all
+    C(2^n, k) k-sets: if that maximiser T had t = min T != 0, then T ^ t
+    would be a maximiser containing 0 whose sorted tuple begins with 0 < t,
+    so it would come before T.
     """
     if not 2 <= k <= dim.num_vertices:
         raise ValueError(f"need 2 <= k <= {dim.num_vertices}, got k={k}")
@@ -432,7 +440,8 @@ def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> S
         reason = f"budget: {exc}"
     else:
         best_d = -1
-        for cand in combinations(range(dim.num_vertices), k):
+        for rest in combinations(range(1, dim.num_vertices), k - 1):
+            cand = (0,) + rest
             d, _ = steiner_exact(SteinerInstance.from_vertices(dim, cand), budget=budget)
             if d > best_d:
                 best_d = d

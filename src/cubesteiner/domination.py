@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .cube import Dimension, VertexSet, bfs_forest
 from .errors import DEFAULT_BUDGET, check_budget
-from .steiner import shortest_path
+from .steiner import _geodesic
 
 METHODS = ("greedy", "hamming_code", "exact", "steinerized")
 
@@ -158,7 +158,7 @@ def steinerize(members: VertexSet) -> DominatingSetCertificate:
             for u in comp
             for v in other
         )
-        for e in shortest_path(dim, a, b):
+        for e in _geodesic(a, b):
             current.update(e.endpoints())
     return DominatingSetCertificate(VertexSet.of(dim, current), "steinerized")
 

@@ -9,24 +9,28 @@ is always a tree. Two independent routes compute it:
   subgraph. Slow but transparently correct; the reference the DP is
   validated against.
 - steiner_exact: subset dynamic programming (Dreyfus-Wagner) over
-  (terminal subset, vertex) states with merge and grow transitions, in
-  O(3^k 2^n + 2^k 2^n n) time, returning a witness tree.
+  (terminal subset, vertex) states with merge and grow transitions,
+  rooted at one terminal r: it solves the other k - 1 terminals and reads
+  d(S) = dp[S - r][r], in O(3^(k-1) 2^n + 2^(k-1) 2^n n) time, returning
+  a witness tree.
 
 The DP keeps each row dp[mask] (one value per vertex) packed in one Python
 int, one w-bit field per vertex, and updates whole rows with big-int
 arithmetic ("SIMD within a register"). Fields stay below the guard bit
 2^(w-1), because dp[mask][v] is at most the sum of the Hamming distances
-from v to the terminals in mask, hence at most k*n, and w is chosen with
-k*n + 1 < 2^(w-1); so a sum of two rows or a row plus one never carries
-into the next field, and the field-wise minimum reads the guard bit of
-(a | guard) - b. The merge takes that minimum over the half-splits of a
-mask; the grow is the separable L1 distance transform, one pass per
-coordinate b relaxing every vertex against its neighbour across b.
+from v to the terminals in mask, hence at most (k-1)*n for the k - 1
+terminals the DP runs over, and w is chosen with (k-1)*n + 1 < 2^(w-1); so
+a sum of two rows or a row plus one never carries into the next field, and
+the field-wise minimum reads the guard bit of (a | guard) - b. The merge
+takes that minimum over the half-splits of a mask; the grow is the
+separable L1 distance transform, one pass per coordinate b relaxing every
+vertex against its neighbour across b.
 
-Witnesses are rebuilt from the DP values alone, deterministically. At a
-state (mask, v) the first half-split of mask, in increasing submask order,
-whose two values sum to dp[mask][v] is followed; failing that, the smallest
-neighbor u with dp[mask][u] = dp[mask][v] - 1 is.
+Witnesses are rebuilt from the DP values alone, deterministically,
+starting at the state (S - r, r). At a state (mask, v) the first
+half-split of mask, in increasing submask order, whose two values sum to
+dp[mask][v] is followed; failing that, the smallest neighbor u with
+dp[mask][u] = dp[mask][v] - 1 is.
 """
 
 from __future__ import annotations
@@ -127,6 +131,11 @@ def shortest_path(dim: Dimension, u: int, v: int) -> list[Edge]:
     """The canonical geodesic: flip differing bits in increasing order."""
     check_vertex(dim, u)
     check_vertex(dim, v)
+    return _geodesic(u, v)
+
+
+def _geodesic(u: int, v: int) -> list[Edge]:
+    """`shortest_path` between two already validated vertices."""
     path = []
     cur = u
     diff = u ^ v
@@ -250,15 +259,19 @@ def steiner_exact(
 ) -> tuple[int, SteinerTree]:
     """Exact Steiner distance plus a witness tree.
 
+    The DP is rooted at r = terms[0] (Dreyfus-Wagner): it runs over the
+    other k - 1 terminals only, and d(S) = dp[full][r] with full the mask
+    of all of them, since a tree spanning them together with r spans S.
+    That is O(3^(k-1) 2^n) merge work and O(2^(k-1) 2^n n) grow work.
     dp[mask][v] is the minimum edge count of a tree spanning the terminals
     selected by mask together with v (see `_subset_dp`). Singleton rows are
     Hamming distances; a larger row is the field-wise minimum over merges
     at a shared vertex, followed by the separable grow across the n
     coordinates. Rows are packed w bits per vertex, the smallest w in
-    8, 16, 32, 64 with k*n + 1 < 2^(w-1): every value is at most the
-    summed Hamming distance from v to its terminals, at most k*n, so sums
-    and +1 stay below the guard bit. The witness is rebuilt from the
-    values and checked by `validate_tree`.
+    8, 16, 32, 64 with (k-1)*n + 1 < 2^(w-1): every value is at most the
+    summed Hamming distance from v to its terminals, at most (k-1)*n, so
+    sums and +1 stay below the guard bit. The witness is rebuilt from the
+    values, starting at (full, r), and checked by `validate_tree`.
     """
     dim = inst.dim
     terms = list(inst.terminals)
@@ -269,13 +282,13 @@ def steiner_exact(
         tree = SteinerTree(dim, frozenset(), frozenset(terms))
         return 0, tree
 
+    # The projection counts 2^k rows; the rooted DP builds 2^(k-1).
     projected = (1 << k) * dim.num_vertices
     check_budget("subset DP states", projected, budget)
 
-    full = (1 << k) - 1
-    dp = _subset_dp(terms, n)
-
-    root = terms[0]
+    root, others = terms[0], terms[1:]
+    full = (1 << (k - 1)) - 1
+    dp = _subset_dp(others, n)
     dist = dp[full][root]
 
     edges: set[Edge] = set()
@@ -283,7 +296,7 @@ def steiner_exact(
     while stack:
         mask, v = stack.pop()
         if mask & (mask - 1) == 0:
-            edges.update(shortest_path(dim, terms[mask.bit_length() - 1], v))
+            edges.update(_geodesic(others[mask.bit_length() - 1], v))
             continue
         row = dp[mask]
         sub = next(

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -334,6 +335,28 @@ def test_sdiam_small_cubes():
     assert sdiam_sandwich(Dimension(2), 2).exact == 2
     assert sdiam_sandwich(Dimension(2), 4).exact == 3
     assert sdiam_sandwich(D4, 2).exact == 4
+
+
+def _full_sdiam_sweep(dim, k):
+    """max d(S) over all C(2^n, k) k-sets and the lexicographically first
+    set attaining it."""
+    best_d, worst = -1, None
+    for cand in combinations(range(dim.num_vertices), k):
+        d, _ = steiner_exact(SteinerInstance.from_vertices(dim, cand))
+        if d > best_d:
+            best_d, worst = d, cand
+    return best_d, worst
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(n, k) for n in (1, 2, 3) for k in range(2, (1 << n) + 1)]
+    + [(4, k) for k in (2, 3, 4)],
+)
+def test_sdiam_sweep_over_sets_with_zero_matches_full_sweep(n, k):
+    dim = Dimension(n)
+    rep = sdiam_sandwich(dim, k)
+    assert (rep.exact, rep.worst_set.members) == _full_sdiam_sweep(dim, k)
 
 
 def test_sdiam_k_range():

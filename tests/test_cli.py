@@ -81,6 +81,63 @@ def test_exact_even_class(run):
         assert (fields["distance"], fields["tree_edges"]) == (distance, edges)
 
 
+# Full stdout pinned: the witness tree, and through it the overlap
+# statistics, must not change with how the DP is organised.
+PINNED_REPORTS = [
+    (
+        [
+            "exact",
+            "--n",
+            "6",
+            "--set",
+            "inline:000000,000011,000101,001001,010001,100001,001111,011011,110101,111111",
+        ],
+        "command: exact\n"
+        "seed: 0\n"
+        "budget_states: 4194304\n"
+        "n: 6\n"
+        "terminals: 000000 100001 010001 001001 000101 110101 000011 011011 001111 111111\n"
+        "set_size: 10\n"
+        "distance: 13\n"
+        "tree_vertices: 000000 000001 100001 010001 001001 000101 110101 111101 000011 "
+        "010011 011011 001111 011111 111111\n"
+        "tree_edges: 000000-000001 100001-000001 010001-000001 001001-000001 "
+        "000101-000001 110101-111101 000011-010011 000011-000001 011011-010011 "
+        "011011-011111 001111-011111 111111-011111 111111-111101\n",
+    ),
+    (
+        [
+            "experiment",
+            "--n",
+            "5",
+            "--set",
+            "inline:11000,10100,01100,10010,01010,10001,01001,00101,10111,01111",
+            "--exhaustive",
+        ],
+        "command: experiment\n"
+        "seed: 0\n"
+        "budget_states: 4194304\n"
+        "n: 5\n"
+        "terminals: 11000 10100 01100 10010 01010 10001 01001 00101 10111 01111\n"
+        "set_size: 10\n"
+        "distance: 13\n"
+        "mode: exhaustive\n"
+        "pair_count: 6400\n"
+        "mean: 169/80\n"
+        "expected_mean: 169/80\n"
+        "max_overlap: 4\n"
+        "min_lhs: 22\n"
+        "pair_bound_rhs: 14\n"
+        "pair_bound_ok: true\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_REPORTS, ids=["exact-q6", "experiment-q5"])
+def test_witness_dependent_reports_are_pinned(run, argv, expected):
+    assert run(argv) == (0, expected, "")
+
+
 def test_group_verify_summary_line(run):
     code, out, _ = run(["group-verify", "--n", "4"])
     assert code == 0

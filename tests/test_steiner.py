@@ -5,11 +5,13 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubesteiner import steiner
 from cubesteiner.autgroup import apply_vertex, sample_uniform
 from cubesteiner.cube import (
     Dimension,
     Edge,
     VertexSet,
+    edge_between,
     hamming_distance,
     parity,
     parity_class,
@@ -320,13 +322,72 @@ def test_subset_dp_rows_match_reference_on_even_classes(n):
     _assert_rows_match_reference(list(parity_class(Dimension(n), 0)), n)
 
 
-def test_sixteen_bit_fields_on_a_q4_set_embedded_in_q13():
-    # k*n = 10*13 = 130 needs 16-bit fields (8-bit ones allow k*n <= 126).
-    # XOR with a mask that is zero on coordinates 0..3 moves the Q_4 set
-    # into a 4-dimensional subcube of Q_13, which keeps its distance.
-    small = random.Random(3).sample(range(16), 10)
+def test_sixteen_bit_fields_on_a_q4_set_embedded_in_q13(monkeypatch):
+    # The DP is rooted at one terminal, so an 11-set runs it over 10:
+    # (k-1)*n = 10*13 = 130 needs 16-bit fields (8-bit ones allow
+    # (k-1)*n <= 126). XOR with a mask that is zero on coordinates 0..3
+    # moves the Q_4 set into a 4-dimensional subcube of Q_13, which keeps
+    # its distance.
+    small = random.Random(3).sample(range(16), 11)
     d4, _ = steiner_exact(_inst(D4, small))
     lifted = [v ^ 0b1011001110000 for v in small]
-    d13, tree = steiner_exact(_inst(Dimension(13), lifted), budget=1 << 23)
+    widths = []
+
+    def recording_dp(terms, n):
+        rows = _subset_dp(terms, n)
+        widths.append((len(terms), n, rows[0].typecode))
+        return rows
+
+    monkeypatch.setattr(steiner, "_subset_dp", recording_dp)
+    d13, tree = steiner_exact(_inst(Dimension(13), lifted), budget=1 << 24)
+    assert widths == [(10, 13, "H")]
     assert d13 == d4
     validate_tree(tree, lifted)
+
+
+def _unrooted_witness(terms, n):
+    """The DP over all k terminals, rebuilt from (full, terms[0]) by the
+    same rules as `steiner_exact`: the first half-split in increasing
+    submask order whose values add up, else the smallest neighbour one
+    closer. Returns the distance and the edge set."""
+    dim = Dimension(n)
+    dp = _subset_dp(terms, n)
+    full = (1 << len(terms)) - 1
+    root = terms[0]
+    edges = set()
+    stack = [(full, root)]
+    while stack:
+        mask, v = stack.pop()
+        if mask & (mask - 1) == 0:
+            edges.update(shortest_path(dim, terms[mask.bit_length() - 1], v))
+            continue
+        row = dp[mask]
+        splits = [s for s in range(1, mask) if s & mask == s and s < mask ^ s]
+        sub = next((s for s in splits if dp[s][v] + dp[mask ^ s][v] == row[v]), None)
+        if sub is not None:
+            stack.append((sub, v))
+            stack.append((mask ^ sub, v))
+        else:
+            u = min(v ^ (1 << b) for b in range(n) if row[v ^ (1 << b)] == row[v] - 1)
+            edges.add(edge_between(dim, u, v))
+            stack.append((mask, u))
+    return dp[full][root], edges
+
+
+def _assert_rooted_witness_matches_unrooted(terms, n):
+    dist, tree = steiner_exact(_inst(Dimension(n), terms))
+    assert (dist, set(tree.edges)) == _unrooted_witness(sorted(terms), n)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 8), st.booleans(), st.data())
+def test_rooted_witness_matches_unrooted_rebuild(n, all_even, data):
+    pool = [v for v in range(1 << n) if not all_even or parity(v) == 0]
+    k = data.draw(st.integers(1, min(9, len(pool))))
+    terms = data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
+    _assert_rooted_witness_matches_unrooted(terms, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rooted_witness_matches_unrooted_rebuild_on_even_classes(n):
+    _assert_rooted_witness_matches_unrooted(list(parity_class(Dimension(n), 0)), n)
