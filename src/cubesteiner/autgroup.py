@@ -175,33 +175,31 @@ def verify_sharp_edge_transitivity(
     """Check that every ordered edge pair has exactly one mapping element.
 
     Since the group and the edge set have equal size, it is enough to see
-    that each edge's orbit map g -> g(e) is injective and onto: a repeat
-    image and a missing image appear together, and either one is returned
-    as a counterexample (source edge, problem edge).
+    that each edge's orbit map g -> g(e) hits every edge. On failure the
+    counterexample is (source edge, problem edge): the first image in
+    group order that repeats an earlier one, or, when no image repeats,
+    the smallest edge that no image hits.
     """
     order = group_order(dim)
     check_budget("edge-pair transitivity sweep", order * dim.num_edges, budget)
     edges = all_edges(dim, budget=budget)
     group = enumerate_group(dim, budget=budget)
     all_edge_set = set(edges)
+    pairs = order * len(edges)
     for e1 in edges:
+        images = [_edge_image(dim, g, e1) for g in group]
+        if set(images) == all_edge_set:
+            continue
         seen: set[Edge] = set()
-        duplicate: Optional[Edge] = None
-        for g in group:
-            img = _edge_image(dim, g, e1)
-            if img in seen and duplicate is None:
-                duplicate = img
+        for img in images:
+            if img in seen:
+                problem = img
+                break
             seen.add(img)
-        if duplicate is not None:
-            return TransitivityReport(
-                False, order, len(edges), order * len(edges), (e1, duplicate)
-            )
-        if len(seen) != len(edges):
-            missing = min(all_edge_set - seen)
-            return TransitivityReport(
-                False, order, len(edges), order * len(edges), (e1, missing)
-            )
-    return TransitivityReport(True, order, len(edges), order * len(edges), None)
+        else:
+            problem = min(all_edge_set - seen)
+        return TransitivityReport(False, order, len(edges), pairs, (e1, problem))
+    return TransitivityReport(True, order, len(edges), pairs, None)
 
 
 def element_to_text(dim: Dimension, g: Automorphism) -> str:

@@ -39,13 +39,18 @@ from .cube import (
     VertexSet,
     all_edges,
     bfs_forest,
-    edge_between,
-    neighbors,
     parity,
 )
 from .domination import DominatingSetCertificate, cds_constructions
 from .errors import BudgetExceededError, DEFAULT_BUDGET, check_budget
-from .steiner import SteinerInstance, SteinerTree, steiner_exact, validate_tree
+from .steiner import (
+    SteinerInstance,
+    SteinerTree,
+    _dp_projection,
+    _edge,
+    steiner_exact,
+    validate_tree,
+)
 
 
 def mirror_set(members: VertexSet) -> VertexSet:
@@ -92,9 +97,9 @@ def upper_bound_tree(
 
     Builds a deterministic BFS spanning tree of the induced subgraph on
     the connected dominating set, attaches every terminal outside it to
-    its smallest dominating neighbor, then prunes non-terminal leaves.
-    The result is a tree spanning the terminals with at most
-    |terminals| + |cds| - 1 edges.
+    its smallest dominating neighbor, then prunes non-terminal leaves
+    until none is left, which leaves the unique smallest subtree spanning
+    the terminals. The result has at most |terminals| + |cds| - 1 edges.
     """
     if len(terminals) == 0:
         raise ValueError("empty terminal set")
@@ -104,35 +109,33 @@ def upper_bound_tree(
         raise ValueError("construction requires a connected dominating set")
     dim = terminals.dim
     members = set(cds.vertex_set)
-    [spanning] = bfs_forest(dim.n, members)
-    edges = {edge_between(dim, u, p) for u, p in spanning.items() if u != p}
-
-    vertices = set(members)
+    [parent] = bfs_forest(dim.n, members)
     for t in terminals:
-        if t in members:
-            continue
-        vertices.add(t)
-        edges.add(edge_between(dim, t, min(w for w in neighbors(dim, t) if w in members)))
+        if t not in members:
+            nbrs = (t ^ (1 << b) for b in range(dim.n))
+            parent[t] = min(u for u in nbrs if u in members)
 
     term_set = set(terminals)
-    adj: dict[int, set[int]] = {v: set() for v in vertices}
-    for e in edges:
-        u, w = e.endpoints()
-        adj[u].add(w)
-        adj[w].add(u)
-    pruned = True
-    while pruned:
-        pruned = False
-        for v in sorted(vertices):
-            if v in term_set or len(adj[v]) > 1:
-                continue
-            for w in adj.pop(v):
-                adj[w].discard(v)
-                edges.discard(edge_between(dim, v, w))
-            vertices.discard(v)
-            pruned = True
+    adj: dict[int, set[int]] = {v: set() for v in parent}
+    for v, p in parent.items():
+        if v != p:
+            adj[v].add(p)
+            adj[p].add(v)
+    # Pruning a leaf can only turn its one neighbour into a leaf.
+    leaves = [v for v, nbrs in adj.items() if len(nbrs) <= 1 and v not in term_set]
+    while leaves:
+        v = leaves.pop()
+        for u in adj.pop(v):
+            adj[u].discard(v)
+            if len(adj[u]) <= 1 and u not in term_set:
+                leaves.append(u)
 
-    tree = SteinerTree(dim, frozenset(edges), frozenset(vertices))
+    edges = frozenset(
+        _edge(v, (v ^ p).bit_length() - 1)
+        for v, p in parent.items()
+        if v != p and v in adj and p in adj
+    )
+    tree = SteinerTree(dim, edges, frozenset(adj))
     validate_tree(tree, terminals)
     if len(edges) > len(terminals) + cds.size - 1:
         raise AssertionError("construction exceeded its own edge budget")
@@ -349,10 +352,7 @@ class BoundsReport:
 
 
 def build_bounds_report(
-    terminals: VertexSet,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    cds: Optional[DominatingSetCertificate] = None,
+    terminals: VertexSet, *, budget: int = DEFAULT_BUDGET
 ) -> BoundsReport:
     """Assemble the full sandwich for one instance.
 
@@ -364,8 +364,7 @@ def build_bounds_report(
     if len(terminals) == 0:
         raise ValueError("empty terminal set")
     dim = terminals.dim
-    if cds is None:
-        cds = best_connected_dominating_set(dim, budget=budget)
+    cds = best_connected_dominating_set(dim, budget=budget)
     tree, upper = upper_bound_tree(terminals, cds)
     s = len(terminals)
     all_even = all(parity(v) == 0 for v in terminals)
@@ -433,7 +432,7 @@ def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> S
 
     exact: Optional[int] = None
     worst: Optional[VertexSet] = None
-    projected = math.comb(dim.num_vertices, k) * ((1 << k) * dim.num_vertices)
+    projected = math.comb(dim.num_vertices, k) * _dp_projection(dim, k)
     try:
         check_budget("k-subset diameter sweep", projected, budget)
     except BudgetExceededError as exc:

@@ -19,24 +19,24 @@ int, one w-bit field per vertex, and updates whole rows with big-int
 arithmetic ("SIMD within a register"). Fields stay below the guard bit
 2^(w-1), because dp[mask][v] is at most the sum of the Hamming distances
 from v to the terminals in mask, hence at most (k-1)*n for the k - 1
-terminals the DP runs over, and w is chosen with (k-1)*n + 1 < 2^(w-1); so
-a sum of two rows or a row plus one never carries into the next field, and
-the field-wise minimum reads the guard bit of (a | guard) - b. The merge
-takes that minimum over the half-splits of a mask; the grow is the
-separable L1 distance transform, one pass per coordinate b relaxing every
-vertex against its neighbour across b.
+terminals the DP runs over, and w = ((k-1)*n + 1).bit_length() + 1 is the
+least width with (k-1)*n + 1 < 2^(w-1); so a sum of two rows or a row plus
+one never carries into the next field, and the field-wise minimum reads
+the guard bit of (a | guard) - b. The merge takes that minimum over the
+half-splits of a mask; the grow is the separable L1 distance transform,
+one pass per coordinate b relaxing every vertex against its neighbour
+across b.
 
-Witnesses are rebuilt from the DP values alone, deterministically,
-starting at the state (S - r, r). At a state (mask, v) the first
-half-split of mask, in increasing submask order, whose two values sum to
-dp[mask][v] is followed; failing that, the smallest neighbor u with
+Witnesses are rebuilt from the packed DP values alone, deterministically,
+starting at the state (S - r, r); field v of a row is read as
+(row >> w*v) & (2^w - 1). At a state (mask, v) the first half-split of
+mask, in increasing submask order, whose two values sum to dp[mask][v] is
+followed; failing that, the smallest neighbor u with
 dp[mask][u] = dp[mask][v] - 1 is.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -193,19 +193,16 @@ def _pmin(a: int, b: int, guard: int, shift: int) -> int:
     return a ^ ((a ^ b) & ((t << 1) - (t >> shift)))
 
 
-_TYPECODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
-
-
-def _subset_dp(terms: list[int], n: int) -> list[array]:
-    """Every row dp[mask], mask = 0 .. 2^k - 1, one value per vertex.
+def _subset_dp(terms: list[int], n: int) -> tuple[list[int], int]:
+    """Every row dp[mask], mask = 0 .. 2^k - 1, packed, and the field width.
 
     dp[mask][v] is the minimum edge count of a tree spanning the terminals
-    selected by mask together with v (dp[0] is all zeros). Rows are
-    computed packed, field v of a row in bits w*v .. w*v + w - 1, and
-    unpacked into arrays at the end.
+    selected by mask together with v (dp[0] is all zeros). Row dp[mask] is
+    one int holding dp[mask][v] in bits w*v .. w*v + w - 1, with
+    w = (k*n + 1).bit_length() + 1, the least width with k*n + 1 < 2^(w-1).
     """
     k = len(terms)
-    w = next(w for w in (8, 16, 32, 64) if (k * n + 1).bit_length() + 1 <= w)
+    w = (k * n + 1).bit_length() + 1
     total = w << n
     ones = ((1 << total) - 1) // ((1 << w) - 1)
     guard = ones << (w - 1)
@@ -245,13 +242,13 @@ def _subset_dp(terms: list[int], n: int) -> list[array]:
 
         dp[mask] = arr
 
-    rows = []
-    for packed in dp:
-        row = array(_TYPECODES[w], packed.to_bytes(total >> 3, "little"))
-        if sys.byteorder == "big":
-            row.byteswap()
-        rows.append(row)
-    return rows
+    return dp, w
+
+
+def _dp_projection(dim: Dimension, k: int) -> int:
+    """Budget units for one DP solve over k terminals: 2^k rows of 2^n
+    states, twice the 2^(k-1) rows the rooted DP builds."""
+    return (1 << k) * dim.num_vertices
 
 
 def steiner_exact(
@@ -267,11 +264,11 @@ def steiner_exact(
     selected by mask together with v (see `_subset_dp`). Singleton rows are
     Hamming distances; a larger row is the field-wise minimum over merges
     at a shared vertex, followed by the separable grow across the n
-    coordinates. Rows are packed w bits per vertex, the smallest w in
-    8, 16, 32, 64 with (k-1)*n + 1 < 2^(w-1): every value is at most the
-    summed Hamming distance from v to its terminals, at most (k-1)*n, so
-    sums and +1 stay below the guard bit. The witness is rebuilt from the
-    values, starting at (full, r), and checked by `validate_tree`.
+    coordinates. Rows stay packed, w bits per vertex with
+    w = ((k-1)*n + 1).bit_length() + 1: every value is at most the summed
+    Hamming distance from v to its terminals, at most (k-1)*n, so sums and
+    +1 stay below the guard bit 2^(w-1). The witness is rebuilt from the
+    packed values, starting at (full, r), and checked by `validate_tree`.
     """
     dim = inst.dim
     terms = list(inst.terminals)
@@ -282,14 +279,13 @@ def steiner_exact(
         tree = SteinerTree(dim, frozenset(), frozenset(terms))
         return 0, tree
 
-    # The projection counts 2^k rows; the rooted DP builds 2^(k-1).
-    projected = (1 << k) * dim.num_vertices
-    check_budget("subset DP states", projected, budget)
+    check_budget("subset DP states", _dp_projection(dim, k), budget)
 
     root, others = terms[0], terms[1:]
     full = (1 << (k - 1)) - 1
-    dp = _subset_dp(others, n)
-    dist = dp[full][root]
+    dp, w = _subset_dp(others, n)
+    field = (1 << w) - 1
+    dist = dp[full] >> (w * root) & field
 
     edges: set[Edge] = set()
     stack = [(full, root)]
@@ -299,15 +295,16 @@ def steiner_exact(
             edges.update(_geodesic(others[mask.bit_length() - 1], v))
             continue
         row = dp[mask]
-        sub = next(
-            (s for s in _half_splits(mask) if dp[s][v] + dp[mask ^ s][v] == row[v]),
-            None,
-        )
-        if sub is not None:
-            stack.append((sub, v))
-            stack.append((mask ^ sub, v))
+        at = w * v
+        here = row >> at & field
+        for sub in _half_splits(mask):
+            if (dp[sub] >> at & field) + (dp[mask ^ sub] >> at & field) == here:
+                stack.append((sub, v))
+                stack.append((mask ^ sub, v))
+                break
         else:
-            u = min(v ^ (1 << b) for b in range(n) if row[v ^ (1 << b)] == row[v] - 1)
+            nbrs = (v ^ (1 << b) for b in range(n))
+            u = min(x for x in nbrs if row >> (w * x) & field == here - 1)
             edges.add(_edge(v, (u ^ v).bit_length() - 1))
             stack.append((mask, u))
 

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from cubesteiner import autgroup
 from cubesteiner.autgroup import (
     Automorphism,
     apply_edge,
@@ -227,6 +228,41 @@ def test_sharp_edge_transitivity_small_dimensions(n):
     assert report.counterexample is None
     assert report.group_size == report.edge_count == n * 2 ** (n - 1)
     assert report.pair_count == report.group_size**2
+
+
+def test_sharp_edge_transitivity_reports_a_repeated_image(monkeypatch):
+    # The last element acts like the one before it: its image repeats.
+    d = Dimension(3)
+    *_, g_prev, g_last = _elements(3)
+    real = autgroup._edge_image
+
+    def repeating(dim, g, e):
+        return real(dim, g_prev if g == g_last else g, e)
+
+    monkeypatch.setattr(autgroup, "_edge_image", repeating)
+    report = verify_sharp_edge_transitivity(d)
+    e1 = all_edges(d)[0]
+    assert not report.ok
+    assert report.counterexample == (e1, real(d, g_prev, e1))
+
+
+def test_sharp_edge_transitivity_reports_an_edge_no_image_hits(monkeypatch):
+    # The last element maps every edge off the cube (a flip bit >= n):
+    # the images stay distinct, so only an "onto" check sees that its true
+    # image is never hit.
+    d = Dimension(3)
+    g_last = _elements(3)[-1]
+    real = autgroup._edge_image
+
+    def leaving(dim, g, e):
+        img = real(dim, g, e)
+        return Edge(img.even_end, img.bit_index + dim.n) if g == g_last else img
+
+    monkeypatch.setattr(autgroup, "_edge_image", leaving)
+    report = verify_sharp_edge_transitivity(d)
+    e1 = all_edges(d)[0]
+    assert not report.ok
+    assert report.counterexample == (e1, real(d, g_last, e1))
 
 
 def test_sharp_edge_transitivity_budget_guard():

@@ -20,10 +20,20 @@ from cubesteiner.bounds import (
     trivial_lower_floor,
     upper_bound_tree,
 )
-from cubesteiner.cube import Dimension, VertexSet, parity, parity_class
+from cubesteiner.cube import (
+    Dimension,
+    VertexSet,
+    bfs_forest,
+    edge_between,
+    neighbors,
+    parity,
+    parity_class,
+)
 from cubesteiner.domination import (
     exact_connected_dominating_set,
     greedy_dominating_set,
+    hamming_code_dominating_set,
+    steinerize,
 )
 from cubesteiner.errors import BudgetExceededError
 from cubesteiner.steiner import SteinerInstance, steiner_exact, validate_tree
@@ -85,6 +95,60 @@ def test_upper_bound_tree_terminals_inside_cds():
     sub = VertexSet.of(D3, [0, 3])
     _, count = upper_bound_tree(sub, cds)
     assert count <= cds.size - 1
+
+
+def _rescan_pruned_tree(terminals, cds):
+    """`upper_bound_tree`'s edges and vertices as built by attaching the
+    terminals and then rescanning every vertex in order until no
+    non-terminal leaf is left."""
+    dim = terminals.dim
+    members = set(cds.vertex_set)
+    [spanning] = bfs_forest(dim.n, members)
+    edges = {edge_between(dim, u, p) for u, p in spanning.items() if u != p}
+    vertices = set(members)
+    for t in terminals:
+        if t in members:
+            continue
+        vertices.add(t)
+        edges.add(edge_between(dim, t, min(w for w in neighbors(dim, t) if w in members)))
+    adj = {v: set() for v in vertices}
+    for e in edges:
+        u, w = e.endpoints()
+        adj[u].add(w)
+        adj[w].add(u)
+    pruned = True
+    while pruned:
+        pruned = False
+        for v in sorted(vertices):
+            if v in terminals or len(adj[v]) > 1:
+                continue
+            for w in adj.pop(v):
+                adj[w].discard(v)
+                edges.discard(edge_between(dim, v, w))
+            vertices.discard(v)
+            pruned = True
+    return edges, vertices
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_upper_bound_tree_matches_rescan_pruning(n):
+    dim = Dimension(n)
+    cdss = [
+        best_connected_dominating_set(dim),
+        steinerize(greedy_dominating_set(dim).vertex_set),
+    ]
+    if n in (1, 3, 7):
+        cdss.append(steinerize(hamming_code_dominating_set(dim).vertex_set))
+    rng = random.Random(900 + n)
+    for cds in cdss:
+        for _ in range(40):
+            size = rng.randint(1, min(12, dim.num_vertices))
+            terminals = VertexSet.of(dim, rng.sample(range(dim.num_vertices), size))
+            tree, count = upper_bound_tree(terminals, cds)
+            assert (set(tree.edges), set(tree.vertices)) == _rescan_pruned_tree(
+                terminals, cds
+            ), (terminals, cds)
+            assert count == len(tree.edges)
 
 
 def test_upper_bound_tree_rejects_bad_input():

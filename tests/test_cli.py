@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from cubesteiner import domination
+from cubesteiner import autgroup, domination
 from cubesteiner.cli import main
+from cubesteiner.cube import Dimension
 
 
 @pytest.fixture()
@@ -144,6 +145,24 @@ def test_group_verify_summary_line(run):
     assert (
         "sharp edge transitivity: OK (32 elements, 32 edges, 1024 ordered pairs)\n"
         in out
+    )
+
+
+def test_group_verify_prints_fail_and_counterexample(run, monkeypatch):
+    # The last element of Q_3's group acts like the one before it, s=2;m=101,
+    # which maps 000-100 to 101-111.
+    *_, g_prev, g_last = autgroup.enumerate_group(Dimension(3))
+    real = autgroup._edge_image
+    monkeypatch.setattr(
+        autgroup,
+        "_edge_image",
+        lambda dim, g, e: real(dim, g_prev if g == g_last else g, e),
+    )
+    code, out, err = run(["group-verify", "--n", "3"])
+    assert (code, err) == (0, "")
+    assert out.endswith(
+        "sharp edge transitivity: FAIL (12 elements, 12 edges, 144 ordered pairs)\n"
+        "counterexample: 000-100 -> 101-111\n"
     )
 
 

@@ -299,13 +299,23 @@ def _reference_subset_dp(terms, n):
     return dp
 
 
+def _unpacked_subset_dp(terms, n):
+    """`_subset_dp`'s packed rows as lists, one value per vertex, and the
+    field width."""
+    rows, w = _subset_dp(terms, n)
+    field = (1 << w) - 1
+    return [[row >> (w * v) & field for v in range(1 << n)] for row in rows], w
+
+
 def _assert_rows_match_reference(terms, n):
-    rows = _subset_dp(terms, n)
+    rows, w = _unpacked_subset_dp(terms, n)
     ref = _reference_subset_dp(terms, n)
+    assert w == (len(terms) * n + 1).bit_length() + 1
     assert len(rows) == 1 << len(terms)
-    assert list(rows[0]) == [0] * (1 << n)
+    assert rows[0] == [0] * (1 << n)
     for mask in range(1, 1 << len(terms)):
-        assert list(rows[mask]) == ref[mask], (terms, n, mask)
+        assert rows[mask] == ref[mask], (terms, n, mask)
+    return w
 
 
 @settings(deadline=None, max_examples=60)
@@ -322,9 +332,28 @@ def test_subset_dp_rows_match_reference_on_even_classes(n):
     _assert_rows_match_reference(list(parity_class(Dimension(n), 0)), n)
 
 
-def test_sixteen_bit_fields_on_a_q4_set_embedded_in_q13(monkeypatch):
+@pytest.mark.parametrize(
+    "n, k, w",
+    [
+        (1, 2, 3), (2, 1, 3),
+        (3, 2, 4), (2, 3, 4),
+        (7, 2, 5), (3, 4, 5),
+        (5, 6, 6), (6, 5, 6),
+        (8, 4, 7), (7, 8, 7),
+        (8, 8, 8),
+    ],
+)
+def test_subset_dp_rows_match_reference_at_every_field_width(n, k, w):
+    # k*n runs through every field width from 3 to 8 bits. The terminals
+    # are the k vertices nearest vertex 0, so values grow towards the far
+    # corner of the cube.
+    terms = sorted(range(1 << n), key=lambda v: (v.bit_count(), v))[:k]
+    assert _assert_rows_match_reference(terms, n) == w
+
+
+def test_nine_bit_fields_on_a_q4_set_embedded_in_q13(monkeypatch):
     # The DP is rooted at one terminal, so an 11-set runs it over 10:
-    # (k-1)*n = 10*13 = 130 needs 16-bit fields (8-bit ones allow
+    # (k-1)*n = 10*13 = 130 needs 9-bit fields (8-bit ones allow
     # (k-1)*n <= 126). XOR with a mask that is zero on coordinates 0..3
     # moves the Q_4 set into a 4-dimensional subcube of Q_13, which keeps
     # its distance.
@@ -334,13 +363,13 @@ def test_sixteen_bit_fields_on_a_q4_set_embedded_in_q13(monkeypatch):
     widths = []
 
     def recording_dp(terms, n):
-        rows = _subset_dp(terms, n)
-        widths.append((len(terms), n, rows[0].typecode))
-        return rows
+        rows, w = _subset_dp(terms, n)
+        widths.append((len(terms), n, w))
+        return rows, w
 
     monkeypatch.setattr(steiner, "_subset_dp", recording_dp)
     d13, tree = steiner_exact(_inst(Dimension(13), lifted), budget=1 << 24)
-    assert widths == [(10, 13, "H")]
+    assert widths == [(10, 13, 9)]
     assert d13 == d4
     validate_tree(tree, lifted)
 
@@ -351,7 +380,7 @@ def _unrooted_witness(terms, n):
     submask order whose values add up, else the smallest neighbour one
     closer. Returns the distance and the edge set."""
     dim = Dimension(n)
-    dp = _subset_dp(terms, n)
+    dp, _ = _unpacked_subset_dp(terms, n)
     full = (1 << len(terms)) - 1
     root = terms[0]
     edges = set()
