@@ -37,6 +37,7 @@ from .cube import (
     Dimension,
     Edge,
     VertexSet,
+    _edge,
     all_edges,
     bfs_forest,
     parity,
@@ -47,7 +48,6 @@ from .steiner import (
     SteinerInstance,
     SteinerTree,
     _dp_projection,
-    _edge,
     steiner_exact,
     validate_tree,
 )
@@ -69,12 +69,12 @@ def lower_bound_even(dim: Dimension, s: int) -> Fraction:
     Valid for every all-even terminal set of size s >= 2; s is capped by
     the size 2^{n-1} of the even class. The derivation uses d(S) >= s,
     which fails for a single terminal (d = 0, while the bound is 1/2 at
-    n = 1).
+    n = 1), so s = 1 is rejected.
     """
     n = dim.n
     half = dim.num_vertices // 2
-    if not 1 <= s <= half:
-        raise ValueError(f"need 1 <= s <= 2^(n-1) = {half}, got s={s}")
+    if not 2 <= s <= half:
+        raise ValueError(f"need 2 <= s <= 2^(n-1) = {half}, got s={s}")
     return s + Fraction(s * s, n << n) - Fraction(n + 1, 2)
 
 
@@ -441,10 +441,11 @@ def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> S
         best_d = -1
         for rest in combinations(range(1, dim.num_vertices), k - 1):
             cand = (0,) + rest
-            d, _ = steiner_exact(SteinerInstance.from_vertices(dim, cand), budget=budget)
+            inst = SteinerInstance(dim, VertexSet(dim, cand))
+            d, _ = steiner_exact(inst, budget=budget)
             if d > best_d:
                 best_d = d
-                worst = VertexSet.of(dim, cand)
+                worst = inst.terminals
         exact = best_d
         reason = "computed"
         if not lower <= exact <= upper:

@@ -89,6 +89,27 @@ class Edge(NamedTuple):
         return self.even_end, self.odd_end
 
 
+def _edge(v: int, bit: int) -> Edge:
+    """Canonical edge flipping `bit` at the already validated vertex v."""
+    return Edge(v if parity(v) == 0 else v ^ (1 << bit), bit)
+
+
+def _geodesic(u: int, v: int) -> list[Edge]:
+    """The canonical geodesic between two already validated vertices:
+    flip the differing bits in increasing order."""
+    path = []
+    cur = u
+    diff = u ^ v
+    bit = 0
+    while diff:
+        if diff & 1:
+            path.append(_edge(cur, bit))
+            cur ^= 1 << bit
+        diff >>= 1
+        bit += 1
+    return path
+
+
 def edge_between(dim: Dimension, u: int, v: int) -> Edge:
     """Canonical edge on {u, v}; the endpoints must differ in one bit."""
     check_vertex(dim, u)
@@ -96,8 +117,7 @@ def edge_between(dim: Dimension, u: int, v: int) -> Edge:
     diff = u ^ v
     if diff.bit_count() != 1:
         raise ValueError(f"vertices {u} and {v} are not adjacent in Q_{dim.n}")
-    even = u if parity(u) == 0 else v
-    return Edge(even, diff.bit_length() - 1)
+    return _edge(u, diff.bit_length() - 1)
 
 
 def bfs_forest(n: int, vertices: Iterable[int]) -> list[dict[int, int]]:

@@ -45,9 +45,10 @@ from .cube import (
     Dimension,
     Edge,
     VertexSet,
+    _edge,
+    _geodesic,
     bfs_forest,
     check_vertex,
-    parity,
     parse_vertex,
 )
 from .errors import DEFAULT_BUDGET, ParseError, check_budget
@@ -122,31 +123,11 @@ def validate_tree(tree: SteinerTree, terminals: Iterable[int]) -> None:
             raise ValueError(f"non-terminal leaf {v}; tree is not edge-minimal")
 
 
-def _edge(v: int, bit: int) -> Edge:
-    """Canonical edge flipping `bit` at the already validated vertex v."""
-    return Edge(v if parity(v) == 0 else v ^ (1 << bit), bit)
-
-
 def shortest_path(dim: Dimension, u: int, v: int) -> list[Edge]:
     """The canonical geodesic: flip differing bits in increasing order."""
     check_vertex(dim, u)
     check_vertex(dim, v)
     return _geodesic(u, v)
-
-
-def _geodesic(u: int, v: int) -> list[Edge]:
-    """`shortest_path` between two already validated vertices."""
-    path = []
-    cur = u
-    diff = u ^ v
-    bit = 0
-    while diff:
-        if diff & 1:
-            path.append(_edge(cur, bit))
-            cur ^= 1 << bit
-        diff >>= 1
-        bit += 1
-    return path
 
 
 def steiner_brute_oracle(
@@ -347,7 +328,7 @@ def parse_instance_text(text: str) -> SteinerInstance:
         raise ParseError("instance lists no terminals")
     if len(set(vertices)) != len(vertices):
         raise ParseError("duplicate terminal in instance file")
-    return SteinerInstance.from_vertices(dim, vertices)
+    return SteinerInstance(dim, VertexSet.of(dim, vertices))
 
 
 def load_instance(path: str) -> SteinerInstance:

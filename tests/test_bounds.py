@@ -63,12 +63,16 @@ def test_lower_bound_even_values():
     assert lower_bound_even(D4, 8) == Fraction(13, 2)
     assert lower_bound_even(D3, 4) == Fraction(8, 3)
     assert lower_bound_even(Dimension(7), 64) == 64 + Fraction(4096, 896) - 4
-    assert lower_bound_even(D3, 1) == 1 + Fraction(1, 24) - 2
 
 
 def test_lower_bound_even_range():
     with pytest.raises(ValueError):
         lower_bound_even(D3, 0)
+    # the bound fails for one terminal: 1/2 at n = 1, where d = 0
+    with pytest.raises(ValueError):
+        lower_bound_even(Dimension(1), 1)
+    with pytest.raises(ValueError):
+        lower_bound_even(D3, 1)
     with pytest.raises(ValueError):
         lower_bound_even(D3, 5)
 

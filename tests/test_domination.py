@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from cubesteiner import domination
 from cubesteiner.cube import (
     Dimension,
     VertexSet,
@@ -24,7 +25,7 @@ from cubesteiner.domination import (
     sphere_covering_floor,
     steinerize,
 )
-from cubesteiner.errors import BudgetExceededError
+from cubesteiner.errors import BudgetExceededError, check_budget
 
 
 def test_closed_neighborhood_masks():
@@ -82,8 +83,37 @@ def test_branch_and_bound_matches_exhaustive():
         assert cert.vertex_set == _reference_lex_first_cds(dim)
 
 
-def test_connected_domination_number_q5():
+# Search nodes to the first minimum witness, and that witness; the budget
+# caps the node count, so these pin every `cds --budget-states` exit.
+SEARCH_NODES = {
+    1: (1, [0]),
+    2: (2, [0, 1]),
+    3: (24, [0, 1, 2, 3]),
+    4: (441, [0, 1, 2, 5, 10, 13]),
+}
+
+
+@pytest.mark.parametrize("n", sorted(SEARCH_NODES))
+def test_search_node_counts_pinned(n):
+    dim = Dimension(n)
+    nodes, witness = SEARCH_NODES[n]
+    with pytest.raises(BudgetExceededError):
+        exact_connected_dominating_set(dim, budget=nodes - 1)
+    cert = exact_connected_dominating_set(dim, budget=nodes)
+    assert list(cert.vertex_set) == witness
+
+
+def test_connected_domination_number_q5(monkeypatch):
+    charged = []
+
+    def recording_check_budget(what, projected, limit):
+        if what == "connected domination search":
+            charged.append(projected)
+        return check_budget(what, projected, limit)
+
+    monkeypatch.setattr(domination, "check_budget", recording_check_budget)
     cert = exact_connected_dominating_set(Dimension(5))
+    assert max(charged) == 245_817
     assert cert.size == 10
     assert cert.connected
     assert cert.method == "exact"
