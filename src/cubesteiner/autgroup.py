@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .cube import Dimension, Edge, all_edges, check_edge, check_vertex
+from .cube import Dimension, Edge, all_edges, check_edge, check_vertex, parse_vertex
 from .errors import DEFAULT_BUDGET, ParseError, check_budget
 
 
@@ -221,12 +221,10 @@ def parse_element(dim: Dimension, text: str) -> Automorphism:
         mask_str = mask_part[2:]
     except ValueError:
         raise ParseError(f"bad automorphism text {text!r}") from None
-    if len(mask_str) != dim.n or set(mask_str) - {"0", "1"}:
-        raise ParseError(f"bad flip-mask string in {text!r}")
-    mask = 0
-    for i, ch in enumerate(mask_str):
-        if ch == "1":
-            mask |= 1 << i
+    try:
+        mask = parse_vertex(dim, mask_str)
+    except ParseError:
+        raise ParseError(f"bad flip-mask string in {text!r}") from None
     try:
         return check_element(dim, Automorphism(shift, mask))
     except ValueError as exc:

@@ -14,8 +14,9 @@ seed. Formats: text (key: value lines), json (schema-versioned flat
 object, sorted keys), csv (header row plus one value row; `experiment`
 instead emits the per-pair transcript). Rationals print as "p/q".
 
-Failures exit with a category on stderr: parse errors 2, budget
-overruns 3, precondition violations 4.
+Failures exit with a category on stderr: parse errors 2 (argparse's own
+included), budget overruns 3, precondition violations 4. `main()`
+returns its exit code; only --help raises SystemExit.
 """
 
 from __future__ import annotations
@@ -73,8 +74,6 @@ def _resolve_set(args: argparse.Namespace) -> tuple[Dimension, VertexSet]:
     require --n), or a path to an instance file carrying its own n.
     """
     selector: str = args.set
-    if selector is None:
-        raise ParseError("this command requires --set")
     if selector in ("even", "odd", "all") or selector.startswith("inline:"):
         if args.n is None:
             raise ParseError(f"--set {selector.split(':')[0]} requires --n")
@@ -100,12 +99,6 @@ def _resolve_set(args: argparse.Namespace) -> tuple[Dimension, VertexSet]:
             f"--n {args.n} disagrees with n={inst.dim.n} from {selector!r}"
         )
     return inst.dim, inst.terminals
-
-
-def _require_n(args: argparse.Namespace) -> Dimension:
-    if args.n is None:
-        raise ParseError("this command requires --n")
-    return Dimension(args.n)
 
 
 def _base_fields(args: argparse.Namespace) -> dict:
@@ -157,7 +150,7 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
 
 
 def _cmd_cds(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
-    dim = _require_n(args)
+    dim = Dimension(args.n)
     fields = _base_fields(args)
     fields["n"] = dim.n
     built, best = cds_constructions(dim, budget=args.budget_states)
@@ -172,7 +165,7 @@ def _cmd_cds(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
 
 
 def _cmd_group_verify(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
-    dim = _require_n(args)
+    dim = Dimension(args.n)
     report = verify_sharp_edge_transitivity(dim, budget=args.budget_states)
     verdict = "OK" if report.ok else "FAIL"
     summary = (
@@ -196,10 +189,9 @@ def _cmd_group_verify(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
 def _cmd_experiment(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
     dim, terminals = _resolve_set(args)
     exp = build_intersection_experiment(terminals, budget=args.budget_states)
-    samples = None if args.exhaustive or args.samples is None else args.samples
     summary = run_intersection_experiment(
         exp,
-        samples=samples,
+        samples=args.samples,
         seed=args.seed,
         budget=args.budget_states,
         keep_transcript=args.format == "csv",
@@ -231,9 +223,7 @@ def _cmd_experiment(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
 
 
 def _cmd_sdiam(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
-    dim = _require_n(args)
-    if args.k is None:
-        raise ParseError("sdiam requires --k")
+    dim = Dimension(args.n)
     report = sdiam_sandwich(dim, args.k, budget=args.budget_states)
     fields = _base_fields(args)
     fields.update(
@@ -286,8 +276,14 @@ def _render(fields: dict, transcript: Optional[list], fmt: str) -> str:
     return "".join(f"{k}: {_scalar_text(v)}\n" for k, v in fields.items())
 
 
+# argparse failures go through main's error table instead of exiting
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cubesteiner",
         description="Steiner distances, dominating sets, and automorphism "
         "experiments in hypercubes.",
@@ -295,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=int, default=None, help="cube dimension")
+        # exact, bound and experiment may take n from an instance file
+        n_required = name in ("cds", "group-verify", "sdiam")
+        p.add_argument("--n", type=int, required=n_required, help="cube dimension")
         p.add_argument(
             "--seed", type=int, default=0, help="random seed (always recorded)"
         )
@@ -309,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("exact", "bound", "experiment"):
             p.add_argument(
                 "--set",
-                default=None,
+                required=True,
                 help="terminal set: file path, even, odd, all, or inline:v1,v2,...",
             )
         if name == "experiment":
@@ -323,16 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
                 "--samples", type=int, default=None, help="sample this many pairs"
             )
         if name == "sdiam":
-            p.add_argument("--k", type=int, default=None, help="terminal set size")
+            p.add_argument("--k", type=int, required=True, help="terminal set size")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.budget_states <= 0:
-        print("error[precondition]: --budget-states must be positive", file=sys.stderr)
-        return 4
     try:
+        args = build_parser().parse_args(argv)
+        if args.budget_states <= 0:
+            raise ValueError("--budget-states must be positive")
         fields, transcript = _COMMANDS[args.command][0](args)
     except ParseError as exc:
         print(f"error[parse]: {exc}", file=sys.stderr)

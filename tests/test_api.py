@@ -1,7 +1,13 @@
+import ast
+import importlib
+import json
 import types
 from pathlib import Path
 
 import cubesteiner
+from cubesteiner import cli, domination
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_all_is_duplicate_free():
@@ -22,9 +28,44 @@ def test_all_lists_exactly_the_public_bindings():
 def test_benchmark_tracer_resolves_every_wrapped_name():
     # Tracer() looks up every function the traced benchmark run wraps, so
     # a rename that would break it fails here; the file is only read
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    path = PERFBENCH / "tracing.py"
     module = types.ModuleType("perfbench_tracing")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
     tracer = module.Tracer()
     wrapped = sum(len(f) for f in (*module.SPANNED.values(), *module.COUNTED.values()))
     assert len(tracer._built) == wrapped + 1  # plus the budget meter
+
+
+def test_benchmark_pins_are_valid_calls():
+    # every pinned job must parse (a missing required flag would fail the job
+    # in every run) or name a domination function; the file is only read
+    pins = json.loads((PERFBENCH / "pins.json").read_text(encoding="utf-8"))
+    jobs = [
+        job
+        for workload in ("exact_mix", "symmetry", "sandwich")
+        for slot in pins[workload]["slots"]
+        for job in slot["pool"]
+    ]
+    parser = cli.build_parser()
+    for job in jobs:
+        if "api" in job:
+            assert callable(getattr(domination, job["api"]))
+        else:
+            parser.parse_args(job["argv"])
+    assert any("api" in job for job in jobs)
+
+
+def test_benchmark_pin_generator_imports_resolve():
+    # collected with ast, so make_pins.py is never executed
+    tree = ast.parse((PERFBENCH / "make_pins.py").read_text(encoding="utf-8"))
+    imports = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "cubesteiner"
+    ]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"

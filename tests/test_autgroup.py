@@ -286,3 +286,6 @@ def test_parse_element_errors():
         parse_element(d, "s=x;m=000")
     with pytest.raises(ParseError):
         parse_element(d, "s=1;m=100")  # odd flip count
+    for text in ("s=1;m=10", "s=1;m=0000", "s=1;m=1a0"):  # short, long, non-binary
+        with pytest.raises(ParseError, match="bad flip-mask string"):
+            parse_element(d, text)

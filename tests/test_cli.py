@@ -486,6 +486,37 @@ def test_precondition_exit_codes(run):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--n", "x", "--set", "even"],
+        ["experiment", "--n", "3", "--set", "even", "--exhaustive", "--samples", "3"],
+        ["bogus"],
+        [],
+        ["cds", "--n", "3", "--k", "2"],
+        ["cds"],
+        ["sdiam", "--n", "3"],
+        ["exact", "--n", "3"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_argparse_failures_are_parse_errors(run, argv):
+    # one error line through main's table: no usage block, no SystemExit
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[parse]:")
+    assert err.count("\n") == 1
+    assert "usage:" not in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cds", "--n", "3", "--help"])
+    assert exc.value.code == 0
+    assert "--budget-states" in capsys.readouterr().out
+
+
 def test_seed_always_recorded(run):
     _, out, _ = run(["cds", "--n", "3", "--seed", "42"])
     assert _parse_text(out)["seed"] == "42"
