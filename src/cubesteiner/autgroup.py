@@ -26,7 +26,9 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .cube import Dimension, Edge, all_edges, check_edge, check_vertex, parse_vertex
+from .cube import (
+    Dimension, Edge, all_edges, check_edge, check_vertex, parse_vertex, vertex_to_string
+)
 from .errors import DEFAULT_BUDGET, ParseError, check_budget
 
 
@@ -205,10 +207,7 @@ def verify_sharp_edge_transitivity(
 def element_to_text(dim: Dimension, g: Automorphism) -> str:
     """Log format "s=<shift>;m=<mask as coordinate string>"."""
     check_element(dim, g)
-    mask_str = "".join(
-        "1" if (g.flip_mask >> i) & 1 else "0" for i in range(dim.n)
-    )
-    return f"s={g.shift};m={mask_str}"
+    return f"s={g.shift};m={vertex_to_string(dim, g.flip_mask)}"
 
 
 def parse_element(dim: Dimension, text: str) -> Automorphism:

@@ -7,11 +7,12 @@ bound
     d(S) >= s + s^2/(n 2^n) - (n+1)/2
 
 falls out of averaging over the edge-transitive automorphism group: with
-T an optimal tree for S, T' an optimal tree for the mirror of S, and g1,
-g2 drawn independently and uniformly, the overlap X = |E(g1(T)) n
-E(g2(T'))| has mean exactly d(S)^2/(n 2^{n-1}), while every single pair
-obeys 2 d(S) - X >= 2s - (n+1) because g1(T) u g2(T') connects a set
-containing s disjoint even/odd mirror pairs. `run_intersection_experiment`
+T an optimal tree for S, T' = phi(T) its mirror image under the flip phi of
+coordinate 0 (an optimal tree for the mirrored set phi(S)), and g1, g2
+drawn independently and uniformly, the overlap X = |E(g1(T)) n E(g2(T'))|
+has mean exactly d(S)^2/(n 2^{n-1}), while every single pair obeys
+2 d(S) - X >= 2s - (n+1) because g1(T) u g2(T') connects a set containing
+s disjoint even/odd mirror pairs. `run_intersection_experiment`
 evaluates both facts exactly; `bootstrap_case` checks the algebra that
 turns them into the displayed bound; `lower_bound_even` evaluates the
 bound itself in exact rationals.
@@ -38,7 +39,6 @@ from .cube import (
     Edge,
     VertexSet,
     _edge,
-    all_edges,
     bfs_forest,
     parity,
 )
@@ -169,17 +169,18 @@ class IntersectionExperiment:
 def build_intersection_experiment(
     terminals: VertexSet, *, budget: int = DEFAULT_BUDGET
 ) -> IntersectionExperiment:
-    """Solve the terminal set and its mirror exactly and pair the trees."""
-    if len(terminals) == 0:
-        raise ValueError("empty terminal set")
+    """Solve S exactly; pair T with phi(T), phi(v) = v ^ 1, the DP's own tree
+    for phi(S): one even vertex per block {2j, 2j+1}, so phi keeps the order
+    of the terminals and of two neighbours of a vertex, dp'[mask][phi(v)] =
+    dp[mask][v], half-splits read values only, geodesics flip the same bits."""
     if any(parity(v) for v in terminals):
         raise ValueError("experiment requires an all-even terminal set")
     dim = terminals.dim
     mirrored = mirror_set(terminals)
     d, tree = steiner_exact(SteinerInstance(dim, terminals), budget=budget)
-    d2, mtree = steiner_exact(SteinerInstance(dim, mirrored), budget=budget)
-    if d != d2:
-        raise AssertionError("mirroring is an isomorphism; distances must agree")
+    edges = frozenset(_edge(e.even_end ^ 1, e.bit_index) for e in tree.edges)
+    mtree = SteinerTree(dim, edges, frozenset(v ^ 1 for v in tree.vertices))
+    validate_tree(mtree, mirrored)
     return IntersectionExperiment(terminals, mirrored, tree, mtree, d)
 
 
@@ -200,14 +201,15 @@ def _image_mask(
     dim: Dimension,
     g: Automorphism,
     edges: frozenset[Edge],
-    index: dict[Edge, int],
     cache: dict[Automorphism, int],
 ) -> int:
     m = cache.get(g)
     if m is None:
         m = 0
         for e in edges:
-            m |= 1 << index[_edge_image(dim, g, e)]
+            u, b = _edge_image(dim, g, e)
+            # its `all_edges` index: block {2j, 2j+1} holds one even vertex
+            m |= 1 << ((u >> 1) * dim.n + b)
         cache[g] = m
     return m
 
@@ -228,22 +230,20 @@ def run_intersection_experiment(
     min_lhs reports the smallest value of 2d - X seen.
     """
     dim = exp.dim
-    index = {e: i for i, e in enumerate(all_edges(dim, budget=budget))}
     if samples is None:
         group = enumerate_group(dim, budget=budget)
-        check_budget("automorphism pair sweep", len(group) ** 2, budget)
         pairs = ((g1, g2) for g1 in group for g2 in group)
         count = len(group) ** 2
     else:
         if samples < 1:
             raise ValueError("need at least one sample")
-        check_budget("automorphism pair sweep", samples, budget)
         rng = random.Random(seed)
         pairs = (
             (sample_uniform(dim, rng), sample_uniform(dim, rng))
             for _ in range(samples)
         )
         count = samples
+    check_budget("automorphism pair sweep", count, budget)
 
     left: dict[Automorphism, int] = {}
     right: dict[Automorphism, int] = {}
@@ -252,8 +252,8 @@ def run_intersection_experiment(
     transcript: Optional[list] = [] if keep_transcript else None
     for g1, g2 in pairs:
         x = (
-            _image_mask(dim, g1, exp.tree.edges, index, left)
-            & _image_mask(dim, g2, exp.mirror_tree.edges, index, right)
+            _image_mask(dim, g1, exp.tree.edges, left)
+            & _image_mask(dim, g2, exp.mirror_tree.edges, right)
         ).bit_count()
         total += x
         if x > max_overlap:
@@ -262,10 +262,8 @@ def run_intersection_experiment(
             transcript.append((g1, g2, x))
 
     mean = Fraction(total, count)
-    if samples is None:
-        expected = Fraction(exp.distance * exp.distance, dim.num_edges)
-        if mean != expected:
-            raise AssertionError("exhaustive overlap mean broke the group identity")
+    if samples is None and mean != Fraction(exp.distance**2, dim.num_edges):
+        raise AssertionError("exhaustive overlap mean broke the group identity")
     return IntersectionSummary(
         mean=mean,
         max_overlap=max_overlap,

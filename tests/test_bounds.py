@@ -183,8 +183,49 @@ def test_experiment_pairs_isomorphic_instances():
     assert exp.distance == 5
     assert exp.mirrored.members == parity_class(D3, 1).members
     assert len(exp.tree.edges) == len(exp.mirror_tree.edges) == 5
-    d, _ = steiner_exact(SteinerInstance(D3, exp.mirrored))
+    d, mtree = steiner_exact(SteinerInstance(D3, exp.mirrored))
     assert d == 5
+    assert mtree == exp.mirror_tree
+    assert {v ^ 1 for v in exp.tree.vertices} == exp.mirror_tree.vertices
+
+
+def _assert_mirror_tree_is_dp_tree(members):
+    exp = build_intersection_experiment(members)
+    d, mtree = steiner_exact(SteinerInstance(members.dim, mirror_set(members)))
+    assert d == exp.distance
+    assert mtree == exp.mirror_tree
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_mirror_tree_equals_dp_solve_of_mirror(n, data):
+    # phi(T) is exactly the tree the DP returns for the mirrored set
+    dim = Dimension(n)
+    evens = list(parity_class(dim, 0))
+    members = data.draw(st.sets(st.sampled_from(evens), min_size=1, max_size=8))
+    _assert_mirror_tree_is_dp_tree(VertexSet.of(dim, members))
+
+
+def test_mirror_tree_equals_dp_solve_of_mirror_q7():
+    dim = Dimension(7)
+    evens = list(parity_class(dim, 0))
+    rng = random.Random(10)
+    for size in (1, 2, 3, 5, 6, 7, 8):
+        _assert_mirror_tree_is_dp_tree(VertexSet.of(dim, rng.sample(evens, size)))
+
+
+def test_experiment_runs_one_exact_solve(monkeypatch):
+    calls = []
+
+    def counting(inst, **kwargs):
+        calls.append(inst.terminals)
+        return steiner_exact(inst, **kwargs)
+
+    monkeypatch.setattr("cubesteiner.bounds.steiner_exact", counting)
+    members = VertexSet.of(D4, [0, 3, 5, 9])
+    exp = build_intersection_experiment(members)
+    assert calls == [members]
+    validate_tree(exp.mirror_tree, exp.mirrored)
 
 
 def test_exhaustive_overlap_mean_matches_identity():
@@ -263,6 +304,17 @@ def test_experiment_budget_and_sample_guards():
         run_intersection_experiment(exp, samples=1000, budget=999)
     with pytest.raises(BudgetExceededError):
         run_intersection_experiment(exp, budget=100)
+
+
+def test_sampled_experiment_is_not_charged_for_the_edge_set():
+    # Q_3 has 12 edges; only the 5 sampled pairs are charged
+    exp = build_intersection_experiment(VertexSet.of(D3, [0]))
+    summary = run_intersection_experiment(exp, samples=5, budget=10)
+    assert summary.pair_count == 5
+    assert summary.max_overlap == 0
+    # the exhaustive sweep still needs the 12-element group
+    with pytest.raises(BudgetExceededError, match="group enumeration"):
+        run_intersection_experiment(exp, budget=10)
 
 
 def test_mirror_union_floor():

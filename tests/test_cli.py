@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cubesteiner import autgroup, domination
+from cubesteiner import autgroup, cli, domination
 from cubesteiner.cli import main
 from cubesteiner.cube import Dimension
 
@@ -471,6 +471,24 @@ def test_budget_exit_code(run):
     code, out, _ = run(["cds", "--n", "4", "--budget-states", "1000"])
     assert code == 0
     assert _parse_text(out)["exact_size"] == "6"
+
+
+def test_sampled_experiment_fits_a_budget_below_the_edge_count(run):
+    # 5 sampled pairs fit 10 units; the 12 edges of Q_3 are not enumerated
+    argv = ["experiment", "--n", "3", "--set", "inline:000", "--budget-states", "10"]
+    code, out, err = run(argv + ["--samples", "5"])
+    assert code == 0
+    assert err == ""
+    assert _parse_text(out)["pair_count"] == "5"
+    code, _, err = run(argv + ["--exhaustive"])
+    assert code == 3
+    assert err == (
+        "error[budget]: group enumeration: projected 12 units exceeds budget 10\n"
+    )
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_precondition_exit_codes(run):
