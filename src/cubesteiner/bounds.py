@@ -48,6 +48,7 @@ from .steiner import (
     SteinerInstance,
     SteinerTree,
     _dp_projection,
+    steiner_distance,
     steiner_exact,
     validate_tree,
 )
@@ -357,7 +358,9 @@ def build_bounds_report(
     The quadratic lower bound is reported only for all-even sets of at
     least two terminals (it is not valid otherwise); the exact distance
     is attempted and omitted with the budget projection as the reason
-    when it would be too large.
+    when it would be too large. The report's tree is the constructive
+    upper-bound tree, so the exact value comes from `steiner_distance`,
+    which builds no witness.
     """
     if len(terminals) == 0:
         raise ValueError("empty terminal set")
@@ -369,7 +372,7 @@ def build_bounds_report(
     lower = lower_bound_even(dim, s) if all_even and s >= 2 else None
     exact: Optional[int]
     try:
-        exact, _ = steiner_exact(SteinerInstance(dim, terminals), budget=budget)
+        exact = steiner_distance(SteinerInstance(dim, terminals), budget=budget)
         reason = "computed"
     except BudgetExceededError as exc:
         exact = None
@@ -410,7 +413,8 @@ def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> S
     s >= 2, so at n = 1 (s = 1) the counting floor k - 1 stands in. The
     upper bound k + |cds| - 1 holds for every k-set at once by the
     attachment construction. The exact value is computed when the
-    projected state count fits the budget, and is omitted otherwise.
+    projected state count fits the budget, and is omitted otherwise; each
+    swept set is solved by `steiner_distance`, which builds no witness.
 
     The sweep solves only the C(2^n - 1, k - 1) k-sets that contain vertex
     0, in lexicographic order: Q_n is vertex-transitive under translation
@@ -440,7 +444,7 @@ def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> S
         for rest in combinations(range(1, dim.num_vertices), k - 1):
             cand = (0,) + rest
             inst = SteinerInstance(dim, VertexSet(dim, cand))
-            d, _ = steiner_exact(inst, budget=budget)
+            d = steiner_distance(inst, budget=budget)
             if d > best_d:
                 best_d = d
                 worst = inst.terminals

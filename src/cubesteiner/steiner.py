@@ -2,17 +2,27 @@
 
 The Steiner distance of a terminal set S is the minimum edge count of a
 connected subgraph of Q_n whose vertex set contains S; a minimum subgraph
-is always a tree. Two independent routes compute it:
+is always a tree, so d(S) = |S| - 1 + min |A| over the vertex sets A for
+which S + A induces a connected subgraph. Three routes compute it:
 
 - steiner_brute_oracle: enumerate vertex supersets W of S by increasing
   size and return |W| - 1 for the first W that induces a connected
-  subgraph. Slow but transparently correct; the reference the DP is
-  validated against.
+  subgraph. Slow but transparently correct; the reference both the DP
+  and the Steiner-vertex search are validated against.
 - steiner_exact: subset dynamic programming (Dreyfus-Wagner) over
   (terminal subset, vertex) states with merge and grow transitions,
   rooted at one terminal r: it solves the other k - 1 terminals and reads
   d(S) = dp[S - r][r], in O(3^(k-1) 2^n + 2^(k-1) 2^n n) time, returning
   a witness tree.
+- steiner_distance: d(S) alone. A branch-and-bound search over the
+  Steiner vertices A (`_steiner_vertex_search`), fast when S is dense and
+  A small, exactly where the DP's 3^(k-1) merge work is largest. The
+  search's allowance is the rooted DP's own work, (3^(k-1) - 2^k + 1)/2
+  merge pairs plus (2^(k-1) - k) n grow steps, with each search node
+  charged its component count + 1; a search that runs past it gives way
+  to the packed DP, read at dp[S - r][r] with no witness. The solver is
+  thus picked by k, n and the set itself. Both paths first charge the
+  budget exactly as steiner_exact does, so both exit on the same sets.
 
 The DP keeps each row dp[mask] (one value per vertex) packed in one Python
 int, one w-bit field per vertex, and updates whole rows with big-int
@@ -39,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .cube import (
     Dimension,
@@ -137,7 +147,9 @@ def steiner_brute_oracle(
     connected subgraph, found by increasing added-vertex count.
 
     Any connected W admits a spanning tree with |W| - 1 edges, and a
-    Steiner tree's vertex set is such a W, so the first hit is exact.
+    Steiner tree's vertex set is such a W, so the first hit is exact. It
+    shares no code with the DP or the Steiner-vertex search beyond
+    `bfs_forest`, so it is the reference for both.
     """
     dim = inst.dim
     terms = frozenset(inst.terminals)
@@ -174,6 +186,23 @@ def _pmin(a: int, b: int, guard: int, shift: int) -> int:
     return a ^ ((a ^ b) & ((t << 1) - (t >> shift)))
 
 
+def _block_masks(n: int, w: int) -> list[int]:
+    """low[b] is all ones on the w-bit fields of the vertices with bit b
+    clear: the lower half of a row for b = n - 1, halved blocks below that."""
+    low = [0] * n
+    m = (1 << (w << n >> 1)) - 1
+    for b in reversed(range(n)):
+        low[b] = m
+        m ^= m << (w << b >> 1)
+    return low
+
+
+def _across(row: int, lo: int, s: int) -> int:
+    """Move every field of a row to the vertex across coordinate b, given
+    lo = low[b] and s = w << b: the blocks of 2^b fields swap pairwise."""
+    return ((row >> s) & lo) | ((row & lo) << s)
+
+
 def _subset_dp(terms: list[int], n: int) -> tuple[list[int], int]:
     """Every row dp[mask], mask = 0 .. 2^k - 1, packed, and the field width.
 
@@ -184,17 +213,10 @@ def _subset_dp(terms: list[int], n: int) -> tuple[list[int], int]:
     """
     k = len(terms)
     w = (k * n + 1).bit_length() + 1
-    total = w << n
-    ones = ((1 << total) - 1) // ((1 << w) - 1)
+    ones = ((1 << (w << n)) - 1) // ((1 << w) - 1)
     guard = ones << (w - 1)
     shift = w - 1
-    # low[b] is all ones on the fields of the vertices with bit b clear:
-    # the lower half of the row for b = n - 1, halved blocks below that.
-    low = [0] * n
-    m = (1 << (total >> 1)) - 1
-    for b in reversed(range(n)):
-        low[b] = m
-        m ^= m << (w << b >> 1)
+    low = _block_masks(n, w)
 
     dp = [0] * (1 << k)
     for i, t in enumerate(terms):
@@ -214,12 +236,10 @@ def _subset_dp(terms: list[int], n: int) -> tuple[list[int], int]:
         for sub in rest:
             arr = _pmin(arr, dp[sub] + dp[mask ^ sub], guard, shift)
 
-        # Grow step: relax every vertex against its neighbour across bit b
-        # (swap the blocks of 2^b fields), one coordinate at a time.
+        # Grow step: relax every vertex against its neighbour across bit b,
+        # one coordinate at a time.
         for b, lo in enumerate(low):
-            s = w << b
-            across = ((arr >> s) & lo) | ((arr & lo) << s)
-            arr = _pmin(arr, across + ones, guard, shift)
+            arr = _pmin(arr, _across(arr, lo, w << b) + ones, guard, shift)
 
         dp[mask] = arr
 
@@ -230,6 +250,103 @@ def _dp_projection(dim: Dimension, k: int) -> int:
     """Budget units for one DP solve over k terminals: 2^k rows of 2^n
     states, twice the 2^(k-1) rows the rooted DP builds."""
     return (1 << k) * dim.num_vertices
+
+
+class _OutOfAllowance(Exception):
+    """The Steiner-vertex search charged more than its allowance."""
+
+
+def _steiner_vertex_search(
+    n: int, terms: list[int], allowance: Optional[int] = None
+) -> Optional[int]:
+    """Minimum |A| over vertex sets A for which terms + A induces a
+    connected subgraph of Q_n, or None once the search has charged more
+    than `allowance` (no cap when None).
+
+    Vertex sets are bitmasks over the 2^n vertices. Each component of
+    terms + A is kept with its outside neighbourhood (block swaps at
+    w = 1); adding v merges the components whose neighbourhood holds v.
+    A node branches on the component with the fewest non-excluded outside
+    neighbours, one of which must join A, tries them in increasing order,
+    and excludes each tried vertex from its later siblings. One vertex
+    merges at most n components, so c components need ceil((c - 1)/(n - 1))
+    more vertices; a node needing more than its limit leaves is cut. The
+    limit on |A| deepens from that bound at the root, so the first hit is
+    minimum. Each node is charged its component count + 1.
+    """
+    low = _block_masks(n, 1)
+    # Q_1 is connected, so there c = 1 and the divisor never matters.
+    per = max(n - 1, 1)
+    spent = 0
+
+    def outside(comp: int) -> int:
+        nbrs = 0
+        for b, lo in enumerate(low):
+            nbrs |= _across(comp, lo, 1 << b)
+        return nbrs & ~comp
+
+    def search(comps: list[tuple[int, int]], excluded: int, left: int) -> bool:
+        nonlocal spent
+        c = len(comps)
+        spent += c + 1
+        if allowance is not None and spent > allowance:
+            raise _OutOfAllowance
+        if c == 1:
+            return True
+        if -((c - 1) // -per) > left:
+            return False
+        cands = min((nbrs & ~excluded for _, nbrs in comps), key=int.bit_count)
+        while cands:
+            bit = cands & -cands
+            merged = bit
+            rest = []
+            for comp, nbrs in comps:
+                if nbrs & bit:
+                    merged |= comp
+                else:
+                    rest.append((comp, nbrs))
+            rest.append((merged, outside(merged)))
+            if search(rest, excluded, left - 1):
+                return True
+            excluded |= bit
+            cands ^= bit
+        return False
+
+    masks = [sum(1 << v for v in tree) for tree in bfs_forest(n, terms)]
+    comps = [(comp, outside(comp)) for comp in masks]
+    limit = -((len(comps) - 1) // -per)
+    try:
+        while not search(comps, 0, limit):
+            limit += 1
+    except _OutOfAllowance:
+        return None
+    return limit
+
+
+def steiner_distance(inst: SteinerInstance, *, budget: int = DEFAULT_BUDGET) -> int:
+    """Exact Steiner distance without a witness tree.
+
+    Charges the budget exactly as `steiner_exact` does, so both exit on the
+    same sets. The Steiner-vertex search then gets the rooted DP's own work
+    as its allowance: (3^(k-1) - 2^k + 1)/2 merge pairs plus (2^(k-1) - k)*n
+    grow steps. If it runs out, the packed DP answers with dp[full][r] and
+    no witness rebuild.
+    """
+    dim = inst.dim
+    terms = list(inst.terminals)
+    k = len(terms)
+    n = dim.n
+    if k == 1:
+        return 0
+
+    check_budget("subset DP states", _dp_projection(dim, k), budget)
+
+    allowance = (3 ** (k - 1) - (1 << k) + 1) // 2 + ((1 << (k - 1)) - k) * n
+    added = _steiner_vertex_search(n, terms, allowance)
+    if added is not None:
+        return k - 1 + added
+    dp, w = _subset_dp(terms[1:], n)
+    return dp[-1] >> (w * terms[0]) & ((1 << w) - 1)
 
 
 def steiner_exact(

@@ -479,6 +479,20 @@ def test_sdiam_sweep_over_sets_with_zero_matches_full_sweep(n, k):
     assert (rep.exact, rep.worst_set.members) == _full_sdiam_sweep(dim, k)
 
 
+def test_report_and_sweep_never_build_a_witness(monkeypatch):
+    # both need d(S) only, so neither may pay for a witness tree
+    def refuse(*args, **kwargs):
+        raise AssertionError("steiner_exact called")
+
+    monkeypatch.setattr("cubesteiner.bounds.steiner_exact", refuse)
+    monkeypatch.setattr("cubesteiner.steiner.steiner_exact", refuse)
+    assert build_bounds_report(EVEN3).exact == 5
+    assert build_bounds_report(parity_class(Dimension(5), 0)).exact == 20
+    assert build_bounds_report(VertexSet.of(D4, [1, 2, 4, 8, 15])).exact == 7
+    assert sdiam_sandwich(D4, 5).exact == 7
+    assert sdiam_sandwich(D3, 8).exact == 7
+
+
 def test_sdiam_k_range():
     with pytest.raises(ValueError):
         sdiam_sandwich(D3, 1)

@@ -179,6 +179,37 @@ def test_bound_even_q3(run):
     assert fields["cds_connected"] == "true"
 
 
+def test_bound_even_q5_report_is_pinned(run):
+    # the exact value comes from the Steiner-vertex search, the tree from
+    # the dominating-set construction; neither may drift
+    expected = (
+        "command: bound\n"
+        "seed: 0\n"
+        "budget_states: 4194304\n"
+        "n: 5\n"
+        "terminals: 00000 11000 10100 01100 10010 01010 00110 11110 10001 01001 "
+        "00101 11101 00011 11011 10111 01111\n"
+        "set_size: 16\n"
+        "lower: 73/5\n"
+        "lower_floor: 16\n"
+        "certified_lower: 16\n"
+        "upper: 21\n"
+        "exact: 20\n"
+        "exact_reason: computed\n"
+        "cds_method: steinerized\n"
+        "cds_size: 12\n"
+        "cds_connected: true\n"
+        "cds_vertices: 00000 10000 01000 11000 00100 10100 01100 11100 10010 01110 "
+        "10011 01111\n"
+        "tree_edge_count: 21\n"
+        "tree_edges: 00000-10000 00000-01000 00000-00100 11000-10000 11000-11100 "
+        "10100-10000 01100-01000 01100-01110 10010-10000 10010-10011 01010-01000 "
+        "00110-00100 11110-11100 10001-10000 01001-01000 00101-00100 11101-11100 "
+        "00011-10011 11011-10011 10111-10011 01111-01110\n"
+    )
+    assert run(["bound", "--n", "5", "--set", "even"]) == (0, expected, "")
+
+
 def test_bound_reports_budget_omission(run):
     code, out, _ = run(["bound", "--n", "7", "--set", "even"])
     assert code == 0

@@ -21,11 +21,15 @@ from cubesteiner.errors import BudgetExceededError, ParseError
 from cubesteiner.steiner import (
     SteinerInstance,
     SteinerTree,
+    _across,
+    _block_masks,
+    _steiner_vertex_search,
     _subset_dp,
     load_instance,
     parse_instance_text,
     shortest_path,
     steiner_brute_oracle,
+    steiner_distance,
     steiner_exact,
     validate_tree,
 )
@@ -420,3 +424,80 @@ def test_rooted_witness_matches_unrooted_rebuild(n, all_even, data):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_rooted_witness_matches_unrooted_rebuild_on_even_classes(n):
     _assert_rooted_witness_matches_unrooted(list(parity_class(Dimension(n), 0)), n)
+
+
+@pytest.mark.parametrize("n, w", [(1, 1), (3, 1), (5, 1), (3, 4), (4, 6)])
+def test_block_masks_select_the_vertices_with_bit_b_clear(n, w):
+    field = (1 << w) - 1
+    for b, lo in enumerate(_block_masks(n, w)):
+        assert [lo >> (w * v) & field for v in range(1 << n)] == [
+            0 if v >> b & 1 else field for v in range(1 << n)
+        ]
+        for v in range(1 << n):
+            row = field << (w * v)
+            assert _across(row, lo, w << b) == row >> (w * v) << (w * (v ^ 1 << b))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 5), st.booleans(), st.data())
+def test_distance_search_dp_and_oracle_agree(n, all_even, data):
+    pool = [v for v in range(1 << n) if not all_even or parity(v) == 0]
+    k = data.draw(st.integers(1, min(10, len(pool))))
+    terms = data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
+    inst = _inst(Dimension(n), terms)
+    d = steiner_distance(inst)
+    assert d == steiner_exact(inst)[0]
+    assert d == steiner_brute_oracle(inst)
+
+
+@pytest.mark.parametrize("n, d", [(1, 0), (2, 2), (3, 5), (4, 10), (5, 20), (6, 39)])
+def test_even_class_anchors_by_steiner_vertex_search(n, d):
+    # d(S) = |S| - 1 + |A|; the DP and the oracle cannot reach n = 5, 6 here
+    evens = list(parity_class(Dimension(n), 0))
+    assert len(evens) - 1 + _steiner_vertex_search(n, evens) == d
+
+
+def _count_dp_calls(monkeypatch):
+    calls = []
+
+    def counting(terms, n):
+        calls.append((len(terms), n))
+        return _subset_dp(terms, n)
+
+    monkeypatch.setattr(steiner, "_subset_dp", counting)
+    return calls
+
+
+def test_distance_answers_dense_set_by_search_alone(monkeypatch):
+    q5 = Dimension(5)
+    terms = [
+        parse_vertex(q5, s)
+        for s in "00000,11000,10100,10010,01010,00110,11110,10001,01001,00011,11011,01111".split(",")
+    ]
+    assert all(parity(v) == 0 for v in terms)
+    calls = _count_dp_calls(monkeypatch)
+    assert steiner_distance(_inst(q5, terms)) == 15
+    assert calls == []
+
+
+def test_distance_falls_back_to_the_dp_on_a_sparse_set(monkeypatch):
+    q10 = Dimension(10)
+    terms = random.Random(4).sample(range(1 << 10), 4)
+    # allowance (3^3 - 2^4 + 1)/2 + (2^3 - 4)*10 = 46 units
+    assert _steiner_vertex_search(10, terms, 46) is None
+    calls = _count_dp_calls(monkeypatch)
+    d = steiner_distance(_inst(q10, terms))
+    assert calls == [(3, 10)]
+    assert d == steiner_exact(_inst(q10, terms))[0]
+
+
+def test_distance_budget_exit_matches_exact():
+    inst = SteinerInstance(D4, parity_class(D4, 0))
+    for budget in (100, 4095):
+        with pytest.raises(BudgetExceededError) as want:
+            steiner_exact(inst, budget=budget)
+        with pytest.raises(BudgetExceededError) as got:
+            steiner_distance(inst, budget=budget)
+        assert str(got.value) == str(want.value)
+    assert steiner_distance(inst, budget=4096) == 10
+    assert steiner_distance(_inst(D4, [9]), budget=1) == 0
