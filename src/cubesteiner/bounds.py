@@ -48,8 +48,8 @@ from .steiner import (
     SteinerInstance,
     SteinerTree,
     _dp_projection,
+    _dp_witness,
     steiner_distance,
-    steiner_exact,
     validate_tree,
 )
 
@@ -173,12 +173,20 @@ def build_intersection_experiment(
     """Solve S exactly; pair T with phi(T), phi(v) = v ^ 1, the DP's own tree
     for phi(S): one even vertex per block {2j, 2j+1}, so phi keeps the order
     of the terminals and of two neighbours of a vertex, dp'[mask][phi(v)] =
-    dp[mask][v], half-splits read values only, geodesics flip the same bits."""
+    dp[mask][v], half-splits read values only, geodesics flip the same bits.
+
+    T is the rooted DP's rebuilt tree (`_dp_witness`) even where the
+    Steiner-vertex search would answer `steiner_exact`: the overlap
+    statistics (max_overlap, min_lhs, sampled means) depend on which optimal
+    tree T is, and the statement above about phi is one about that tree.
+    The budget is charged as `steiner_exact` charges it."""
     if any(parity(v) for v in terminals):
         raise ValueError("experiment requires an all-even terminal set")
     dim = terminals.dim
     mirrored = mirror_set(terminals)
-    d, tree = steiner_exact(SteinerInstance(dim, terminals), budget=budget)
+    if len(terminals) > 1:
+        check_budget("subset DP states", _dp_projection(dim, len(terminals)), budget)
+    d, tree = _dp_witness(SteinerInstance(dim, terminals))
     edges = frozenset(_edge(e.even_end ^ 1, e.bit_index) for e in tree.edges)
     mtree = SteinerTree(dim, edges, frozenset(v ^ 1 for v in tree.vertices))
     validate_tree(mtree, mirrored)

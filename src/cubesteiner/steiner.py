@@ -9,20 +9,28 @@ which S + A induces a connected subgraph. Three routes compute it:
   size and return |W| - 1 for the first W that induces a connected
   subgraph. Slow but transparently correct; the reference both the DP
   and the Steiner-vertex search are validated against.
-- steiner_exact: subset dynamic programming (Dreyfus-Wagner) over
-  (terminal subset, vertex) states with merge and grow transitions,
-  rooted at one terminal r: it solves the other k - 1 terminals and reads
-  d(S) = dp[S - r][r], in O(3^(k-1) 2^n + 2^(k-1) 2^n n) time, returning
-  a witness tree.
-- steiner_distance: d(S) alone. A branch-and-bound search over the
-  Steiner vertices A (`_steiner_vertex_search`), fast when S is dense and
-  A small, exactly where the DP's 3^(k-1) merge work is largest. The
-  search's allowance is the rooted DP's own work, (3^(k-1) - 2^k + 1)/2
-  merge pairs plus (2^(k-1) - k) n grow steps, with each search node
-  charged its component count + 1; a search that runs past it gives way
-  to the packed DP, read at dp[S - r][r] with no witness. The solver is
-  thus picked by k, n and the set itself. Both paths first charge the
-  budget exactly as steiner_exact does, so both exit on the same sets.
+- the subset DP (Dreyfus-Wagner) over (terminal subset, vertex) states
+  with merge and grow transitions, rooted at one terminal r: it solves
+  the other k - 1 terminals and reads d(S) = dp[S - r][r], in
+  O(3^(k-1) 2^n + 2^(k-1) 2^n n) time (`_subset_dp`); `_dp_witness`
+  rebuilds a witness tree from its values.
+- the Steiner-vertex search: a branch-and-bound over the Steiner vertices
+  A (`_steiner_vertex_search`), fast when S is dense and A small, exactly
+  where the DP's 3^(k-1) merge work is largest.
+
+steiner_exact (distance and witness) and steiner_distance (distance only)
+share one dispatch. Both charge the budget for one DP solve, so both exit
+on the same sets. The search then gets the rooted DP's own work as its
+allowance, (3^(k-1) - 2^k + 1)/2 merge pairs plus (2^(k-1) - k) n grow
+steps, with each search node charged its component count + 1; the solver
+is thus picked by k, n and the set itself. When the search finds a
+minimum A, d(S) = k - 1 + |A| and the witness is the BFS spanning tree of
+S + A: it has |S| + |A| - 1 = d(S) edges, and every leaf is a terminal,
+because S + A - a stays connected when a is a leaf, so a leaf a in A
+would contradict the minimality of |A|. A search that runs past its
+allowance gives way to the packed DP: `_dp_witness` for a witness, else
+dp[S - r][r] read with no rebuild. The overlap experiment keeps the DP's
+tree on every set (see `bounds.build_intersection_experiment`).
 
 The DP keeps each row dp[mask] (one value per vertex) packed in one Python
 int, one w-bit field per vertex, and updates whole rows with big-int
@@ -37,7 +45,7 @@ half-splits of a mask; the grow is the separable L1 distance transform,
 one pass per coordinate b relaxing every vertex against its neighbour
 across b.
 
-Witnesses are rebuilt from the packed DP values alone, deterministically,
+DP witnesses are rebuilt from the packed values alone, deterministically,
 starting at the state (S - r, r); field v of a row is read as
 (row >> w*v) & (2^w - 1). At a state (mask, v) the first half-split of
 mask, in increasing submask order, whose two values sum to dp[mask][v] is
@@ -259,13 +267,14 @@ class _OutOfAllowance(Exception):
 def _steiner_vertex_search(
     n: int, terms: list[int], allowance: Optional[int] = None
 ) -> Optional[int]:
-    """Minimum |A| over vertex sets A for which terms + A induces a
+    """Bitmask of a minimum vertex set A for which terms + A induces a
     connected subgraph of Q_n, or None once the search has charged more
     than `allowance` (no cap when None).
 
     Vertex sets are bitmasks over the 2^n vertices. Each component of
-    terms + A is kept with its outside neighbourhood (block swaps at
-    w = 1); adding v merges the components whose neighbourhood holds v.
+    terms + A is kept with its outside neighbourhood N; adding v merges
+    the components whose neighbourhood holds v, and the merged one gets
+    (N(v) + the merged N's) - merged, where N(v) has the n bits v ^ 2^b.
     A node branches on the component with the fewest non-excluded outside
     neighbours, one of which must join A, tries them in increasing order,
     and excludes each tried vertex from its later siblings. One vertex
@@ -274,99 +283,69 @@ def _steiner_vertex_search(
     limit on |A| deepens from that bound at the root, so the first hit is
     minimum. Each node is charged its component count + 1.
     """
-    low = _block_masks(n, 1)
     # Q_1 is connected, so there c = 1 and the divisor never matters.
     per = max(n - 1, 1)
     spent = 0
 
-    def outside(comp: int) -> int:
-        nbrs = 0
-        for b, lo in enumerate(low):
-            nbrs |= _across(comp, lo, 1 << b)
-        return nbrs & ~comp
+    def ball(v: int) -> int:
+        return sum(1 << (v ^ (1 << b)) for b in range(n))
 
-    def search(comps: list[tuple[int, int]], excluded: int, left: int) -> bool:
+    def search(
+        comps: list[tuple[int, int]], added: int, excluded: int, left: int
+    ) -> Optional[int]:
         nonlocal spent
         c = len(comps)
         spent += c + 1
         if allowance is not None and spent > allowance:
             raise _OutOfAllowance
         if c == 1:
-            return True
+            return added
         if -((c - 1) // -per) > left:
-            return False
+            return None
         cands = min((nbrs & ~excluded for _, nbrs in comps), key=int.bit_count)
         while cands:
             bit = cands & -cands
             merged = bit
+            around = ball(bit.bit_length() - 1)
             rest = []
             for comp, nbrs in comps:
                 if nbrs & bit:
                     merged |= comp
+                    around |= nbrs
                 else:
                     rest.append((comp, nbrs))
-            rest.append((merged, outside(merged)))
-            if search(rest, excluded, left - 1):
-                return True
+            rest.append((merged, around & ~merged))
+            found = search(rest, added | bit, excluded, left - 1)
+            if found is not None:
+                return found
             excluded |= bit
             cands ^= bit
-        return False
+        return None
 
-    masks = [sum(1 << v for v in tree) for tree in bfs_forest(n, terms)]
-    comps = [(comp, outside(comp)) for comp in masks]
+    comps = []
+    for tree in bfs_forest(n, terms):
+        comp = around = 0
+        for v in tree:
+            comp |= 1 << v
+            around |= ball(v)
+        comps.append((comp, around & ~comp))
     limit = -((len(comps) - 1) // -per)
     try:
-        while not search(comps, 0, limit):
+        while (found := search(comps, 0, 0, limit)) is None:
             limit += 1
     except _OutOfAllowance:
         return None
-    return limit
+    return found
 
 
-def steiner_distance(inst: SteinerInstance, *, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact Steiner distance without a witness tree.
-
-    Charges the budget exactly as `steiner_exact` does, so both exit on the
-    same sets. The Steiner-vertex search then gets the rooted DP's own work
-    as its allowance: (3^(k-1) - 2^k + 1)/2 merge pairs plus (2^(k-1) - k)*n
-    grow steps. If it runs out, the packed DP answers with dp[full][r] and
-    no witness rebuild.
-    """
-    dim = inst.dim
-    terms = list(inst.terminals)
-    k = len(terms)
-    n = dim.n
-    if k == 1:
-        return 0
-
-    check_budget("subset DP states", _dp_projection(dim, k), budget)
-
-    allowance = (3 ** (k - 1) - (1 << k) + 1) // 2 + ((1 << (k - 1)) - k) * n
-    added = _steiner_vertex_search(n, terms, allowance)
-    if added is not None:
-        return k - 1 + added
-    dp, w = _subset_dp(terms[1:], n)
-    return dp[-1] >> (w * terms[0]) & ((1 << w) - 1)
-
-
-def steiner_exact(
-    inst: SteinerInstance, *, budget: int = DEFAULT_BUDGET
-) -> tuple[int, SteinerTree]:
-    """Exact Steiner distance plus a witness tree.
+def _dp_witness(inst: SteinerInstance) -> tuple[int, SteinerTree]:
+    """The rooted DP's distance and the witness rebuilt from its values.
 
     The DP is rooted at r = terms[0] (Dreyfus-Wagner): it runs over the
     other k - 1 terminals only, and d(S) = dp[full][r] with full the mask
     of all of them, since a tree spanning them together with r spans S.
-    That is O(3^(k-1) 2^n) merge work and O(2^(k-1) 2^n n) grow work.
-    dp[mask][v] is the minimum edge count of a tree spanning the terminals
-    selected by mask together with v (see `_subset_dp`). Singleton rows are
-    Hamming distances; a larger row is the field-wise minimum over merges
-    at a shared vertex, followed by the separable grow across the n
-    coordinates. Rows stay packed, w bits per vertex with
-    w = ((k-1)*n + 1).bit_length() + 1: every value is at most the summed
-    Hamming distance from v to its terminals, at most (k-1)*n, so sums and
-    +1 stay below the guard bit 2^(w-1). The witness is rebuilt from the
-    packed values, starting at (full, r), and checked by `validate_tree`.
+    The witness is rebuilt from the packed values, starting at (full, r),
+    and checked by `validate_tree`. The caller charges the budget.
     """
     dim = inst.dim
     terms = list(inst.terminals)
@@ -374,10 +353,7 @@ def steiner_exact(
     n = dim.n
 
     if k == 1:
-        tree = SteinerTree(dim, frozenset(), frozenset(terms))
-        return 0, tree
-
-    check_budget("subset DP states", _dp_projection(dim, k), budget)
+        return 0, SteinerTree(dim, frozenset(), frozenset(terms))
 
     root, others = terms[0], terms[1:]
     full = (1 << (k - 1)) - 1
@@ -414,7 +390,71 @@ def steiner_exact(
         raise AssertionError(
             f"witness has {len(edges)} edges but DP value is {dist}"
         )
-    validate_tree(tree, inst.terminals)
+    validate_tree(tree, terms)
+    return dist, tree
+
+
+def _solve(
+    inst: SteinerInstance, budget: int, *, witness: bool
+) -> tuple[int, Optional[SteinerTree]]:
+    """The dispatch behind `steiner_distance` and `steiner_exact` (see the
+    module docstring): the budget charge, the Steiner-vertex search within
+    the rooted DP's work, then the packed DP. Without `witness` the tree
+    may be None."""
+    dim = inst.dim
+    terms = list(inst.terminals)
+    k = len(terms)
+    n = dim.n
+    if k == 1:
+        return 0, SteinerTree(dim, frozenset(), frozenset(terms))
+
+    check_budget("subset DP states", _dp_projection(dim, k), budget)
+
+    allowance = (3 ** (k - 1) - (1 << k) + 1) // 2 + ((1 << (k - 1)) - k) * n
+    added = _steiner_vertex_search(n, terms, allowance)
+    if added is None:
+        if witness:
+            return _dp_witness(inst)
+        dp, w = _subset_dp(terms[1:], n)
+        return dp[-1] >> (w * terms[0]) & ((1 << w) - 1), None
+
+    dist = k - 1 + added.bit_count()
+    if not witness:
+        return dist, None
+    members = set(terms)
+    while added:
+        bit = added & -added
+        members.add(bit.bit_length() - 1)
+        added ^= bit
+    [parent] = bfs_forest(n, members)
+    edges = frozenset(
+        _edge(v, (v ^ p).bit_length() - 1) for v, p in parent.items() if v != p
+    )
+    tree = SteinerTree(dim, edges, frozenset(parent))
+    validate_tree(tree, terms)
+    return dist, tree
+
+
+def steiner_distance(inst: SteinerInstance, *, budget: int = DEFAULT_BUDGET) -> int:
+    """Exact Steiner distance without a witness tree.
+
+    Same dispatch and budget charge as `steiner_exact`, so both exit on the
+    same sets and agree on every value; only the witness is skipped.
+    """
+    return _solve(inst, budget, witness=False)[0]
+
+
+def steiner_exact(
+    inst: SteinerInstance, *, budget: int = DEFAULT_BUDGET
+) -> tuple[int, SteinerTree]:
+    """Exact Steiner distance plus a witness tree checked by `validate_tree`.
+
+    When the Steiner-vertex search finds a minimum A, the witness is the
+    BFS spanning tree of S + A, with |S| + |A| - 1 = d(S) edges; otherwise
+    it is the rooted DP's rebuilt tree (`_dp_witness`).
+    """
+    dist, tree = _solve(inst, budget, witness=True)
+    assert tree is not None
     return dist, tree
 
 

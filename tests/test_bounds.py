@@ -36,7 +36,7 @@ from cubesteiner.domination import (
     steinerize,
 )
 from cubesteiner.errors import BudgetExceededError
-from cubesteiner.steiner import SteinerInstance, steiner_exact, validate_tree
+from cubesteiner.steiner import SteinerInstance, _dp_witness, steiner_exact, validate_tree
 
 D3 = Dimension(3)
 D4 = Dimension(4)
@@ -183,7 +183,7 @@ def test_experiment_pairs_isomorphic_instances():
     assert exp.distance == 5
     assert exp.mirrored.members == parity_class(D3, 1).members
     assert len(exp.tree.edges) == len(exp.mirror_tree.edges) == 5
-    d, mtree = steiner_exact(SteinerInstance(D3, exp.mirrored))
+    d, mtree = _dp_witness(SteinerInstance(D3, exp.mirrored))
     assert d == 5
     assert mtree == exp.mirror_tree
     assert {v ^ 1 for v in exp.tree.vertices} == exp.mirror_tree.vertices
@@ -191,7 +191,7 @@ def test_experiment_pairs_isomorphic_instances():
 
 def _assert_mirror_tree_is_dp_tree(members):
     exp = build_intersection_experiment(members)
-    d, mtree = steiner_exact(SteinerInstance(members.dim, mirror_set(members)))
+    d, mtree = _dp_witness(SteinerInstance(members.dim, mirror_set(members)))
     assert d == exp.distance
     assert mtree == exp.mirror_tree
 
@@ -217,11 +217,11 @@ def test_mirror_tree_equals_dp_solve_of_mirror_q7():
 def test_experiment_runs_one_exact_solve(monkeypatch):
     calls = []
 
-    def counting(inst, **kwargs):
+    def counting(inst):
         calls.append(inst.terminals)
-        return steiner_exact(inst, **kwargs)
+        return _dp_witness(inst)
 
-    monkeypatch.setattr("cubesteiner.bounds.steiner_exact", counting)
+    monkeypatch.setattr("cubesteiner.bounds._dp_witness", counting)
     members = VertexSet.of(D4, [0, 3, 5, 9])
     exp = build_intersection_experiment(members)
     assert calls == [members]
@@ -482,9 +482,10 @@ def test_sdiam_sweep_over_sets_with_zero_matches_full_sweep(n, k):
 def test_report_and_sweep_never_build_a_witness(monkeypatch):
     # both need d(S) only, so neither may pay for a witness tree
     def refuse(*args, **kwargs):
-        raise AssertionError("steiner_exact called")
+        raise AssertionError("witness solver called")
 
-    monkeypatch.setattr("cubesteiner.bounds.steiner_exact", refuse)
+    monkeypatch.setattr("cubesteiner.bounds._dp_witness", refuse)
+    monkeypatch.setattr("cubesteiner.steiner._dp_witness", refuse)
     monkeypatch.setattr("cubesteiner.steiner.steiner_exact", refuse)
     assert build_bounds_report(EVEN3).exact == 5
     assert build_bounds_report(parity_class(Dimension(5), 0)).exact == 20

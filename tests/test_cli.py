@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cubesteiner import autgroup, cli, domination
+from cubesteiner import autgroup, cli, domination, steiner
 from cubesteiner.cli import main
 from cubesteiner.cube import Dimension
 
@@ -39,14 +39,17 @@ def test_exact_inline_example(run):
     assert "001" in fields["tree_vertices"].split()
     assert len(fields["tree_edges"].split()) == 3
 
-    # The chosen witness trees are pinned: overlap statistics depend on them.
+    # The chosen witness trees are pinned. The all-even set is answered by
+    # the Steiner-vertex search, so its tree is the BFS tree of S + A; the
+    # sparse set exhausts the search's allowance and keeps the DP's tree.
+    # (The overlap experiment always uses the DP's tree, see experiment-q5.)
     witnesses = {
         # an all-even 10-set of Q_5
         "11000,10100,01100,10010,01010,10001,01001,00101,10111,01111": (
             "13",
-            "11000-01000 11000-11010 10100-10101 01100-01000 10010-11010 "
-            "01010-01000 10001-10101 01001-01101 01001-01000 00101-10101 "
-            "00101-01101 10111-10101 01111-01101",
+            "11000-01000 11000-10000 10100-00100 10100-10000 01100-01000 "
+            "10010-10000 01010-01000 10001-10000 01001-01000 00101-00111 "
+            "00101-00100 10111-00111 01111-00111",
         ),
         # a random 5-set of Q_10
         "0110000100,1101000010,1110011110,1010111101,0101001111": (
@@ -68,11 +71,11 @@ def test_exact_inline_example(run):
 
 def test_exact_even_class(run):
     witnesses = {
-        "3": ("5", "000-010 000-001 110-010 101-001 011-001"),
+        "3": ("5", "000-100 000-010 110-100 101-100 011-010"),
         "4": (
             "10",
-            "0000-1000 0000-0001 1100-1000 1010-1000 0110-0111 1001-0001 "
-            "0101-0001 0011-0111 0011-0001 1111-0111",
+            "0000-1000 0000-0100 1100-1000 1010-1000 1010-1011 0110-0100 "
+            "1001-1000 0101-0100 0011-1011 1111-1011",
         ),
     }
     for n, (distance, edges) in witnesses.items():
@@ -82,8 +85,20 @@ def test_exact_even_class(run):
         assert (fields["distance"], fields["tree_edges"]) == (distance, edges)
 
 
-# Full stdout pinned: the witness tree, and through it the overlap
-# statistics, must not change with how the DP is organised.
+def test_exact_even_class_of_q5_by_search_alone(run, monkeypatch):
+    # the rooted DP over the other 15 terminals takes about 5 s here
+    calls = []
+    monkeypatch.setattr(steiner, "_subset_dp", lambda *a: calls.append(a))
+    code, out, err = run(["exact", "--n", "5", "--set", "even"])
+    assert (code, err, calls) == (0, "", [])
+    fields = _parse_text(out)
+    assert fields["distance"] == "20"
+    assert len(fields["tree_edges"].split()) == 20
+
+
+# Full stdout pinned. exact-q6 prints the BFS tree of S + A found by the
+# Steiner-vertex search; experiment-q5's overlap statistics depend on the
+# DP's tree, which must not change with how the DP is organised.
 PINNED_REPORTS = [
     (
         [
@@ -100,11 +115,11 @@ PINNED_REPORTS = [
         "terminals: 000000 100001 010001 001001 000101 110101 000011 011011 001111 111111\n"
         "set_size: 10\n"
         "distance: 13\n"
-        "tree_vertices: 000000 000001 100001 010001 001001 000101 110101 111101 000011 "
-        "010011 011011 001111 011111 111111\n"
-        "tree_edges: 000000-000001 100001-000001 010001-000001 001001-000001 "
-        "000101-000001 110101-111101 000011-010011 000011-000001 011011-010011 "
-        "011011-011111 001111-011111 111111-011111 111111-111101\n",
+        "tree_vertices: 000000 000001 100001 010001 110001 001001 011001 000101 110101 "
+        "000011 011011 001111 011111 111111\n"
+        "tree_edges: 000000-000001 100001-000001 100001-110001 010001-000001 "
+        "010001-011001 001001-000001 000101-000001 110101-110001 000011-000001 "
+        "011011-011111 011011-011001 001111-011111 111111-011111\n",
     ),
     (
         [

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 from operator import add
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from cubesteiner.steiner import (
     SteinerTree,
     _across,
     _block_masks,
+    _dp_witness,
     _steiner_vertex_search,
     _subset_dp,
     load_instance,
@@ -372,7 +374,7 @@ def test_nine_bit_fields_on_a_q4_set_embedded_in_q13(monkeypatch):
         return rows, w
 
     monkeypatch.setattr(steiner, "_subset_dp", recording_dp)
-    d13, tree = steiner_exact(_inst(Dimension(13), lifted), budget=1 << 24)
+    d13, tree = _dp_witness(_inst(Dimension(13), lifted))
     assert widths == [(10, 13, 9)]
     assert d13 == d4
     validate_tree(tree, lifted)
@@ -380,7 +382,7 @@ def test_nine_bit_fields_on_a_q4_set_embedded_in_q13(monkeypatch):
 
 def _unrooted_witness(terms, n):
     """The DP over all k terminals, rebuilt from (full, terms[0]) by the
-    same rules as `steiner_exact`: the first half-split in increasing
+    same rules as `_dp_witness`: the first half-split in increasing
     submask order whose values add up, else the smallest neighbour one
     closer. Returns the distance and the edge set."""
     dim = Dimension(n)
@@ -408,7 +410,7 @@ def _unrooted_witness(terms, n):
 
 
 def _assert_rooted_witness_matches_unrooted(terms, n):
-    dist, tree = steiner_exact(_inst(Dimension(n), terms))
+    dist, tree = _dp_witness(_inst(Dimension(n), terms))
     assert (dist, set(tree.edges)) == _unrooted_witness(sorted(terms), n)
 
 
@@ -446,7 +448,7 @@ def test_distance_search_dp_and_oracle_agree(n, all_even, data):
     terms = data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
     inst = _inst(Dimension(n), terms)
     d = steiner_distance(inst)
-    assert d == steiner_exact(inst)[0]
+    assert d == _dp_witness(inst)[0]
     assert d == steiner_brute_oracle(inst)
 
 
@@ -454,7 +456,9 @@ def test_distance_search_dp_and_oracle_agree(n, all_even, data):
 def test_even_class_anchors_by_steiner_vertex_search(n, d):
     # d(S) = |S| - 1 + |A|; the DP and the oracle cannot reach n = 5, 6 here
     evens = list(parity_class(Dimension(n), 0))
-    assert len(evens) - 1 + _steiner_vertex_search(n, evens) == d
+    added = _steiner_vertex_search(n, evens)
+    assert len(evens) - 1 + added.bit_count() == d
+    assert not added & sum(1 << v for v in evens)
 
 
 def _count_dp_calls(monkeypatch):
@@ -501,3 +505,45 @@ def test_distance_budget_exit_matches_exact():
         assert str(got.value) == str(want.value)
     assert steiner_distance(inst, budget=4096) == 10
     assert steiner_distance(_inst(D4, [9]), budget=1) == 0
+
+
+def _exact_branch(n, terms):
+    """Solve by `steiner_exact`, check its tree against `steiner_distance`
+    and the oracle, and name the branch that answered."""
+    inst = _inst(Dimension(n), terms)
+    with mock.patch.object(steiner, "_subset_dp", wraps=_subset_dp) as dp:
+        d, tree = steiner_exact(inst)
+    validate_tree(tree, terms)
+    assert len(tree.edges) == d
+    assert d == steiner_distance(inst) == steiner_brute_oracle(inst)
+    return "dp" if dp.call_count else "search"
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 5), st.booleans(), st.data())
+def test_exact_tree_validates_and_agrees_with_distance_and_oracle(n, all_even, data):
+    pool = [v for v in range(1 << n) if not all_even or parity(v) == 0]
+    k = data.draw(st.integers(1, min(10, len(pool))))
+    terms = data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
+    _exact_branch(n, terms)
+
+
+def test_exact_takes_both_branches_on_a_seeded_sample():
+    rng = random.Random(12)
+    branches = []
+    for _ in range(150):
+        n = rng.randint(2, 5)
+        all_even = rng.random() < 0.5
+        pool = [v for v in range(1 << n) if not all_even or parity(v) == 0]
+        terms = rng.sample(pool, rng.randint(2, min(10, len(pool))))
+        branches.append(_exact_branch(n, terms))
+    assert branches.count("search") >= 30
+    assert branches.count("dp") >= 30
+
+
+def test_exact_keeps_the_dp_tree_on_a_sparse_set(monkeypatch):
+    inst = _inst(Dimension(10), random.Random(4).sample(range(1 << 10), 4))
+    want = _dp_witness(inst)
+    calls = _count_dp_calls(monkeypatch)
+    assert steiner_exact(inst) == want
+    assert calls == [(3, 10)]
