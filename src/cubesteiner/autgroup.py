@@ -115,6 +115,17 @@ def _edge_image(dim: Dimension, g: Automorphism, e: Edge) -> Edge:
     )
 
 
+def _quotient(dim: Dimension, g1: Automorphism, g2: Automorphism) -> Automorphism:
+    """compose(dim, inverse(dim, g1), g2), the h with g1 h = g2, without the
+    argument checks, for sweeps over elements the code drew or enumerated
+    itself. inverse(g1) = (-s1, rot(m1, -s1)), and composing it after g2
+    rotates m2 by -s1 too, so one rotation of m1 ^ m2 gives h's mask."""
+    return Automorphism(
+        (g2.shift - g1.shift) % dim.n,
+        rotate_coords(dim, g1.flip_mask ^ g2.flip_mask, -g1.shift),
+    )
+
+
 def apply_edge(dim: Dimension, g: Automorphism, e: Edge) -> Edge:
     """Image of a canonical edge; canonical again because parity is kept.
 

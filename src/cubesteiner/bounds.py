@@ -13,9 +13,10 @@ drawn independently and uniformly, the overlap X = |E(g1(T)) n E(g2(T'))|
 has mean exactly d(S)^2/(n 2^{n-1}), while every single pair obeys
 2 d(S) - X >= 2s - (n+1) because g1(T) u g2(T') connects a set containing
 s disjoint even/odd mirror pairs. `run_intersection_experiment`
-evaluates both facts exactly; `bootstrap_case` checks the algebra that
-turns them into the displayed bound; `lower_bound_even` evaluates the
-bound itself in exact rationals.
+evaluates both facts exactly from the overlaps X(1, h) = |E(T) n E(h(T'))|,
+one per group element h, since X(g1, g2) = X(1, g1^-1 g2);
+`bootstrap_case` checks the algebra that turns them into the displayed
+bound; `lower_bound_even` evaluates the bound itself in exact rationals.
 
 The matching upper bound is constructive: a spanning tree of a connected
 dominating set plus one attachment edge per terminal spans S with at most
@@ -31,9 +32,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
-from .autgroup import Automorphism, _edge_image, enumerate_group, sample_uniform
+from .autgroup import Automorphism, _edge_image, _quotient, enumerate_group, sample_uniform
 from .cube import (
     Dimension,
     Edge,
@@ -206,20 +207,13 @@ class IntersectionSummary:
     transcript: Optional[tuple[tuple[Automorphism, Automorphism, int], ...]]
 
 
-def _image_mask(
-    dim: Dimension,
-    g: Automorphism,
-    edges: frozenset[Edge],
-    cache: dict[Automorphism, int],
-) -> int:
-    m = cache.get(g)
-    if m is None:
-        m = 0
-        for e in edges:
-            u, b = _edge_image(dim, g, e)
-            # its `all_edges` index: block {2j, 2j+1} holds one even vertex
-            m |= 1 << ((u >> 1) * dim.n + b)
-        cache[g] = m
+def _edge_mask(dim: Dimension, edges: Iterable[Edge]) -> int:
+    """One bit per edge at its `all_edges` index (block {2j, 2j+1} holds one
+    even vertex). Bits are OR-ed, so an edge listed twice cannot carry into
+    a neighbouring bit."""
+    m = 0
+    for u, b in edges:
+        m |= 1 << ((u >> 1) * dim.n + b)
     return m
 
 
@@ -233,16 +227,25 @@ def run_intersection_experiment(
 ) -> IntersectionSummary:
     """Evaluate X = |E(g1(T)) n E(g2(T'))| over automorphism pairs.
 
-    samples=None sweeps all |group|^2 ordered pairs in lexicographic
-    order and insists the exact mean equals d^2/(n 2^{n-1}); otherwise
-    draws that many independent uniform pairs from the seeded generator.
+    g1 permutes the edges, so X(g1, g2) = X(1, h) = |E(T) n E(h(T'))| with
+    h = g1^-1 g2; each h met is evaluated once. samples=None covers all
+    |group|^2 ordered pairs: with a transcript it lists them in
+    lexicographic order, without one it reads only the identity row (1, h),
+    each h weighted |group|, since every row repeats that row. Either way it
+    insists the exact mean equals d^2/(n 2^{n-1}): the group acts sharply
+    transitively on edges, so the row sum counts one h per pair of edges of
+    T and T', d^2 in all, and a faulty group breaks that count. Otherwise
+    it draws that many independent uniform pairs from the seeded generator.
     min_lhs reports the smallest value of 2d - X seen.
     """
     dim = exp.dim
+    weight = 1
     if samples is None:
         group = enumerate_group(dim, budget=budget)
-        pairs = ((g1, g2) for g1 in group for g2 in group)
         count = len(group) ** 2
+        rows = group if keep_transcript else group[:1]  # group[0] is the identity
+        weight = len(group) // len(rows)
+        pairs = ((g1, g2) for g1 in rows for g2 in group)
     else:
         if samples < 1:
             raise ValueError("need at least one sample")
@@ -254,23 +257,22 @@ def run_intersection_experiment(
         count = samples
     check_budget("automorphism pair sweep", count, budget)
 
-    left: dict[Automorphism, int] = {}
-    right: dict[Automorphism, int] = {}
+    tree = _edge_mask(dim, exp.tree.edges)
+    overlap: dict[Automorphism, int] = {}
     total = 0
-    max_overlap = 0
     transcript: Optional[list] = [] if keep_transcript else None
     for g1, g2 in pairs:
-        x = (
-            _image_mask(dim, g1, exp.tree.edges, left)
-            & _image_mask(dim, g2, exp.mirror_tree.edges, right)
-        ).bit_count()
+        h = _quotient(dim, g1, g2)
+        x = overlap.get(h)
+        if x is None:
+            image = (_edge_image(dim, h, e) for e in exp.mirror_tree.edges)
+            x = overlap[h] = (tree & _edge_mask(dim, image)).bit_count()
         total += x
-        if x > max_overlap:
-            max_overlap = x
         if transcript is not None:
             transcript.append((g1, g2, x))
 
-    mean = Fraction(total, count)
+    mean = Fraction(total * weight, count)
+    max_overlap = max(overlap.values())  # every h met, and only those
     if samples is None and mean != Fraction(exp.distance**2, dim.num_edges):
         raise AssertionError("exhaustive overlap mean broke the group identity")
     return IntersectionSummary(

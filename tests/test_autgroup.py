@@ -114,6 +114,17 @@ def test_compose_matches_function_composition_exhaustive():
                 assert apply_vertex(d, h, v) == apply_vertex(d, g2, apply_vertex(d, g1, v))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_unchecked_quotient_is_inverse_then_compose(n):
+    # Q_1's group is the identity alone
+    d = Dimension(n)
+    elems = _elements(n)
+    for g1 in elems:
+        back = inverse(d, g1)
+        for g2 in elems:
+            assert autgroup._quotient(d, g1, g2) == compose(d, back, g2)
+
+
 def test_rotation_commutes_past_flips_with_shifted_indices():
     # moving the rotation to the other side of a double flip lowers both
     # flipped coordinate indices by the shift, cyclically

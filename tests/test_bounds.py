@@ -6,7 +6,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubesteiner.autgroup import group_order, identity
+from cubesteiner import bounds
+from cubesteiner.autgroup import apply_edge, enumerate_group, group_order, identity
 from cubesteiner.bounds import (
     BoundsReport,
     bootstrap_case,
@@ -294,6 +295,71 @@ def test_exhaustive_transcript_starts_at_identity_pair():
     g1, g2, x = summary.transcript[0]
     assert g1 == g2 == identity(D3)
     assert x == (exp.tree.edges & exp.mirror_tree.edges).__len__()
+
+
+def _two_sided_overlap(exp, g1, g2):
+    # X = |g1(E(T)) n g2(E(T'))| by its definition, both trees mapped through
+    # the checked apply_edge: the reference for the one-sided X(1, g1^-1 g2)
+    dim = exp.dim
+    left = {apply_edge(dim, g1, e) for e in exp.tree.edges}
+    right = {apply_edge(dim, g2, e) for e in exp.mirror_tree.edges}
+    return len(left & right)
+
+
+def _reference_experiments():
+    rng = random.Random(13)
+    for n in range(1, 6):
+        dim = Dimension(n)
+        evens = list(parity_class(dim, 0))
+        for _ in range(3):
+            members = rng.sample(evens, rng.randint(1, min(len(evens), 6)))
+            yield build_intersection_experiment(VertexSet.of(dim, members))
+
+
+def _assert_matches_reference(exp, summary, xs):
+    assert summary.mean == Fraction(sum(xs), summary.pair_count)
+    assert summary.max_overlap == max(xs)
+    assert summary.min_lhs == 2 * exp.distance - max(xs)
+
+
+def test_exhaustive_overlap_matches_two_sided_reference():
+    for exp in _reference_experiments():
+        group = enumerate_group(exp.dim)
+        pairs = [(g1, g2) for g1 in group for g2 in group]
+        xs = [_two_sided_overlap(exp, g1, g2) for g1, g2 in pairs]
+        for keep in (False, True):
+            summary = run_intersection_experiment(exp, keep_transcript=keep)
+            assert summary.pair_count == len(pairs)
+            _assert_matches_reference(exp, summary, xs)
+        assert summary.transcript == tuple(
+            (g1, g2, x) for (g1, g2), x in zip(pairs, xs)
+        )
+
+
+def test_sampled_overlap_matches_two_sided_reference():
+    for seed, exp in enumerate(_reference_experiments()):
+        summary = run_intersection_experiment(
+            exp, samples=60, seed=seed, keep_transcript=True
+        )
+        xs = [_two_sided_overlap(exp, g1, g2) for g1, g2, _ in summary.transcript]
+        assert [x for _, _, x in summary.transcript] == xs
+        _assert_matches_reference(exp, summary, xs)
+
+
+def test_exhaustive_overlap_maps_each_mirror_edge_once_per_element(monkeypatch):
+    # only the identity row is evaluated: |G| images of the d mirror edges
+    calls = []
+    real = bounds._edge_image
+
+    def counting(dim, g, e):
+        calls.append(g)
+        return real(dim, g, e)
+
+    monkeypatch.setattr(bounds, "_edge_image", counting)
+    exp = build_intersection_experiment(VertexSet.of(D4, [0, 3, 5, 9, 15]))
+    summary = run_intersection_experiment(exp)
+    assert summary.mean == Fraction(exp.distance**2, D4.num_edges)
+    assert len(calls) == group_order(D4) * exp.distance
 
 
 def test_experiment_budget_and_sample_guards():

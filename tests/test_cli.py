@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -451,6 +452,18 @@ def test_experiment_csv_is_the_transcript(run):
         assert re.fullmatch(r"s=\d+;m=[01]{3}", g1)
         assert re.fullmatch(r"s=\d+;m=[01]{3}", g2)
         assert 0 <= int(x) <= 2
+
+
+def test_exhaustive_csv_transcript_is_pinned(run):
+    # all 32^2 pairs of Q_4's group in lexicographic order, one row each
+    code, out, err = run(
+        ["experiment", "--n", "4", "--set", "inline:0000,1100,1010,0101", "--format", "csv"]
+    )
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1025
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5f8ef8a551992a445fb360f8b0eeb387f9af4b50896bd3ba4b78a1ce3b635f4a"
+    )
 
 
 def test_instance_file_round_trip(run, tmp_path):
