@@ -236,7 +236,10 @@ def run_intersection_experiment(
     transitively on edges, so the row sum counts one h per pair of edges of
     T and T', d^2 in all, and a faulty group breaks that count. Otherwise
     it draws that many independent uniform pairs from the seeded generator.
-    min_lhs reports the smallest value of 2d - X seen.
+    min_lhs reports the smallest value of 2d - X seen. The budget is
+    charged one unit per pair read: |group| without a transcript and
+    |group|^2 with one, or the sample count; pair_count is |group|^2 for
+    any exhaustive run.
     """
     dim = exp.dim
     weight = 1
@@ -246,6 +249,7 @@ def run_intersection_experiment(
         rows = group if keep_transcript else group[:1]  # group[0] is the identity
         weight = len(group) // len(rows)
         pairs = ((g1, g2) for g1 in rows for g2 in group)
+        charged = len(rows) * len(group)
     else:
         if samples < 1:
             raise ValueError("need at least one sample")
@@ -254,8 +258,8 @@ def run_intersection_experiment(
             (sample_uniform(dim, rng), sample_uniform(dim, rng))
             for _ in range(samples)
         )
-        count = samples
-    check_budget("automorphism pair sweep", count, budget)
+        count = charged = samples
+    check_budget("automorphism pair sweep", charged, budget)
 
     tree = _edge_mask(dim, exp.tree.edges)
     overlap: dict[Automorphism, int] = {}

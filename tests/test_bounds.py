@@ -368,8 +368,20 @@ def test_experiment_budget_and_sample_guards():
         run_intersection_experiment(exp, samples=0)
     with pytest.raises(BudgetExceededError):
         run_intersection_experiment(exp, samples=1000, budget=999)
+    # a transcript reads all 12^2 = 144 pairs; without one only 12 are read
     with pytest.raises(BudgetExceededError):
-        run_intersection_experiment(exp, budget=100)
+        run_intersection_experiment(exp, budget=100, keep_transcript=True)
+    assert run_intersection_experiment(exp, budget=100).pair_count == 144
+
+
+def test_exhaustive_q9_is_charged_for_the_identity_row():
+    # |G| = 2304 at n = 9; |G|^2 = 5,308,416 pairs exceed the default budget
+    exp = build_intersection_experiment(VertexSet.of(Dimension(9), [0, 3]))
+    summary = run_intersection_experiment(exp)
+    assert summary.pair_count == 2304**2
+    assert summary.mean == Fraction(4, Dimension(9).num_edges)
+    with pytest.raises(BudgetExceededError, match="automorphism pair sweep"):
+        run_intersection_experiment(exp, keep_transcript=True)
 
 
 def test_sampled_experiment_is_not_charged_for_the_edge_set():

@@ -41,6 +41,23 @@ def test_induced_components_ordering():
     assert not is_connected_subset(VertexSet.of(d3, [0, 7]))
 
 
+@given(st.data())
+def test_connected_mask_matches_bfs_forest(data):
+    n = data.draw(st.integers(1, 6))
+    dim = Dimension(n)
+    members = data.draw(
+        st.one_of(
+            st.just(set()),
+            st.builds(lambda v: {v}, st.integers(0, dim.num_vertices - 1)),
+            st.sets(st.integers(0, dim.num_vertices - 1)),
+        )
+    )
+    mask = sum(1 << v for v in members)
+    closed = closed_neighborhood_masks(dim)
+    expected = len(bfs_forest(n, members)) == 1
+    assert domination._is_connected_mask(closed, mask) == expected
+
+
 def test_is_dominating_small_cases():
     d3 = Dimension(3)
     assert is_dominating(VertexSet.of(d3, [0, 7]))
@@ -87,9 +104,9 @@ def test_branch_and_bound_matches_exhaustive():
 # caps the node count, so these pin every `cds --budget-states` exit.
 SEARCH_NODES = {
     1: (1, [0]),
-    2: (2, [0, 1]),
-    3: (24, [0, 1, 2, 3]),
-    4: (441, [0, 1, 2, 5, 10, 13]),
+    2: (1, [0, 1]),
+    3: (9, [0, 1, 2, 3]),
+    4: (134, [0, 1, 2, 5, 10, 13]),
 }
 
 
@@ -113,7 +130,7 @@ def test_connected_domination_number_q5(monkeypatch):
 
     monkeypatch.setattr(domination, "check_budget", recording_check_budget)
     cert = exact_connected_dominating_set(Dimension(5))
-    assert max(charged) == 245_817
+    assert max(charged) == 66_266
     assert cert.size == 10
     assert cert.connected
     assert cert.method == "exact"
