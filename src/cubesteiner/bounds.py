@@ -50,6 +50,7 @@ from .steiner import (
     SteinerTree,
     _dp_projection,
     _dp_witness,
+    _solve,
     steiner_distance,
     validate_tree,
 )
@@ -187,7 +188,7 @@ def build_intersection_experiment(
     mirrored = mirror_set(terminals)
     if len(terminals) > 1:
         check_budget("subset DP states", _dp_projection(dim, len(terminals)), budget)
-    d, tree = _dp_witness(SteinerInstance(dim, terminals))
+    d, tree = _dp_witness(dim, SteinerInstance(dim, terminals).terminals.members)
     edges = frozenset(_edge(e.even_end ^ 1, e.bit_index) for e in tree.edges)
     mtree = SteinerTree(dim, edges, frozenset(v ^ 1 for v in tree.vertices))
     validate_tree(mtree, mirrored)
@@ -426,9 +427,11 @@ def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> S
     distances are monotone under taking supersets). That bound needs
     s >= 2, so at n = 1 (s = 1) the counting floor k - 1 stands in. The
     upper bound k + |cds| - 1 holds for every k-set at once by the
-    attachment construction. The exact value is computed when the
-    projected state count fits the budget, and is omitted otherwise; each
-    swept set is solved by `steiner_distance`, which builds no witness.
+    attachment construction. The exact value is computed when one DP
+    projection per swept set fits the budget, and is omitted otherwise.
+    Each swept tuple, sorted and distinct as `combinations` yields it, goes
+    straight to the distance-only dispatch `steiner._solve`, which builds
+    no witness; only the worst set becomes a VertexSet, after the loop.
 
     The sweep solves only the C(2^n - 1, k - 1) k-sets that contain vertex
     0, in lexicographic order: Q_n is vertex-transitive under translation
@@ -448,7 +451,7 @@ def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> S
 
     exact: Optional[int] = None
     worst: Optional[VertexSet] = None
-    projected = math.comb(dim.num_vertices, k) * _dp_projection(dim, k)
+    projected = math.comb(dim.num_vertices - 1, k - 1) * _dp_projection(dim, k)
     try:
         check_budget("k-subset diameter sweep", projected, budget)
     except BudgetExceededError as exc:
@@ -457,12 +460,11 @@ def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> S
         best_d = -1
         for rest in combinations(range(1, dim.num_vertices), k - 1):
             cand = (0,) + rest
-            inst = SteinerInstance(dim, VertexSet(dim, cand))
-            d = steiner_distance(inst, budget=budget)
+            d = _solve(dim, cand, budget, witness=False)[0]
             if d > best_d:
-                best_d = d
-                worst = inst.terminals
+                best_d, best = d, cand
         exact = best_d
+        worst = VertexSet(dim, best)
         reason = "computed"
         if not lower <= exact <= upper:
             raise AssertionError("diameter sandwich violated")

@@ -10,11 +10,12 @@ neighbor in it. Constructions provided:
   exactly 2^n/(n+1) words, pairwise at distance >= 3 (never connected for
   n >= 3).
 - steinerize: connect a disconnected dominating set by repeatedly joining
-  the two closest components along a deterministic geodesic.
-- exact: a minimum connected dominating set for n <= 5, found by one
-  pruned branch and bound over vertex bitmasks that returns its witness;
-  it tests connectivity by a flood fill over closed-neighborhood masks and
-  settles its last vertex in one step instead of branching on it.
+  the two closest components along a deterministic geodesic; the budget
+  caps the vertex pairs its rounds scan.
+- exact: a minimum connected dominating set for n <= 5 from one function,
+  `exact_connected_dominating_set`: a pruned branch and bound over vertex
+  bitmasks that tests connectivity by a flood fill over closed-neighborhood
+  masks and settles its last vertex in one step instead of branching on it.
 
 `cds_constructions` is the one policy for which of these are affordable
 at a given n and which connected set is best. A DominatingSetCertificate
@@ -134,23 +135,31 @@ def hamming_code_dominating_set(dim: Dimension) -> DominatingSetCertificate:
     return DominatingSetCertificate(VertexSet.of(dim, codewords), "hamming_code")
 
 
-def steinerize(members: VertexSet) -> DominatingSetCertificate:
+def steinerize(
+    members: VertexSet, *, budget: int = DEFAULT_BUDGET
+) -> DominatingSetCertificate:
     """Connect a dominating set by joining closest component pairs.
 
     Each round adds the interior of one deterministic geodesic between the
     two components at minimum Hamming distance (ties: smallest vertex
     pair), merging them; a superset of a dominating set still dominates.
     A dominating set's closest components are within distance 3, so each
-    merge adds at most min(2, n-1) vertices.
+    merge adds at most min(2, n-1) vertices. Each round scans every pair
+    of vertices in different components, (s^2 - sum |C|^2)/2 of them for
+    s current vertices; the budget caps the running total of pairs,
+    checked before each round's scan.
     """
     if not is_dominating(members):
         raise ValueError("steinerize requires a dominating input set")
     dim = members.dim
     current = set(members)
+    scanned = 0
     while True:
         comps = bfs_forest(dim.n, current)
         if len(comps) == 1:
             break
+        scanned += (len(current) ** 2 - sum(len(c) ** 2 for c in comps)) // 2
+        check_budget("steinerize pair scan", scanned, budget)
         # closest pair across two components: (distance, low, high end)
         _, a, b = min(
             ((u ^ v).bit_count(), min(u, v), max(u, v))
@@ -180,10 +189,10 @@ def _is_connected_mask(closed: list[int], members: int) -> bool:
     return reached == members and members != 0
 
 
-def _connected_domination_branch_and_bound(
+def exact_connected_dominating_set(
     dim: Dimension, *, budget: int = DEFAULT_BUDGET
-) -> list[int]:
-    """Branch-and-bound minimum connected dominating set, sorted.
+) -> DominatingSetCertificate:
+    """A minimum connected dominating set for n <= 5, by branch and bound.
 
     By vertex-transitivity some minimum certificate contains vertex 0.
     Each node branches on which closed-neighborhood member covers the
@@ -200,8 +209,11 @@ def _connected_domination_branch_and_bound(
     members of the intersection of their closed neighborhoods; they are
     exactly the children that could succeed, every other child being cut
     at once, and trying them in increasing order keeps the first witness
-    of the full branching. Only the nodes that are entered are charged.
+    of the full branching. Only the nodes that are entered are charged:
+    the budget caps their count (134 for Q_4, 66,266 for Q_5).
     """
+    if dim.n > 5:
+        raise ValueError("exact connected domination limited to n <= 5")
     n = dim.n
     closed = closed_neighborhood_masks(dim)
     full = (1 << dim.num_vertices) - 1
@@ -245,22 +257,9 @@ def _connected_domination_branch_and_bound(
     for limit in range(sphere_covering_floor(dim), dim.num_vertices + 1):
         found = search(1, closed[0], 0, limit - 1)
         if found:
-            return [v for v in range(dim.num_vertices) if (found >> v) & 1]
+            members = [v for v in range(dim.num_vertices) if (found >> v) & 1]
+            return DominatingSetCertificate(VertexSet.of(dim, members), "exact")
     raise AssertionError("unreachable; the full cube dominates itself")
-
-
-def exact_connected_dominating_set(
-    dim: Dimension, *, budget: int = DEFAULT_BUDGET
-) -> DominatingSetCertificate:
-    """A minimum connected dominating set for n <= 5, by branch and bound.
-
-    The budget caps the number of search nodes (134 for Q_4, 66,266
-    for Q_5).
-    """
-    if dim.n > 5:
-        raise ValueError("exact connected domination limited to n <= 5")
-    members = _connected_domination_branch_and_bound(dim, budget=budget)
-    return DominatingSetCertificate(VertexSet.of(dim, members), "exact")
 
 
 def exact_connected_domination_number(
@@ -285,10 +284,12 @@ def cds_constructions(
     never chosen.
     """
     built = {"greedy": greedy_dominating_set(dim, budget=budget)}
-    built["steinerized_greedy"] = steinerize(built["greedy"].vertex_set)
+    built["steinerized_greedy"] = steinerize(built["greedy"].vertex_set, budget=budget)
     if (dim.n + 1) & dim.n == 0:
         built["hamming"] = hamming_code_dominating_set(dim)
-        built["steinerized_hamming"] = steinerize(built["hamming"].vertex_set)
+        built["steinerized_hamming"] = steinerize(
+            built["hamming"].vertex_set, budget=budget
+        )
     if dim.n <= 4:
         built["exact"] = exact_connected_dominating_set(dim, budget=budget)
     ranked = ("exact", "steinerized_greedy", "steinerized_hamming")

@@ -32,6 +32,11 @@ allowance gives way to the packed DP: `_dp_witness` for a witness, else
 dp[S - r][r] read with no rebuild. The overlap experiment keeps the DP's
 tree on every set (see `bounds.build_intersection_experiment`).
 
+A SteinerInstance checks its terminals once, when it is built. The
+dispatch `_solve` and `_dp_witness` take its dimension and sorted terminal
+tuple and check nothing again, so the `sdiam` sweep passes the tuples it
+generates straight in.
+
 The DP keeps each row dp[mask] (one value per vertex) packed in one Python
 int, one w-bit field per vertex, and updates whole rows with big-int
 arithmetic ("SIMD within a register"). Fields stay below the guard bit
@@ -338,8 +343,9 @@ def _steiner_vertex_search(
     return found
 
 
-def _dp_witness(inst: SteinerInstance) -> tuple[int, SteinerTree]:
-    """The rooted DP's distance and the witness rebuilt from its values.
+def _dp_witness(dim: Dimension, terms: tuple[int, ...]) -> tuple[int, SteinerTree]:
+    """The rooted DP's distance and the witness rebuilt from its values,
+    for the sorted, nonempty terminal tuple of a `SteinerInstance`.
 
     The DP is rooted at r = terms[0] (Dreyfus-Wagner): it runs over the
     other k - 1 terminals only, and d(S) = dp[full][r] with full the mask
@@ -347,8 +353,6 @@ def _dp_witness(inst: SteinerInstance) -> tuple[int, SteinerTree]:
     The witness is rebuilt from the packed values, starting at (full, r),
     and checked by `validate_tree`. The caller charges the budget.
     """
-    dim = inst.dim
-    terms = list(inst.terminals)
     k = len(terms)
     n = dim.n
 
@@ -395,14 +399,13 @@ def _dp_witness(inst: SteinerInstance) -> tuple[int, SteinerTree]:
 
 
 def _solve(
-    inst: SteinerInstance, budget: int, *, witness: bool
+    dim: Dimension, terms: tuple[int, ...], budget: int, *, witness: bool
 ) -> tuple[int, Optional[SteinerTree]]:
     """The dispatch behind `steiner_distance` and `steiner_exact` (see the
     module docstring): the budget charge, the Steiner-vertex search within
-    the rooted DP's work, then the packed DP. Without `witness` the tree
-    may be None."""
-    dim = inst.dim
-    terms = list(inst.terminals)
+    the rooted DP's work, then the packed DP. `terms` is sorted, nonempty
+    and inside Q_n, as a `SteinerInstance` holds it; nothing here checks
+    that again. Without `witness` the tree may be None."""
     k = len(terms)
     n = dim.n
     if k == 1:
@@ -414,7 +417,7 @@ def _solve(
     added = _steiner_vertex_search(n, terms, allowance)
     if added is None:
         if witness:
-            return _dp_witness(inst)
+            return _dp_witness(dim, terms)
         dp, w = _subset_dp(terms[1:], n)
         return dp[-1] >> (w * terms[0]) & ((1 << w) - 1), None
 
@@ -441,7 +444,7 @@ def steiner_distance(inst: SteinerInstance, *, budget: int = DEFAULT_BUDGET) -> 
     Same dispatch and budget charge as `steiner_exact`, so both exit on the
     same sets and agree on every value; only the witness is skipped.
     """
-    return _solve(inst, budget, witness=False)[0]
+    return _solve(inst.dim, inst.terminals.members, budget, witness=False)[0]
 
 
 def steiner_exact(
@@ -453,7 +456,7 @@ def steiner_exact(
     BFS spanning tree of S + A, with |S| + |A| - 1 = d(S) edges; otherwise
     it is the rooted DP's rebuilt tree (`_dp_witness`).
     """
-    dist, tree = _solve(inst, budget, witness=True)
+    dist, tree = _solve(inst.dim, inst.terminals.members, budget, witness=True)
     assert tree is not None
     return dist, tree
 

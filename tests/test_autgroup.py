@@ -67,6 +67,8 @@ def test_generator_constructors():
     assert double_flip(d, 0, 2) == Automorphism(0, 0b101)
     with pytest.raises(ValueError):
         double_flip(d, 1, 1)
+    with pytest.raises(ValueError, match="outside n=3"):
+        double_flip(d, 0, 3)
 
 
 def test_apply_vertex_generator_examples():

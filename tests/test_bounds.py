@@ -184,7 +184,7 @@ def test_experiment_pairs_isomorphic_instances():
     assert exp.distance == 5
     assert exp.mirrored.members == parity_class(D3, 1).members
     assert len(exp.tree.edges) == len(exp.mirror_tree.edges) == 5
-    d, mtree = _dp_witness(SteinerInstance(D3, exp.mirrored))
+    d, mtree = _dp_witness(D3, exp.mirrored.members)
     assert d == 5
     assert mtree == exp.mirror_tree
     assert {v ^ 1 for v in exp.tree.vertices} == exp.mirror_tree.vertices
@@ -192,7 +192,7 @@ def test_experiment_pairs_isomorphic_instances():
 
 def _assert_mirror_tree_is_dp_tree(members):
     exp = build_intersection_experiment(members)
-    d, mtree = _dp_witness(SteinerInstance(members.dim, mirror_set(members)))
+    d, mtree = _dp_witness(members.dim, mirror_set(members).members)
     assert d == exp.distance
     assert mtree == exp.mirror_tree
 
@@ -218,14 +218,14 @@ def test_mirror_tree_equals_dp_solve_of_mirror_q7():
 def test_experiment_runs_one_exact_solve(monkeypatch):
     calls = []
 
-    def counting(inst):
-        calls.append(inst.terminals)
-        return _dp_witness(inst)
+    def counting(dim, terms):
+        calls.append(terms)
+        return _dp_witness(dim, terms)
 
     monkeypatch.setattr("cubesteiner.bounds._dp_witness", counting)
     members = VertexSet.of(D4, [0, 3, 5, 9])
     exp = build_intersection_experiment(members)
-    assert calls == [members]
+    assert calls == [members.members]
     validate_tree(exp.mirror_tree, exp.mirrored)
 
 
@@ -549,7 +549,7 @@ def _full_sdiam_sweep(dim, k):
 @pytest.mark.parametrize(
     "n, k",
     [(n, k) for n in (1, 2, 3) for k in range(2, (1 << n) + 1)]
-    + [(4, k) for k in (2, 3, 4)],
+    + [(4, k) for k in (2, 3, 4, 6)],
 )
 def test_sdiam_sweep_over_sets_with_zero_matches_full_sweep(n, k):
     dim = Dimension(n)
@@ -570,6 +570,17 @@ def test_report_and_sweep_never_build_a_witness(monkeypatch):
     assert build_bounds_report(VertexSet.of(D4, [1, 2, 4, 8, 15])).exact == 7
     assert sdiam_sandwich(D4, 5).exact == 7
     assert sdiam_sandwich(D3, 8).exact == 7
+
+
+@pytest.mark.parametrize(
+    "n, k, d", [(4, 6, 8), (5, 4, 8), (6, 3, 6), (8, 2, 8), (9, 2, 9)]
+)
+def test_sdiam_sweeps_every_set_containing_zero_within_the_default_budget(n, k, d):
+    # the sweep is charged C(2^n - 1, k - 1) DP projections, one per set
+    # it solves, so these fit the default budget
+    rep = sdiam_sandwich(Dimension(n), k)
+    assert (rep.exact, rep.exact_reason) == (d, "computed")
+    assert rep.lower <= d <= rep.upper
 
 
 def test_sdiam_k_range():

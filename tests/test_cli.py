@@ -86,6 +86,16 @@ def test_exact_even_class(run):
         assert (fields["distance"], fields["tree_edges"]) == (distance, edges)
 
 
+@pytest.mark.parametrize(
+    "selector, size, distance", [("odd", "4", "5"), ("all", "8", "7")]
+)
+def test_exact_odd_and_all_sets(run, selector, size, distance):
+    code, out, err = run(["exact", "--n", "3", "--set", selector])
+    assert (code, err) == (0, "")
+    fields = _parse_text(out)
+    assert (fields["set_size"], fields["distance"]) == (size, distance)
+
+
 def test_exact_even_class_of_q5_by_search_alone(run, monkeypatch):
     # the rooted DP over the other 15 terminals takes about 5 s here
     calls = []
@@ -532,6 +542,14 @@ def test_budget_exit_code(run):
     assert _parse_text(out)["exact_size"] == "6"
 
 
+def test_steinerize_pair_scan_is_charged(run):
+    # steinerizing the greedy set of Q_9 scans 67,260 pairs in all
+    code, out, err = run(["cds", "--n", "9", "--budget-states", "60000"])
+    assert (code, out) == (3, "")
+    assert "error[budget]: steinerize pair scan: projected" in err
+    assert "exceeds budget 60000" in err
+
+
 def test_sampled_experiment_fits_a_budget_below_the_edge_count(run):
     # 5 sampled pairs fit 10 units; the 12 edges of Q_3 are not enumerated
     argv = ["experiment", "--n", "3", "--set", "inline:000", "--budget-states", "10"]
@@ -556,6 +574,10 @@ def test_precondition_exit_codes(run):
     assert "error[precondition]" in err
 
     code, _, err = run(["experiment", "--n", "3", "--set", "inline:000,100"])
+    assert code == 4
+    assert "all-even" in err
+
+    code, _, err = run(["experiment", "--n", "3", "--set", "odd"])
     assert code == 4
     assert "all-even" in err
 

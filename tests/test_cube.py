@@ -152,6 +152,11 @@ def test_parity_class_small_cases():
     assert set(even) & set(odd) == set()
 
 
+def test_parity_class_rejects_bad_parity():
+    with pytest.raises(ValueError, match="parity must be 0 or 1"):
+        parity_class(Dimension(3), 2)
+
+
 def test_parity_class_budget_guard():
     with pytest.raises(BudgetExceededError):
         parity_class(Dimension(8), 0, budget=10)
@@ -163,6 +168,11 @@ def test_vertex_set_sorts_and_dedups():
     assert list(vs) == [0, 3, 6]
     assert len(vs) == 3
     assert 3 in vs and 5 not in vs
+
+
+def test_vertex_set_rejects_unsorted_members():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        VertexSet(Dimension(3), (3, 1))
 
 
 def test_vertex_set_rejects_out_of_range():

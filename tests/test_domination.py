@@ -218,6 +218,14 @@ def test_steinerize_keeps_connected_input():
     assert list(cert.vertex_set) == [0, 1, 2, 3]
 
 
+def test_steinerize_budget_caps_the_pairs_it_scans():
+    # the greedy set of Q_9 needs 67,260 cross-component pairs in all
+    base = greedy_dominating_set(Dimension(9)).vertex_set
+    assert steinerize(base, budget=67_260).connected
+    with pytest.raises(BudgetExceededError, match="steinerize pair scan"):
+        steinerize(base, budget=67_259)
+
+
 def test_steinerize_rejects_non_dominating():
     with pytest.raises(ValueError):
         steinerize(VertexSet.of(Dimension(3), [0, 1]))

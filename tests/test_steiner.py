@@ -205,6 +205,13 @@ def test_validate_tree_rejects_non_terminal_leaf():
     validate_tree(path, [0, 3])  # both leaves terminal: fine
 
 
+def test_validate_tree_rejects_edge_leaving_vertex_set():
+    # edge 0-2 has its odd end outside the listed vertices {0, 1, 6}
+    stray = SteinerTree(D3, frozenset([Edge(0, 0), Edge(0, 1)]), frozenset([0, 1, 6]))
+    with pytest.raises(ValueError, match="leaves the tree's vertex set"):
+        validate_tree(stray, [0, 1, 6])
+
+
 def test_validate_tree_rejects_missing_terminal():
     tree = SteinerTree(D3, frozenset([Edge(0, 0)]), frozenset([0, 1]))
     with pytest.raises(ValueError):
@@ -374,7 +381,7 @@ def test_nine_bit_fields_on_a_q4_set_embedded_in_q13(monkeypatch):
         return rows, w
 
     monkeypatch.setattr(steiner, "_subset_dp", recording_dp)
-    d13, tree = _dp_witness(_inst(Dimension(13), lifted))
+    d13, tree = _dp_witness(Dimension(13), tuple(sorted(lifted)))
     assert widths == [(10, 13, 9)]
     assert d13 == d4
     validate_tree(tree, lifted)
@@ -410,7 +417,7 @@ def _unrooted_witness(terms, n):
 
 
 def _assert_rooted_witness_matches_unrooted(terms, n):
-    dist, tree = _dp_witness(_inst(Dimension(n), terms))
+    dist, tree = _dp_witness(Dimension(n), tuple(sorted(terms)))
     assert (dist, set(tree.edges)) == _unrooted_witness(sorted(terms), n)
 
 
@@ -448,7 +455,7 @@ def test_distance_search_dp_and_oracle_agree(n, all_even, data):
     terms = data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
     inst = _inst(Dimension(n), terms)
     d = steiner_distance(inst)
-    assert d == _dp_witness(inst)[0]
+    assert d == _dp_witness(inst.dim, inst.terminals.members)[0]
     assert d == steiner_brute_oracle(inst)
 
 
@@ -543,7 +550,7 @@ def test_exact_takes_both_branches_on_a_seeded_sample():
 
 def test_exact_keeps_the_dp_tree_on_a_sparse_set(monkeypatch):
     inst = _inst(Dimension(10), random.Random(4).sample(range(1 << 10), 4))
-    want = _dp_witness(inst)
+    want = _dp_witness(inst.dim, inst.terminals.members)
     calls = _count_dp_calls(monkeypatch)
     assert steiner_exact(inst) == want
     assert calls == [(3, 10)]
