@@ -27,6 +27,7 @@ trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .cube import Dimension, VertexSet, _geodesic, bfs_forest
 from .errors import DEFAULT_BUDGET, check_budget
@@ -160,14 +161,20 @@ def steinerize(
             break
         scanned += (len(current) ** 2 - sum(len(c) ** 2 for c in comps)) // 2
         check_budget("steinerize pair scan", scanned, budget)
-        # closest pair across two components: (distance, low, high end)
-        _, a, b = min(
-            ((u ^ v).bit_count(), min(u, v), max(u, v))
-            for ia, comp in enumerate(comps)
-            for other in comps[ia + 1 :]
-            for u in comp
-            for v in other
-        )
+        # closest pair across two components: (distance, low, high end).
+        # Each vertex u is scanned against the later components at once;
+        # the smallest v at u's least distance gives u's best pair.
+        flat = [v for comp in comps for v in comp]
+        nearest, end = [], 0
+        for comp in comps[:-1]:
+            end += len(comp)
+            later = flat[end:]
+            for u in comp:
+                dist = list(map(int.bit_count, map(u.__xor__, later)))
+                d = min(dist)
+                v = min(compress(later, map(d.__eq__, dist)))
+                nearest.append((d, min(u, v), max(u, v)))
+        _, a, b = min(nearest)
         for e in _geodesic(a, b):
             current.update(e.endpoints())
     return DominatingSetCertificate(VertexSet.of(dim, current), "steinerized")

@@ -7,6 +7,7 @@ from cubesteiner import domination
 from cubesteiner.cube import (
     Dimension,
     VertexSet,
+    _geodesic,
     bfs_forest,
     hamming_distance,
     parity_class,
@@ -224,6 +225,28 @@ def test_steinerize_budget_caps_the_pairs_it_scans():
     assert steinerize(base, budget=67_260).connected
     with pytest.raises(BudgetExceededError, match="steinerize pair scan"):
         steinerize(base, budget=67_259)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_steinerize_matches_pairwise_closest_merge(n):
+    # reference: every cross-component pair keyed (distance, low, high)
+    dim = Dimension(n)
+    bases = [greedy_dominating_set(dim).vertex_set]
+    if n == 7:
+        bases.append(hamming_code_dominating_set(dim).vertex_set)
+    for base in bases:
+        current = set(base)
+        while len(comps := bfs_forest(n, current)) > 1:
+            _, a, b = min(
+                (hamming_distance(dim, u, v), min(u, v), max(u, v))
+                for i, comp in enumerate(comps)
+                for other in comps[i + 1 :]
+                for u in comp
+                for v in other
+            )
+            for e in _geodesic(a, b):
+                current.update(e.endpoints())
+        assert list(steinerize(base).vertex_set) == sorted(current)
 
 
 def test_steinerize_rejects_non_dominating():
