@@ -13,6 +13,9 @@ Reports are deterministic byte-for-byte for a fixed configuration and
 seed. Formats: text (key: value lines), json (schema-versioned flat
 object, sorted keys), csv (header row plus one value row; `experiment`
 instead emits the per-pair transcript). Rationals print as "p/q".
+Every report begins with command, seed, budget_states and n; exact,
+bound and experiment, the commands that take --set, follow those with
+terminals and set_size.
 
 Failures exit with a category on stderr: parse errors 2 (argparse's own
 included), budget overruns 3, precondition violations 4. `main()`
@@ -30,7 +33,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .autgroup import element_to_text, group_order, verify_sharp_edge_transitivity
+from .autgroup import element_to_text, verify_sharp_edge_transitivity
 from .bounds import (
     build_bounds_report,
     build_intersection_experiment,
@@ -102,59 +105,41 @@ def _resolve_set(args: argparse.Namespace) -> tuple[Dimension, VertexSet]:
     return inst.dim, inst.terminals
 
 
-def _base_fields(args: argparse.Namespace) -> dict:
-    return {
-        "command": args.command,
-        "seed": args.seed,
-        "budget_states": args.budget_states,
-    }
-
-
-def _cmd_exact(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
-    dim, terminals = _resolve_set(args)
+def _cmd_exact(
+    args: argparse.Namespace, dim: Dimension, terminals: VertexSet
+) -> tuple[dict, None]:
     inst = SteinerInstance(dim, terminals)
     distance, tree = steiner_exact(inst, budget=args.budget_states)
-    fields = _base_fields(args)
-    fields.update(
-        n=dim.n,
-        terminals=_vertices_text(dim, terminals),
-        set_size=len(terminals),
-        distance=distance,
-        tree_vertices=_vertices_text(dim, sorted(tree.vertices)),
-        tree_edges=_edges_text(dim, tree),
-    )
-    return fields, None
+    return {
+        "distance": distance,
+        "tree_vertices": _vertices_text(dim, sorted(tree.vertices)),
+        "tree_edges": _edges_text(dim, tree),
+    }, None
 
 
-def _cmd_bound(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
-    dim, terminals = _resolve_set(args)
+def _cmd_bound(
+    args: argparse.Namespace, dim: Dimension, terminals: VertexSet
+) -> tuple[dict, None]:
     report = build_bounds_report(terminals, budget=args.budget_states)
-    fields = _base_fields(args)
-    fields.update(
-        n=dim.n,
-        terminals=_vertices_text(dim, terminals),
-        set_size=report.set_size,
-        lower="none" if report.lower is None else _fraction_text(report.lower),
-        lower_floor=report.lower_floor,
-        certified_lower=report.certified_lower,
-        upper=report.upper,
-        exact="omitted" if report.exact is None else report.exact,
-        exact_reason=report.exact_reason,
-        cds_method=report.cds.method,
-        cds_size=report.cds.size,
-        cds_connected=report.cds.connected,
-        cds_vertices=_vertices_text(dim, report.cds.vertex_set),
-        tree_edge_count=len(report.tree.edges),
-        tree_edges=_edges_text(dim, report.tree),
-    )
-    return fields, None
+    return {
+        "lower": "none" if report.lower is None else _fraction_text(report.lower),
+        "lower_floor": report.lower_floor,
+        "certified_lower": report.certified_lower,
+        "upper": report.upper,
+        "exact": "omitted" if report.exact is None else report.exact,
+        "exact_reason": report.exact_reason,
+        "cds_method": report.cds.method,
+        "cds_size": report.cds.size,
+        "cds_connected": report.cds.connected,
+        "cds_vertices": _vertices_text(dim, report.cds.vertex_set),
+        "tree_edge_count": len(report.tree.edges),
+        "tree_edges": _edges_text(dim, report.tree),
+    }, None
 
 
-def _cmd_cds(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
-    dim = Dimension(args.n)
-    fields = _base_fields(args)
-    fields["n"] = dim.n
+def _cmd_cds(args: argparse.Namespace, dim: Dimension, _) -> tuple[dict, None]:
     built, best = cds_constructions(dim, budget=args.budget_states)
+    fields = {}
     for name, cert in built.items():
         fields[f"{name}_size"] = cert.size
         if name in ("greedy", "hamming"):
@@ -165,30 +150,29 @@ def _cmd_cds(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
     return fields, None
 
 
-def _cmd_group_verify(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
-    dim = Dimension(args.n)
+def _cmd_group_verify(
+    args: argparse.Namespace, dim: Dimension, _
+) -> tuple[dict, None]:
     report = verify_sharp_edge_transitivity(dim, budget=args.budget_states)
     verdict = "OK" if report.ok else "FAIL"
-    summary = (
-        f"{verdict} ({report.group_size} elements, {report.edge_count} edges, "
-        f"{report.pair_count} ordered pairs)"
-    )
-    fields = _base_fields(args)
-    fields.update(
-        n=dim.n,
-        group_order=group_order(dim),
-        edge_count=report.edge_count,
-        ordered_pairs=report.pair_count,
-    )
-    fields["sharp edge transitivity"] = summary
+    fields = {
+        "group_order": report.group_size,
+        "edge_count": report.edge_count,
+        "ordered_pairs": report.pair_count,
+        "sharp edge transitivity": (
+            f"{verdict} ({report.group_size} elements, {report.edge_count} edges, "
+            f"{report.pair_count} ordered pairs)"
+        ),
+    }
     if report.counterexample is not None:
         e1, e2 = report.counterexample
         fields["counterexample"] = f"{_edge_text(dim, e1)} -> {_edge_text(dim, e2)}"
     return fields, None
 
 
-def _cmd_experiment(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
-    dim, terminals = _resolve_set(args)
+def _cmd_experiment(
+    args: argparse.Namespace, dim: Dimension, terminals: VertexSet
+) -> tuple[dict, Optional[list]]:
     exp = build_intersection_experiment(terminals, budget=args.budget_states)
     summary = run_intersection_experiment(
         exp,
@@ -199,21 +183,17 @@ def _cmd_experiment(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
     )
     expected = Fraction(exp.distance * exp.distance, dim.num_edges)
     rhs = 2 * len(terminals) - (dim.n + 1)
-    fields = _base_fields(args)
-    fields.update(
-        n=dim.n,
-        terminals=_vertices_text(dim, terminals),
-        set_size=len(terminals),
-        distance=exp.distance,
-        mode="exhaustive" if summary.exhaustive else "sampled",
-        pair_count=summary.pair_count,
-        mean=_fraction_text(summary.mean),
-        expected_mean=_fraction_text(expected),
-        max_overlap=summary.max_overlap,
-        min_lhs=summary.min_lhs,
-        pair_bound_rhs=rhs,
-        pair_bound_ok=summary.min_lhs >= rhs,
-    )
+    fields = {
+        "distance": exp.distance,
+        "mode": "exhaustive" if summary.exhaustive else "sampled",
+        "pair_count": summary.pair_count,
+        "mean": _fraction_text(summary.mean),
+        "expected_mean": _fraction_text(expected),
+        "max_overlap": summary.max_overlap,
+        "min_lhs": summary.min_lhs,
+        "pair_bound_rhs": rhs,
+        "pair_bound_ok": summary.min_lhs >= rhs,
+    }
     transcript = None
     if summary.transcript is not None:
         transcript = [
@@ -223,33 +203,37 @@ def _cmd_experiment(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
     return fields, transcript
 
 
-def _cmd_sdiam(args: argparse.Namespace) -> tuple[dict, Optional[list]]:
-    dim = Dimension(args.n)
+def _cmd_sdiam(args: argparse.Namespace, dim: Dimension, _) -> tuple[dict, None]:
     report = sdiam_sandwich(dim, args.k, budget=args.budget_states)
-    fields = _base_fields(args)
-    fields.update(
-        n=dim.n,
-        k=report.k,
-        lower=_fraction_text(report.lower),
-        upper=report.upper,
-        exact="omitted" if report.exact is None else report.exact,
-        exact_reason=report.exact_reason,
-        cds_method=report.cds.method,
-        cds_size=report.cds.size,
-    )
+    fields = {
+        "k": report.k,
+        "lower": _fraction_text(report.lower),
+        "upper": report.upper,
+        "exact": "omitted" if report.exact is None else report.exact,
+        "exact_reason": report.exact_reason,
+        "cds_method": report.cds.method,
+        "cds_size": report.cds.size,
+    }
     if report.worst_set is not None:
         fields["worst_set"] = _vertices_text(dim, report.worst_set)
     return fields, None
 
 
-# subcommand -> (handler, help text)
+# subcommand -> (handler, takes --set, help text). main resolves the cube
+# and, for --set commands, the terminals (None otherwise); the handler
+# returns its own fields and csv transcript (or None), and main writes
+# the header before those fields.
 _COMMANDS = {
-    "exact": (_cmd_exact, "exact Steiner distance with a witness tree"),
-    "bound": (_cmd_bound, "lower/upper bound report with certificates"),
-    "cds": (_cmd_cds, "dominating-set constructions for Q_n"),
-    "group-verify": (_cmd_group_verify, "verify sharp edge-transitivity of the group"),
-    "experiment": (_cmd_experiment, "overlap experiment over automorphism pairs"),
-    "sdiam": (_cmd_sdiam, "bracket the k-set Steiner diameter"),
+    "exact": (_cmd_exact, True, "exact Steiner distance with a witness tree"),
+    "bound": (_cmd_bound, True, "lower/upper bound report with certificates"),
+    "cds": (_cmd_cds, False, "dominating-set constructions for Q_n"),
+    "group-verify": (
+        _cmd_group_verify,
+        False,
+        "verify sharp edge-transitivity of the group",
+    ),
+    "experiment": (_cmd_experiment, True, "overlap experiment over automorphism pairs"),
+    "sdiam": (_cmd_sdiam, False, "bracket the k-set Steiner diameter"),
 }
 
 
@@ -261,9 +245,7 @@ def _scalar_text(v) -> str:
 
 def _render(fields: dict, transcript: Optional[list], fmt: str) -> str:
     if fmt == "json":
-        payload = {"schema": 1}
-        payload.update(fields)
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps({"schema": 1, **fields}, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -291,11 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments in hypercubes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, takes_set, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        # exact, bound and experiment may take n from an instance file
-        n_required = name in ("cds", "group-verify", "sdiam")
-        p.add_argument("--n", type=int, required=n_required, help="cube dimension")
+        # a --set command may take n from an instance file
+        p.add_argument("--n", type=int, required=not takes_set, help="cube dimension")
         p.add_argument(
             "--seed", type=int, default=0, help="random seed (always recorded)"
         )
@@ -306,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="max states/candidates any single step may touch",
         )
         p.add_argument("--format", choices=FORMATS, default="text")
-        if name in ("exact", "bound", "experiment"):
+        if takes_set:
             p.add_argument(
                 "--set",
                 required=True,
@@ -332,7 +313,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         if args.budget_states <= 0:
             raise ValueError("--budget-states must be positive")
-        fields, transcript = _COMMANDS[args.command][0](args)
+        handler, takes_set, _ = _COMMANDS[args.command]
+        dim, terminals = _resolve_set(args) if takes_set else (Dimension(args.n), None)
+        own, transcript = handler(args, dim, terminals)
     except ParseError as exc:
         print(f"error[parse]: {exc}", file=sys.stderr)
         return 2
@@ -342,6 +325,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error[precondition]: {exc}", file=sys.stderr)
         return 4
+    fields = {key: getattr(args, key) for key in ("command", "seed", "budget_states")}
+    fields["n"] = dim.n
+    if terminals is not None:
+        fields.update(terminals=_vertices_text(dim, terminals), set_size=len(terminals))
+    fields.update(own)
     sys.stdout.write(_render(fields, transcript, args.format))
     return 0
 

@@ -4,7 +4,8 @@ A set dominates Q_n when every vertex either belongs to it or has a
 neighbor in it. Constructions provided:
 
 - greedy: repeatedly take the vertex covering the most uncovered vertices
-  (ties to the smallest vertex int). Dominating, rarely connected.
+  (ties to the smallest vertex int). Dominating, rarely connected; the
+  budget caps the 2^n gains each pick scans, summed over the picks.
 - hamming_code: for n = 2^m - 1, the perfect single-error-correcting code
   of length n; its distance-1 balls tile the cube, so it dominates with
   exactly 2^n/(n+1) words, pairwise at distance >= 3 (never connected for
@@ -93,22 +94,23 @@ def sphere_covering_floor(dim: Dimension) -> int:
 def greedy_dominating_set(
     dim: Dimension, *, budget: int = DEFAULT_BUDGET
 ) -> DominatingSetCertificate:
-    """Max-coverage greedy; deterministic via smallest-vertex tie-breaks."""
-    check_budget("greedy domination sweep", dim.num_vertices, budget)
+    """Max-coverage greedy; deterministic via smallest-vertex tie-breaks.
+
+    Each pick scans the gains of all 2^n vertices. The budget caps the
+    running total picks x 2^n, checked before each pick's scan and, at
+    the sphere-covering floor of picks, before the 2^n masks are built.
+    """
+    size = dim.num_vertices
+    check_budget("greedy domination sweep", sphere_covering_floor(dim) * size, budget)
     closed = closed_neighborhood_masks(dim)
-    full = (1 << dim.num_vertices) - 1
-    covered = 0
+    uncovered = (1 << size) - 1
     chosen: list[int] = []
-    while covered != full:
-        best_v = -1
-        best_gain = -1
-        for v in range(dim.num_vertices):
-            gain = (closed[v] & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_v = v
+    while uncovered:
+        check_budget("greedy domination sweep", (len(chosen) + 1) * size, budget)
+        gains = list(map(int.bit_count, map(uncovered.__and__, closed)))
+        best_v = gains.index(max(gains))
         chosen.append(best_v)
-        covered |= closed[best_v]
+        uncovered &= ~closed[best_v]
     return DominatingSetCertificate(VertexSet.of(dim, chosen), "greedy")
 
 

@@ -165,6 +165,85 @@ def test_witness_dependent_reports_are_pinned(run, argv, expected):
     assert run(argv) == (0, expected, "")
 
 
+# Every report opens with command, seed, budget_states and n; the --set
+# commands follow with terminals and set_size.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["sdiam", "--n", "3", "--k", "4"],
+            "command: sdiam\n"
+            "seed: 0\n"
+            "budget_states: 4194304\n"
+            "n: 3\n"
+            "k: 4\n"
+            "lower: 8/3\n"
+            "upper: 7\n"
+            "exact: 5\n"
+            "exact_reason: computed\n"
+            "cds_method: exact\n"
+            "cds_size: 4\n"
+            "worst_set: 000 110 101 011\n",
+        ),
+        (
+            ["group-verify", "--n", "3"],
+            "command: group-verify\n"
+            "seed: 0\n"
+            "budget_states: 4194304\n"
+            "n: 3\n"
+            "group_order: 12\n"
+            "edge_count: 12\n"
+            "ordered_pairs: 144\n"
+            "sharp edge transitivity: OK (12 elements, 12 edges, 144 ordered pairs)\n",
+        ),
+    ],
+    ids=["sdiam-q3-k4", "group-verify-q3"],
+)
+def test_set_free_reports_are_pinned(run, argv, expected):
+    assert run(argv) == (0, expected, "")
+
+
+# csv header row of each subcommand; experiment's csv is its transcript
+CSV_HEADERS = {
+    "exact": (
+        ["--n", "3", "--set", "inline:000,011,101"],
+        "command,seed,budget_states,n,terminals,set_size,distance,tree_vertices,"
+        "tree_edges",
+    ),
+    "bound": (
+        ["--n", "3", "--set", "even"],
+        "command,seed,budget_states,n,terminals,set_size,lower,lower_floor,"
+        "certified_lower,upper,exact,exact_reason,cds_method,cds_size,cds_connected,"
+        "cds_vertices,tree_edge_count,tree_edges",
+    ),
+    "cds": (
+        ["--n", "3"],
+        "command,seed,budget_states,n,greedy_size,greedy_connected,"
+        "steinerized_greedy_size,hamming_size,hamming_connected,"
+        "steinerized_hamming_size,exact_size,best_method,best_size,best_vertices",
+    ),
+    "group-verify": (
+        ["--n", "3"],
+        "command,seed,budget_states,n,group_order,edge_count,ordered_pairs,"
+        "sharp edge transitivity",
+    ),
+    "experiment": (["--n", "3", "--set", "even"], "lambda1,lambda2,x"),
+    "sdiam": (
+        ["--n", "3", "--k", "4"],
+        "command,seed,budget_states,n,k,lower,upper,exact,exact_reason,cds_method,"
+        "cds_size,worst_set",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", CSV_HEADERS)
+def test_csv_header_rows_are_pinned(run, command):
+    args, header = CSV_HEADERS[command]
+    code, out, err = run([command, *args, "--format", "csv"])
+    assert (code, err) == (0, "")
+    assert out.split("\n", 1)[0] == header
+
+
 def test_group_verify_summary_line(run):
     code, out, _ = run(["group-verify", "--n", "4"])
     assert code == 0
@@ -540,6 +619,23 @@ def test_budget_exit_code(run):
     code, out, _ = run(["cds", "--n", "4", "--budget-states", "1000"])
     assert code == 0
     assert _parse_text(out)["exact_size"] == "6"
+
+
+@pytest.mark.parametrize(
+    "argv", [["cds", "--n", "16"], ["bound", "--n", "16", "--set", "even"]]
+)
+def test_greedy_refuses_before_building_its_masks(run, monkeypatch, argv):
+    # 3,856 picks at least, each scanning 2^16 gains
+    def unreachable(dim):
+        raise AssertionError("masks built before the budget check")
+
+    monkeypatch.setattr(domination, "closed_neighborhood_masks", unreachable)
+    code, out, err = run(argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error[budget]: greedy domination sweep: projected 252706816 units "
+        "exceeds budget 4194304\n"
+    )
 
 
 def test_steinerize_pair_scan_is_charged(run):

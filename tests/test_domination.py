@@ -164,6 +164,13 @@ def test_greedy_is_deterministic():
     assert a.vertex_set.members == b.vertex_set.members
 
 
+def test_greedy_budget_caps_picks_times_the_cube():
+    # Q_6 takes 16 picks, each scanning the 64 vertices' gains
+    with pytest.raises(BudgetExceededError, match="greedy domination sweep"):
+        greedy_dominating_set(Dimension(6), budget=1023)
+    assert greedy_dominating_set(Dimension(6), budget=1024).size == 16
+
+
 def test_greedy_respects_floor():
     for n in range(1, 8):
         assert greedy_dominating_set(Dimension(n)).size >= sphere_covering_floor(
