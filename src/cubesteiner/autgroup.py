@@ -188,29 +188,39 @@ def verify_sharp_edge_transitivity(
     """Check that every ordered edge pair has exactly one mapping element.
 
     Since the group and the edge set have equal size, it is enough to see
-    that each edge's orbit map g -> g(e) hits every edge. On failure the
-    counterexample is (source edge, problem edge): the first image in
-    group order that repeats an earlier one, or, when no image repeats,
-    the smallest edge that no image hits.
+    that each edge's orbit map g -> g(e) hits every edge. Every image is
+    computed as a packed int key (bit_index << (n+1)) | even_end: for each
+    source edge and shift s, one _edge_image under (s, 0) gives (r, c), and
+    by the normal form the image under (s, m) is (r ^ m, c), so its key is
+    the (s, 0) key XOR m. Bit n of a key is a guard: a vertex off the cube
+    sets it and so can never alias an edge of Q_n. On failure the
+    counterexample is (source edge, problem edge), decoded back to edges:
+    the first image in group order that repeats an earlier one, or, when no
+    image repeats, the smallest edge that no image hits.
     """
     order = group_order(dim)
     check_budget("edge-pair transitivity sweep", order * dim.num_edges, budget)
     edges = all_edges(dim, budget=budget)
     group = enumerate_group(dim, budget=budget)
-    all_edge_set = set(edges)
+    width = dim.n + 1
+    edge_keys = {(b << width) | v for v, b in edges}
     pairs = order * len(edges)
     for e1 in edges:
-        images = [_edge_image(dim, g, e1) for g in group]
-        if set(images) == all_edge_set:
+        shifted = (_edge_image(dim, Automorphism(s, 0), e1) for s in range(dim.n))
+        base = [(c << width) | r for r, c in shifted]
+        keys = [base[s] ^ m for s, m in group]
+        if set(keys) == edge_keys:
             continue
-        seen: set[Edge] = set()
-        for img in images:
-            if img in seen:
-                problem = img
+        seen: set[int] = set()
+        for key in keys:
+            if key in seen:
+                problem = Edge(key & ~(-1 << width), key >> width)
                 break
-            seen.add(img)
-        else:
-            problem = min(all_edge_set - seen)
+            seen.add(key)
+        else:  # edges run in (even_end, bit_index) order: the first unhit is least
+            problem = next(
+                e for e in edges if (e.bit_index << width) | e.even_end not in seen
+            )
         return TransitivityReport(False, order, len(edges), pairs, (e1, problem))
     return TransitivityReport(True, order, len(edges), pairs, None)
 

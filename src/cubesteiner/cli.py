@@ -196,10 +196,10 @@ def _cmd_experiment(
     }
     transcript = None
     if summary.transcript is not None:
-        transcript = [
-            (element_to_text(dim, g1), element_to_text(dim, g2), x)
-            for g1, g2, x in summary.transcript
-        ]
+        # at most |G| distinct elements, each formatted once
+        elements = dict.fromkeys(g for row in summary.transcript for g in row[:2])
+        text = {g: element_to_text(dim, g) for g in elements}
+        transcript = [(text[g1], text[g2], x) for g1, g2, x in summary.transcript]
     return fields, transcript
 
 

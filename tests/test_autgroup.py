@@ -234,7 +234,7 @@ def test_sample_uniform_frequencies_near_uniform():
         assert abs(c - total * p) <= tol
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_sharp_edge_transitivity_small_dimensions(n):
     report = verify_sharp_edge_transitivity(Dimension(n))
     assert report.ok
@@ -243,39 +243,70 @@ def test_sharp_edge_transitivity_small_dimensions(n):
     assert report.pair_count == report.group_size**2
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_edge_image_is_the_shift_image_with_its_even_end_flipped(n):
+    # The identity the transitivity sweep relies on: g = (s, m) maps e to
+    # the (s, 0) image of e with m XOR-ed into its even end.
+    d = Dimension(n)
+    for g in _elements(n):
+        for e in all_edges(d):
+            r, c = autgroup._edge_image(d, Automorphism(g.shift, 0), e)
+            assert autgroup._edge_image(d, g, e) == Edge(r ^ g.flip_mask, c)
+
+
+def _patch_group(monkeypatch, group):
+    # The sweep reads its elements from enumerate_group.
+    monkeypatch.setattr(autgroup, "enumerate_group", lambda dim, *, budget: group)
+
+
 def test_sharp_edge_transitivity_reports_a_repeated_image(monkeypatch):
     # The last element acts like the one before it: its image repeats.
     d = Dimension(3)
-    *_, g_prev, g_last = _elements(3)
-    real = autgroup._edge_image
-
-    def repeating(dim, g, e):
-        return real(dim, g_prev if g == g_last else g, e)
-
-    monkeypatch.setattr(autgroup, "_edge_image", repeating)
+    group = _elements(3)
+    g_prev = group[-1] = group[-2]
+    _patch_group(monkeypatch, group)
     report = verify_sharp_edge_transitivity(d)
     e1 = all_edges(d)[0]
     assert not report.ok
-    assert report.counterexample == (e1, real(d, g_prev, e1))
+    assert report.counterexample == (e1, apply_edge(d, g_prev, e1))
+
+
+def _move_off_cube(monkeypatch, n, moved):
+    # The moved elements also flip bit n, so they map every edge off the
+    # cube.
+    group = _elements(n)
+    for i in moved:
+        group[i] = Automorphism(group[i].shift, group[i].flip_mask | 1 << n)
+    _patch_group(monkeypatch, group)
 
 
 def test_sharp_edge_transitivity_reports_an_edge_no_image_hits(monkeypatch):
-    # The last element maps every edge off the cube (a flip bit >= n):
-    # the images stay distinct, so only an "onto" check sees that its true
-    # image is never hit.
+    # The last element maps every edge off the cube: the images stay
+    # distinct, so only an "onto" check sees that its true image is never
+    # hit.
     d = Dimension(3)
-    g_last = _elements(3)[-1]
-    real = autgroup._edge_image
-
-    def leaving(dim, g, e):
-        img = real(dim, g, e)
-        return Edge(img.even_end, img.bit_index + dim.n) if g == g_last else img
-
-    monkeypatch.setattr(autgroup, "_edge_image", leaving)
+    _move_off_cube(monkeypatch, 3, [-1])
     report = verify_sharp_edge_transitivity(d)
     e1 = all_edges(d)[0]
     assert not report.ok
-    assert report.counterexample == (e1, real(d, g_last, e1))
+    assert report.counterexample == (e1, apply_edge(d, _elements(3)[-1], e1))
+
+
+def test_sharp_edge_transitivity_reports_the_least_unhit_edge(monkeypatch):
+    # With s=1;m=000 moved off the cube too, two edges go unhit. Edge(0, 2),
+    # its true image, is the smaller by (even_end, bit_index), though its
+    # packed key (bit_index first) is larger than that of Edge(6, 1), the
+    # last element's.
+    d = Dimension(3)
+    g_first_s1, g_last = _elements(3)[4], _elements(3)[-1]
+    _move_off_cube(monkeypatch, 3, [4, -1])
+    report = verify_sharp_edge_transitivity(d)
+    e1 = all_edges(d)[0]
+    assert (apply_edge(d, g_first_s1, e1), apply_edge(d, g_last, e1)) == (
+        Edge(0, 2), Edge(6, 1)
+    )
+    assert not report.ok
+    assert report.counterexample == (e1, Edge(0, 2))
 
 
 def test_sharp_edge_transitivity_budget_guard():

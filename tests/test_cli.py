@@ -254,20 +254,36 @@ def test_group_verify_summary_line(run):
 
 
 def test_group_verify_prints_fail_and_counterexample(run, monkeypatch):
-    # The last element of Q_3's group acts like the one before it, s=2;m=101,
-    # which maps 000-100 to 101-111.
-    *_, g_prev, g_last = autgroup.enumerate_group(Dimension(3))
-    real = autgroup._edge_image
-    monkeypatch.setattr(
-        autgroup,
-        "_edge_image",
-        lambda dim, g, e: real(dim, g_prev if g == g_last else g, e),
-    )
+    # The last element of Q_3's group is replaced by the one before it,
+    # s=2;m=101, which maps 000-100 to 101-111.
+    *rest, g_prev, _ = autgroup.enumerate_group(Dimension(3))
+    group = [*rest, g_prev, g_prev]
+    monkeypatch.setattr(autgroup, "enumerate_group", lambda dim, *, budget: group)
     code, out, err = run(["group-verify", "--n", "3"])
     assert (code, err) == (0, "")
     assert out.endswith(
         "sharp edge transitivity: FAIL (12 elements, 12 edges, 144 ordered pairs)\n"
         "counterexample: 000-100 -> 101-111\n"
+    )
+
+
+def test_group_verify_q8_json_is_pinned(run):
+    code, out, err = run(["group-verify", "--n", "8", "--format", "json"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["group_order"] == payload["edge_count"] == 1024
+    assert payload["ordered_pairs"] == 1048576
+    assert payload["sharp edge transitivity"] == (
+        "OK (1024 elements, 1024 edges, 1048576 ordered pairs)"
+    )
+
+
+def test_group_verify_q9_exceeds_the_default_budget(run):
+    code, out, err = run(["group-verify", "--n", "9"])
+    assert (code, out) == (3, "")
+    assert (
+        "edge-pair transitivity sweep: projected 5308416 units exceeds budget 4194304"
+        in err
     )
 
 
@@ -552,6 +568,22 @@ def test_exhaustive_csv_transcript_is_pinned(run):
     assert out.count("\n") == 1025
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "5f8ef8a551992a445fb360f8b0eeb387f9af4b50896bd3ba4b78a1ce3b635f4a"
+    )
+
+
+def test_sampled_csv_transcript_is_pinned(run):
+    # 2,000 seeded pairs of Q_7's group for an all-even 4-set: pins the
+    # draw stream and the text of each element
+    code, out, err = run(
+        [
+            "experiment", "--n", "7", "--set", "inline:0000000,1100000,1010000,0110000",
+            "--samples", "2000", "--seed", "464753112", "--format", "csv",
+        ]
+    )
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 2001
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "476087a6cac8ed9d439f83e3c2638c1cb05a565d78df032ce34b15fcdb6b29e4"
     )
 
 
