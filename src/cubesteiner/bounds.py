@@ -14,9 +14,11 @@ has mean exactly d(S)^2/(n 2^{n-1}), while every single pair obeys
 2 d(S) - X >= 2s - (n+1) because g1(T) u g2(T') connects a set containing
 s disjoint even/odd mirror pairs. `run_intersection_experiment`
 evaluates both facts exactly from the overlaps X(1, h) = |E(T) n E(h(T'))|,
-one per group element h, since X(g1, g2) = X(1, g1^-1 g2);
-`bootstrap_case` checks the algebra that turns them into the displayed
-bound; `lower_bound_even` evaluates the bound itself in exact rationals.
+since X(g1, g2) = X(1, g1^-1 g2), and counts them all at once: the group
+acts sharply transitively on edges, so exactly one h takes each edge of T'
+onto each edge of T. `bootstrap_case` checks the algebra that turns the
+two facts into the displayed bound; `lower_bound_even` evaluates the bound
+itself in exact rationals.
 
 The matching upper bound is constructive: a spanning tree of a connected
 dominating set plus one attachment edge per terminal spans S with at most
@@ -32,12 +34,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Optional
 
 from .autgroup import Automorphism, _edge_image, _quotient, enumerate_group, sample_uniform
 from .cube import (
     Dimension,
-    Edge,
     VertexSet,
     _edge,
     bfs_forest,
@@ -208,16 +209,6 @@ class IntersectionSummary:
     transcript: Optional[tuple[tuple[Automorphism, Automorphism, int], ...]]
 
 
-def _edge_mask(dim: Dimension, edges: Iterable[Edge]) -> int:
-    """One bit per edge at its `all_edges` index (block {2j, 2j+1} holds one
-    even vertex). Bits are OR-ed, so an edge listed twice cannot carry into
-    a neighbouring bit."""
-    m = 0
-    for u, b in edges:
-        m |= 1 << ((u >> 1) * dim.n + b)
-    return m
-
-
 def run_intersection_experiment(
     exp: IntersectionExperiment,
     *,
@@ -229,13 +220,15 @@ def run_intersection_experiment(
     """Evaluate X = |E(g1(T)) n E(g2(T'))| over automorphism pairs.
 
     g1 permutes the edges, so X(g1, g2) = X(1, h) = |E(T) n E(h(T'))| with
-    h = g1^-1 g2; each h met is evaluated once. samples=None covers all
+    h = g1^-1 g2. Sharp edge transitivity matches each pair (e in T, e' in
+    T') with exactly one h, so X(1, h) counts the pairs h matches; n images
+    per mirror edge, one per shift, give every count, and each pair read
+    looks its count up (0 if h matches none). samples=None covers all
     |group|^2 ordered pairs: with a transcript it lists them in
     lexicographic order, without one it reads only the identity row (1, h),
     each h weighted |group|, since every row repeats that row. Either way it
-    insists the exact mean equals d^2/(n 2^{n-1}): the group acts sharply
-    transitively on edges, so the row sum counts one h per pair of edges of
-    T and T', d^2 in all, and a faulty group breaks that count. Otherwise
+    insists the exact mean equals d^2/(n 2^{n-1}): the row sums to d^2 only
+    if the enumerated group lists each counted h exactly once. Otherwise
     it draws that many independent uniform pairs from the seeded generator.
     min_lhs reports the smallest value of 2d - X seen. The budget is
     charged one unit per pair read: |group| without a transcript and
@@ -262,22 +255,26 @@ def run_intersection_experiment(
         count = charged = samples
     check_budget("automorphism pair sweep", charged, budget)
 
-    tree = _edge_mask(dim, exp.tree.edges)
+    # (s, m) maps e' to (r ^ m, c), where (r, c) is its image under (s, 0),
+    # so the one h taking e' onto a tree edge (u, c) is (s, r ^ u).
     overlap: dict[Automorphism, int] = {}
-    total = 0
+    for e in exp.mirror_tree.edges:
+        for s in range(dim.n):
+            r, c = _edge_image(dim, Automorphism(s, 0), e)
+            for u, b in exp.tree.edges:
+                if b == c:
+                    h = Automorphism(s, r ^ u)
+                    overlap[h] = overlap.get(h, 0) + 1
+    total = max_overlap = 0
     transcript: Optional[list] = [] if keep_transcript else None
     for g1, g2 in pairs:
-        h = _quotient(dim, g1, g2)
-        x = overlap.get(h)
-        if x is None:
-            image = (_edge_image(dim, h, e) for e in exp.mirror_tree.edges)
-            x = overlap[h] = (tree & _edge_mask(dim, image)).bit_count()
+        x = overlap.get(_quotient(dim, g1, g2), 0)
         total += x
+        max_overlap = max(max_overlap, x)
         if transcript is not None:
             transcript.append((g1, g2, x))
 
     mean = Fraction(total * weight, count)
-    max_overlap = max(overlap.values())  # every h met, and only those
     if samples is None and mean != Fraction(exp.distance**2, dim.num_edges):
         raise AssertionError("exhaustive overlap mean broke the group identity")
     return IntersectionSummary(

@@ -306,9 +306,9 @@ def _two_sided_overlap(exp, g1, g2):
     return len(left & right)
 
 
-def _reference_experiments():
+def _reference_experiments(max_n=5):
     rng = random.Random(13)
-    for n in range(1, 6):
+    for n in range(1, max_n + 1):
         dim = Dimension(n)
         evens = list(parity_class(dim, 0))
         for _ in range(3):
@@ -337,7 +337,8 @@ def test_exhaustive_overlap_matches_two_sided_reference():
 
 
 def test_sampled_overlap_matches_two_sided_reference():
-    for seed, exp in enumerate(_reference_experiments()):
+    # Q_6 and Q_7 too: the exhaustive reference above stops at n = 5
+    for seed, exp in enumerate(_reference_experiments(max_n=7)):
         summary = run_intersection_experiment(
             exp, samples=60, seed=seed, keep_transcript=True
         )
@@ -346,8 +347,9 @@ def test_sampled_overlap_matches_two_sided_reference():
         _assert_matches_reference(exp, summary, xs)
 
 
-def test_exhaustive_overlap_maps_each_mirror_edge_once_per_element(monkeypatch):
-    # only the identity row is evaluated: |G| images of the d mirror edges
+def test_overlap_maps_each_mirror_edge_once_per_shift(monkeypatch):
+    # the counts X(1, h) take n images of each of the d mirror edges, however
+    # many pairs the run reads: identity row, samples or a csv transcript
     calls = []
     real = bounds._edge_image
 
@@ -357,9 +359,25 @@ def test_exhaustive_overlap_maps_each_mirror_edge_once_per_element(monkeypatch):
 
     monkeypatch.setattr(bounds, "_edge_image", counting)
     exp = build_intersection_experiment(VertexSet.of(D4, [0, 3, 5, 9, 15]))
-    summary = run_intersection_experiment(exp)
+    for kwargs in ({}, {"samples": 500, "seed": 2}, {"keep_transcript": True}):
+        calls.clear()
+        summary = run_intersection_experiment(exp, **kwargs)
+        assert len(calls) == D4.n * exp.distance
     assert summary.mean == Fraction(exp.distance**2, D4.num_edges)
-    assert len(calls) == group_order(D4) * exp.distance
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_exhaustive_mean_rejects_a_group_that_drops_or_repeats_an_element(
+    monkeypatch, keep
+):
+    real = bounds.enumerate_group
+    exp = build_intersection_experiment(EVEN3)
+    for faulty in (lambda g: g[:-1], lambda g: g + g[-1:]):
+        monkeypatch.setattr(
+            bounds, "enumerate_group", lambda dim, **kw: faulty(real(dim, **kw))
+        )
+        with pytest.raises(AssertionError, match="broke the group identity"):
+            run_intersection_experiment(exp, keep_transcript=keep)
 
 
 def test_experiment_budget_and_sample_guards():
