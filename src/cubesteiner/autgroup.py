@@ -232,13 +232,15 @@ def element_to_text(dim: Dimension, g: Automorphism) -> str:
 
 
 def parse_element(dim: Dimension, text: str) -> Automorphism:
-    """Inverse of element_to_text."""
+    """Inverse of element_to_text; the shift is a plain decimal integer."""
     try:
         shift_part, mask_part = text.split(";")
         if not shift_part.startswith("s=") or not mask_part.startswith("m="):
             raise ValueError
-        shift = int(shift_part[2:])
-        mask_str = mask_part[2:]
+        shift_str, mask_str = shift_part[2:], mask_part[2:]
+        if not (shift_str.isascii() and shift_str.isdigit()):
+            raise ValueError
+        shift = int(shift_str)
     except ValueError:
         raise ParseError(f"bad automorphism text {text!r}") from None
     try:

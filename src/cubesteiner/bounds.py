@@ -21,10 +21,11 @@ two facts into the displayed bound; `lower_bound_even` evaluates the bound
 itself in exact rationals.
 
 The matching upper bound is constructive: a spanning tree of a connected
-dominating set plus one attachment edge per terminal spans S with at most
-|S| + |cds| - 1 edges (`upper_bound_tree`). `build_bounds_report` packages
-both sides with certificates for one instance, and `sdiam_sandwich`
-brackets the k-set Steiner diameter max_{|S|=k} d(S).
+dominating set plus one attachment edge per terminal spans S, and keeping
+only the edges with a terminal on both sides leaves at most |S| + |cds| - 1
+edges (`upper_bound_tree`). `build_bounds_report` packages both sides with
+certificates for one instance, and `sdiam_sandwich` brackets the k-set
+Steiner diameter max_{|S|=k} d(S).
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ from .errors import BudgetExceededError, DEFAULT_BUDGET, check_budget
 from .steiner import (
     SteinerInstance,
     SteinerTree,
+    _certified_tree,
     _dp_projection,
     _dp_witness,
     _solve,
     steiner_distance,
-    validate_tree,
 )
 
 
@@ -100,10 +101,11 @@ def upper_bound_tree(
     """Spanning tree of the dominating set plus one edge per terminal.
 
     Builds a deterministic BFS spanning tree of the induced subgraph on
-    the connected dominating set, attaches every terminal outside it to
-    its smallest dominating neighbor, then prunes non-terminal leaves
-    until none is left, which leaves the unique smallest subtree spanning
-    the terminals. The result has at most |terminals| + |cds| - 1 edges.
+    the connected dominating set and attaches every terminal outside it
+    to its smallest dominating neighbor. It then keeps an edge exactly
+    when both of its sides hold a terminal, which cuts the tree down to
+    the unique smallest subtree spanning the terminals. The result has at
+    most |terminals| + |cds| - 1 edges.
     """
     if len(terminals) == 0:
         raise ValueError("empty terminal set")
@@ -119,31 +121,20 @@ def upper_bound_tree(
             nbrs = (t ^ (1 << b) for b in range(dim.n))
             parent[t] = min(u for u in nbrs if u in members)
 
-    term_set = set(terminals)
-    adj: dict[int, set[int]] = {v: set() for v in parent}
-    for v, p in parent.items():
+    # below[v] counts the terminals under v; children follow their parents
+    # in `parent`, so a reverse pass finishes each count before it is read.
+    s = len(terminals)
+    below = {v: int(v in terminals) for v in parent}
+    edges = []
+    for v in reversed(parent):
+        p = parent[v]
         if v != p:
-            adj[v].add(p)
-            adj[p].add(v)
-    # Pruning a leaf can only turn its one neighbour into a leaf.
-    leaves = [v for v, nbrs in adj.items() if len(nbrs) <= 1 and v not in term_set]
-    while leaves:
-        v = leaves.pop()
-        for u in adj.pop(v):
-            adj[u].discard(v)
-            if len(adj[u]) <= 1 and u not in term_set:
-                leaves.append(u)
-
-    edges = frozenset(
-        _edge(v, (v ^ p).bit_length() - 1)
-        for v, p in parent.items()
-        if v != p and v in adj and p in adj
-    )
-    tree = SteinerTree(dim, edges, frozenset(adj))
-    validate_tree(tree, terminals)
-    if len(edges) > len(terminals) + cds.size - 1:
+            below[p] += below[v]
+            if 0 < below[v] < s:
+                edges.append(_edge(v, (v ^ p).bit_length() - 1))
+    if len(edges) > s + cds.size - 1:
         raise AssertionError("construction exceeded its own edge budget")
-    return tree, len(edges)
+    return _certified_tree(dim, edges, terminals), len(edges)
 
 
 def best_connected_dominating_set(
@@ -190,9 +181,8 @@ def build_intersection_experiment(
     if len(terminals) > 1:
         check_budget("subset DP states", _dp_projection(dim, len(terminals)), budget)
     d, tree = _dp_witness(dim, SteinerInstance(dim, terminals).terminals.members)
-    edges = frozenset(_edge(e.even_end ^ 1, e.bit_index) for e in tree.edges)
-    mtree = SteinerTree(dim, edges, frozenset(v ^ 1 for v in tree.vertices))
-    validate_tree(mtree, mirrored)
+    edges = (_edge(e.even_end ^ 1, e.bit_index) for e in tree.edges)
+    mtree = _certified_tree(dim, edges, mirrored)
     return IntersectionExperiment(terminals, mirrored, tree, mtree, d)
 
 

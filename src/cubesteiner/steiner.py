@@ -146,6 +146,21 @@ def validate_tree(tree: SteinerTree, terminals: Iterable[int]) -> None:
             raise ValueError(f"non-terminal leaf {v}; tree is not edge-minimal")
 
 
+def _certified_tree(
+    dim: Dimension, edges: Iterable[Edge], terminals: Iterable[int]
+) -> SteinerTree:
+    """The tree on `edges` whose vertices are the terminals and the edge
+    endpoints, checked by `validate_tree`: every Steiner tree the package
+    reports is built here."""
+    edges = frozenset(edges)
+    vertices = set(terminals)
+    for e in edges:
+        vertices.update(e.endpoints())
+    tree = SteinerTree(dim, edges, frozenset(vertices))
+    validate_tree(tree, terminals)
+    return tree
+
+
 def shortest_path(dim: Dimension, u: int, v: int) -> list[Edge]:
     """The canonical geodesic: flip differing bits in increasing order."""
     check_vertex(dim, u)
@@ -357,7 +372,7 @@ def _dp_witness(dim: Dimension, terms: tuple[int, ...]) -> tuple[int, SteinerTre
     n = dim.n
 
     if k == 1:
-        return 0, SteinerTree(dim, frozenset(), frozenset(terms))
+        return 0, _certified_tree(dim, (), terms)
 
     root, others = terms[0], terms[1:]
     full = (1 << (k - 1)) - 1
@@ -386,16 +401,11 @@ def _dp_witness(dim: Dimension, terms: tuple[int, ...]) -> tuple[int, SteinerTre
             edges.add(_edge(v, (u ^ v).bit_length() - 1))
             stack.append((mask, u))
 
-    vertices: set[int] = set(terms)
-    for e in edges:
-        vertices.update(e.endpoints())
-    tree = SteinerTree(dim, frozenset(edges), frozenset(vertices))
     if len(edges) != dist:
         raise AssertionError(
             f"witness has {len(edges)} edges but DP value is {dist}"
         )
-    validate_tree(tree, terms)
-    return dist, tree
+    return dist, _certified_tree(dim, edges, terms)
 
 
 def _solve(
@@ -409,7 +419,7 @@ def _solve(
     k = len(terms)
     n = dim.n
     if k == 1:
-        return 0, SteinerTree(dim, frozenset(), frozenset(terms))
+        return _dp_witness(dim, terms)
 
     check_budget("subset DP states", _dp_projection(dim, k), budget)
 
@@ -430,12 +440,8 @@ def _solve(
         members.add(bit.bit_length() - 1)
         added ^= bit
     [parent] = bfs_forest(n, members)
-    edges = frozenset(
-        _edge(v, (v ^ p).bit_length() - 1) for v, p in parent.items() if v != p
-    )
-    tree = SteinerTree(dim, edges, frozenset(parent))
-    validate_tree(tree, terms)
-    return dist, tree
+    edges = (_edge(v, (v ^ p).bit_length() - 1) for v, p in parent.items() if v != p)
+    return dist, _certified_tree(dim, edges, terms)
 
 
 def steiner_distance(inst: SteinerInstance, *, budget: int = DEFAULT_BUDGET) -> int:
@@ -462,8 +468,9 @@ def steiner_exact(
 
 
 def parse_instance_text(text: str) -> SteinerInstance:
-    """Instance format: first line "n=<int>", then one vertex string per
-    line; blank lines and '#' comments are skipped."""
+    """Instance format: first line "n=<int>" with a plain decimal integer,
+    then one vertex string per line; blank lines and '#' comments are
+    skipped."""
     lines = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -475,10 +482,9 @@ def parse_instance_text(text: str) -> SteinerInstance:
     header = lines[0]
     if not header.startswith("n="):
         raise ParseError(f"first line must be 'n=<int>', got {header!r}")
-    try:
-        n = int(header[2:])
-    except ValueError:
-        raise ParseError(f"bad dimension in header {header!r}") from None
+    if not (header[2:].isascii() and header[2:].isdigit()):
+        raise ParseError(f"bad dimension in header {header!r}")
+    n = int(header[2:])
     try:
         dim = Dimension(n)
     except ValueError as exc:

@@ -333,3 +333,7 @@ def test_parse_element_errors():
     for text in ("s=1;m=10", "s=1;m=0000", "s=1;m=1a0"):  # short, long, non-binary
         with pytest.raises(ParseError, match="bad flip-mask string"):
             parse_element(d, text)
+    # the shift is a plain decimal integer, and both prefixes are required
+    for text in ("s=+1;m=000", "s= 1;m=000", "s=1 ;m=000", "t=1;m=000", "s=1;x=000"):
+        with pytest.raises(ParseError, match="bad automorphism text"):
+            parse_element(d, text)

@@ -146,9 +146,21 @@ def test_upper_bound_tree_matches_rescan_pruning(n):
         cdss.append(steinerize(hamming_code_dominating_set(dim).vertex_set))
     rng = random.Random(900 + n)
     for cds in cdss:
+        inside = list(cds.vertex_set)
+        outside = [v for v in range(dim.num_vertices) if v not in cds.vertex_set]
+        cases = [
+            [dim.num_vertices - 1],  # a single terminal
+            inside,
+            outside,
+            inside[1:],  # all but the BFS root, the smallest cds vertex
+        ]
+        if n <= 3:
+            cases.append(range(dim.num_vertices))
         for _ in range(40):
             size = rng.randint(1, min(12, dim.num_vertices))
-            terminals = VertexSet.of(dim, rng.sample(range(dim.num_vertices), size))
+            cases.append(rng.sample(range(dim.num_vertices), size))
+        for members in filter(None, cases):
+            terminals = VertexSet.of(dim, members)
             tree, count = upper_bound_tree(terminals, cds)
             assert (set(tree.edges), set(tree.vertices)) == _rescan_pruned_tree(
                 terminals, cds
@@ -490,7 +502,7 @@ def test_bounds_report_omits_exact_over_budget():
     assert report.exact_reason.startswith("budget:")
     assert report.lower == Fraction(452, 7)
     assert report.certified_lower == 65
-    assert report.upper == 81  # pruning beats the 64 + 36 - 1 guarantee
+    assert report.upper == 81  # cutting beats the 64 + 36 - 1 guarantee
     assert report.upper <= 64 + 36 - 1
     validate_tree(report.tree, report.terminals)
 
@@ -521,6 +533,8 @@ def test_bounds_report_rejects_inconsistent_claims():
             tree=good.tree,
             cds=good.cds,
         )
+    with pytest.raises(ValueError, match="empty terminal set"):
+        build_bounds_report(VertexSet.of(D3, []))
 
 
 def test_sdiam_known_table_q3():

@@ -237,6 +237,9 @@ def test_parse_instance_text_round_trip():
         "n=3\n000\n000\n",
         "n=3\n",
         "n=0\n0\n",
+        "n=+3\n000\n",
+        "n= 3\n000\n",
+        "n=0_3\n000\n",
     ],
 )
 def test_parse_instance_text_errors(text):
