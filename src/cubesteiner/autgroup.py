@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .cube import (
-    Dimension, Edge, all_edges, check_edge, check_vertex, parse_vertex, vertex_to_string
+    Dimension, Edge, all_edges, canonical_int, check_edge, check_vertex, parse_vertex,
+    vertex_to_string,
 )
 from .errors import DEFAULT_BUDGET, ParseError, check_budget
 
@@ -232,15 +233,13 @@ def element_to_text(dim: Dimension, g: Automorphism) -> str:
 
 
 def parse_element(dim: Dimension, text: str) -> Automorphism:
-    """Inverse of element_to_text; the shift is a plain decimal integer."""
+    """Inverse of element_to_text; the shift is a plain decimal integer
+    (`canonical_int`)."""
     try:
         shift_part, mask_part = text.split(";")
         if not shift_part.startswith("s=") or not mask_part.startswith("m="):
             raise ValueError
-        shift_str, mask_str = shift_part[2:], mask_part[2:]
-        if not (shift_str.isascii() and shift_str.isdigit()):
-            raise ValueError
-        shift = int(shift_str)
+        shift, mask_str = canonical_int(shift_part[2:]), mask_part[2:]
     except ValueError:
         raise ParseError(f"bad automorphism text {text!r}") from None
     try:

@@ -52,7 +52,7 @@ from .steiner import (
     SteinerTree,
     _certified_tree,
     _dp_projection,
-    _dp_witness,
+    _dp_solve,
     _solve,
     steiner_distance,
 )
@@ -169,7 +169,7 @@ def build_intersection_experiment(
     of the terminals and of two neighbours of a vertex, dp'[mask][phi(v)] =
     dp[mask][v], half-splits read values only, geodesics flip the same bits.
 
-    T is the rooted DP's rebuilt tree (`_dp_witness`) even where the
+    T is the tree `_dp_solve` rebuilds from the rooted DP even where the
     Steiner-vertex search would answer `steiner_exact`: the overlap
     statistics (max_overlap, min_lhs, sampled means) depend on which optimal
     tree T is, and the statement above about phi is one about that tree.
@@ -180,7 +180,7 @@ def build_intersection_experiment(
     mirrored = mirror_set(terminals)
     if len(terminals) > 1:
         check_budget("subset DP states", _dp_projection(dim, len(terminals)), budget)
-    d, tree = _dp_witness(dim, SteinerInstance(dim, terminals).terminals.members)
+    d, tree = _dp_solve(dim, SteinerInstance(dim, terminals).terminals.members, witness=True)
     edges = (_edge(e.even_end ^ 1, e.bit_index) for e in tree.edges)
     mtree = _certified_tree(dim, edges, mirrored)
     return IntersectionExperiment(terminals, mirrored, tree, mtree, d)

@@ -44,6 +44,7 @@ from .cube import (
     Dimension,
     Edge,
     VertexSet,
+    canonical_int,
     parity_class,
     parse_vertex,
     vertex_to_string,
@@ -276,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, takes_set, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         # a --set command may take n from an instance file
-        p.add_argument("--n", type=int, required=not takes_set, help="cube dimension")
+        p.add_argument("--n", type=canonical_int, required=not takes_set, help="cube dimension")
         p.add_argument(
-            "--seed", type=int, default=0, help="random seed (always recorded)"
+            "--seed", type=canonical_int, default=0, help="random seed (always recorded)"
         )
         p.add_argument(
             "--budget-states",
-            type=int,
+            type=canonical_int,
             default=DEFAULT_BUDGET,
             help="max states/candidates any single step may touch",
         )
@@ -301,10 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
                 help="sweep all ordered automorphism pairs (default)",
             )
             mode.add_argument(
-                "--samples", type=int, default=None, help="sample this many pairs"
+                "--samples", type=canonical_int, default=None, help="sample this many pairs"
             )
         if name == "sdiam":
-            p.add_argument("--k", type=int, required=True, help="terminal set size")
+            p.add_argument("--k", type=canonical_int, required=True, help="terminal set size")
     return parser
 
 

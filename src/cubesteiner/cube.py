@@ -130,8 +130,9 @@ def bfs_forest(n: int, vertices: Iterable[int]) -> list[dict[int, int]]:
     """
     remaining = set(vertices)
     forest = []
-    while remaining:
-        root = min(remaining)
+    for root in sorted(remaining):
+        if root not in remaining:
+            continue
         remaining.discard(root)
         tree = {root: root}
         queue = [root]
@@ -218,6 +219,15 @@ def vertex_to_string(dim: Dimension, v: int) -> str:
     """Coordinate string v_0 v_1 ... v_{n-1} (position i = coordinate i)."""
     check_vertex(dim, v)
     return "".join("1" if (v >> i) & 1 else "0" for i in range(dim.n))
+
+
+def canonical_int(text: str) -> int:
+    """A non-negative integer read from outside the program, in its one
+    canonical spelling: ASCII digits with no sign, space, '_' or leading
+    zero ("0" itself is fine)."""
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
+        raise ParseError(f"expected a plain decimal integer, got {text!r}")
+    return int(text)
 
 
 def parse_vertex(dim: Dimension, s: str) -> int:

@@ -12,8 +12,8 @@ which S + A induces a connected subgraph. Three routes compute it:
 - the subset DP (Dreyfus-Wagner) over (terminal subset, vertex) states
   with merge and grow transitions, rooted at one terminal r: it solves
   the other k - 1 terminals and reads d(S) = dp[S - r][r], in
-  O(3^(k-1) 2^n + 2^(k-1) 2^n n) time (`_subset_dp`); `_dp_witness`
-  rebuilds a witness tree from its values.
+  O(3^(k-1) 2^n + 2^(k-1) 2^n n) time (`_subset_dp`); `_dp_solve` is its
+  one entry, and rebuilds a witness tree from its values when asked.
 - the Steiner-vertex search: a branch-and-bound over the Steiner vertices
   A (`_steiner_vertex_search`), fast when S is dense and A small, exactly
   where the DP's 3^(k-1) merge work is largest.
@@ -28,12 +28,13 @@ minimum A, d(S) = k - 1 + |A| and the witness is the BFS spanning tree of
 S + A: it has |S| + |A| - 1 = d(S) edges, and every leaf is a terminal,
 because S + A - a stays connected when a is a leaf, so a leaf a in A
 would contradict the minimality of |A|. A search that runs past its
-allowance gives way to the packed DP: `_dp_witness` for a witness, else
-dp[S - r][r] read with no rebuild. The overlap experiment keeps the DP's
-tree on every set (see `bounds.build_intersection_experiment`).
+allowance, and a single terminal, go to the packed DP (`_dp_solve`), which
+rebuilds its tree only when a witness is asked for. The overlap experiment
+keeps the DP's tree on every set (see
+`bounds.build_intersection_experiment`).
 
 A SteinerInstance checks its terminals once, when it is built. The
-dispatch `_solve` and `_dp_witness` take its dimension and sorted terminal
+dispatch `_solve` and `_dp_solve` take its dimension and sorted terminal
 tuple and check nothing again, so the `sdiam` sweep passes the tuples it
 generates straight in.
 
@@ -71,6 +72,7 @@ from .cube import (
     _edge,
     _geodesic,
     bfs_forest,
+    canonical_int,
     check_vertex,
     parse_vertex,
 )
@@ -181,6 +183,7 @@ def steiner_brute_oracle(
     """
     dim = inst.dim
     terms = frozenset(inst.terminals)
+    check_budget("oracle vertex listing", dim.num_vertices - len(terms), budget)
     others = [v for v in range(dim.num_vertices) if v not in terms]
     examined = 0
     for extra in range(len(others) + 1):
@@ -285,16 +288,17 @@ class _OutOfAllowance(Exception):
 
 
 def _steiner_vertex_search(
-    n: int, terms: list[int], allowance: Optional[int] = None
-) -> Optional[int]:
-    """Bitmask of a minimum vertex set A for which terms + A induces a
-    connected subgraph of Q_n, or None once the search has charged more
-    than `allowance` (no cap when None).
+    n: int, terms: list[int], allowance: int
+) -> Optional[tuple[int, ...]]:
+    """A minimum vertex set A, in the order its vertices were added, for
+    which terms + A induces a connected subgraph of Q_n, or None once the
+    search has charged more than `allowance`.
 
-    Vertex sets are bitmasks over the 2^n vertices. Each component of
-    terms + A is kept with its outside neighbourhood N; adding v merges
-    the components whose neighbourhood holds v, and the merged one gets
-    (N(v) + the merged N's) - merged, where N(v) has the n bits v ^ 2^b.
+    Inside the search, vertex sets are bitmasks over the 2^n vertices.
+    Each component of terms + A is kept with its outside neighbourhood N;
+    adding v merges the components whose neighbourhood holds v, and the
+    merged one gets (N(v) + the merged N's) - merged, where N(v) has the n
+    bits v ^ 2^b.
     A node branches on the component with the fewest non-excluded outside
     neighbours, one of which must join A, tries them in increasing order,
     and excludes each tried vertex from its later siblings. One vertex
@@ -311,12 +315,12 @@ def _steiner_vertex_search(
         return sum(1 << (v ^ (1 << b)) for b in range(n))
 
     def search(
-        comps: list[tuple[int, int]], added: int, excluded: int, left: int
-    ) -> Optional[int]:
+        comps: list[tuple[int, int]], added: tuple[int, ...], excluded: int, left: int
+    ) -> Optional[tuple[int, ...]]:
         nonlocal spent
         c = len(comps)
         spent += c + 1
-        if allowance is not None and spent > allowance:
+        if spent > allowance:
             raise _OutOfAllowance
         if c == 1:
             return added
@@ -325,8 +329,9 @@ def _steiner_vertex_search(
         cands = min((nbrs & ~excluded for _, nbrs in comps), key=int.bit_count)
         while cands:
             bit = cands & -cands
+            v = bit.bit_length() - 1
             merged = bit
-            around = ball(bit.bit_length() - 1)
+            around = ball(v)
             rest = []
             for comp, nbrs in comps:
                 if nbrs & bit:
@@ -335,7 +340,7 @@ def _steiner_vertex_search(
                 else:
                     rest.append((comp, nbrs))
             rest.append((merged, around & ~merged))
-            found = search(rest, added | bit, excluded, left - 1)
+            found = search(rest, added + (v,), excluded, left - 1)
             if found is not None:
                 return found
             excluded |= bit
@@ -351,34 +356,38 @@ def _steiner_vertex_search(
         comps.append((comp, around & ~comp))
     limit = -((len(comps) - 1) // -per)
     try:
-        while (found := search(comps, 0, 0, limit)) is None:
+        while (found := search(comps, (), 0, limit)) is None:
             limit += 1
     except _OutOfAllowance:
         return None
     return found
 
 
-def _dp_witness(dim: Dimension, terms: tuple[int, ...]) -> tuple[int, SteinerTree]:
-    """The rooted DP's distance and the witness rebuilt from its values,
-    for the sorted, nonempty terminal tuple of a `SteinerInstance`.
+def _dp_solve(
+    dim: Dimension, terms: tuple[int, ...], *, witness: bool
+) -> tuple[int, Optional[SteinerTree]]:
+    """The rooted DP's distance and, with `witness`, the tree rebuilt from
+    its values, for the sorted, nonempty terminal tuple of a
+    `SteinerInstance`; without `witness` the tree is None for k > 1.
 
     The DP is rooted at r = terms[0] (Dreyfus-Wagner): it runs over the
     other k - 1 terminals only, and d(S) = dp[full][r] with full the mask
     of all of them, since a tree spanning them together with r spans S.
-    The witness is rebuilt from the packed values, starting at (full, r),
-    and checked by `validate_tree`. The caller charges the budget.
+    A single terminal returns before any row is built. The witness is
+    rebuilt from the packed values, starting at (full, r), and checked by
+    `validate_tree`. The caller charges the budget.
     """
     k = len(terms)
-    n = dim.n
-
     if k == 1:
         return 0, _certified_tree(dim, (), terms)
 
     root, others = terms[0], terms[1:]
     full = (1 << (k - 1)) - 1
-    dp, w = _subset_dp(others, n)
+    dp, w = _subset_dp(others, dim.n)
     field = (1 << w) - 1
     dist = dp[full] >> (w * root) & field
+    if not witness:
+        return dist, None
 
     edges: set[Edge] = set()
     stack = [(full, root)]
@@ -396,7 +405,7 @@ def _dp_witness(dim: Dimension, terms: tuple[int, ...]) -> tuple[int, SteinerTre
                 stack.append((mask ^ sub, v))
                 break
         else:
-            nbrs = (v ^ (1 << b) for b in range(n))
+            nbrs = (v ^ (1 << b) for b in range(dim.n))
             u = min(x for x in nbrs if row >> (w * x) & field == here - 1)
             edges.add(_edge(v, (u ^ v).bit_length() - 1))
             stack.append((mask, u))
@@ -412,36 +421,25 @@ def _solve(
     dim: Dimension, terms: tuple[int, ...], budget: int, *, witness: bool
 ) -> tuple[int, Optional[SteinerTree]]:
     """The dispatch behind `steiner_distance` and `steiner_exact` (see the
-    module docstring): the budget charge, the Steiner-vertex search within
-    the rooted DP's work, then the packed DP. `terms` is sorted, nonempty
-    and inside Q_n, as a `SteinerInstance` holds it; nothing here checks
-    that again. Without `witness` the tree may be None."""
+    module docstring): for k > 1 the budget charge and the Steiner-vertex
+    search within the rooted DP's work; a single terminal, and a search
+    past its allowance, go to `_dp_solve`. `terms` is sorted, nonempty and
+    inside Q_n, as a `SteinerInstance` holds it; nothing here checks that
+    again. Without `witness` the tree may be None."""
     k = len(terms)
     n = dim.n
-    if k == 1:
-        return _dp_witness(dim, terms)
-
-    check_budget("subset DP states", _dp_projection(dim, k), budget)
-
-    allowance = (3 ** (k - 1) - (1 << k) + 1) // 2 + ((1 << (k - 1)) - k) * n
-    added = _steiner_vertex_search(n, terms, allowance)
-    if added is None:
-        if witness:
-            return _dp_witness(dim, terms)
-        dp, w = _subset_dp(terms[1:], n)
-        return dp[-1] >> (w * terms[0]) & ((1 << w) - 1), None
-
-    dist = k - 1 + added.bit_count()
-    if not witness:
-        return dist, None
-    members = set(terms)
-    while added:
-        bit = added & -added
-        members.add(bit.bit_length() - 1)
-        added ^= bit
-    [parent] = bfs_forest(n, members)
-    edges = (_edge(v, (v ^ p).bit_length() - 1) for v, p in parent.items() if v != p)
-    return dist, _certified_tree(dim, edges, terms)
+    if k > 1:
+        check_budget("subset DP states", _dp_projection(dim, k), budget)
+        allowance = (3 ** (k - 1) - (1 << k) + 1) // 2 + ((1 << (k - 1)) - k) * n
+        added = _steiner_vertex_search(n, terms, allowance)
+        if added is not None:
+            dist = k - 1 + len(added)
+            if not witness:
+                return dist, None
+            [parent] = bfs_forest(n, set(terms).union(added))
+            edges = (_edge(v, (v ^ p).bit_length() - 1) for v, p in parent.items() if v != p)
+            return dist, _certified_tree(dim, edges, terms)
+    return _dp_solve(dim, terms, witness=witness)
 
 
 def steiner_distance(inst: SteinerInstance, *, budget: int = DEFAULT_BUDGET) -> int:
@@ -460,7 +458,7 @@ def steiner_exact(
 
     When the Steiner-vertex search finds a minimum A, the witness is the
     BFS spanning tree of S + A, with |S| + |A| - 1 = d(S) edges; otherwise
-    it is the rooted DP's rebuilt tree (`_dp_witness`).
+    it is the rooted DP's rebuilt tree (`_dp_solve`).
     """
     dist, tree = _solve(inst.dim, inst.terminals.members, budget, witness=True)
     assert tree is not None
@@ -468,9 +466,9 @@ def steiner_exact(
 
 
 def parse_instance_text(text: str) -> SteinerInstance:
-    """Instance format: first line "n=<int>" with a plain decimal integer,
-    then one vertex string per line; blank lines and '#' comments are
-    skipped."""
+    """Instance format: first line "n=<int>" with a plain decimal integer
+    (`canonical_int`), then one vertex string per line; blank lines and '#'
+    comments are skipped."""
     lines = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -482,11 +480,8 @@ def parse_instance_text(text: str) -> SteinerInstance:
     header = lines[0]
     if not header.startswith("n="):
         raise ParseError(f"first line must be 'n=<int>', got {header!r}")
-    if not (header[2:].isascii() and header[2:].isdigit()):
-        raise ParseError(f"bad dimension in header {header!r}")
-    n = int(header[2:])
     try:
-        dim = Dimension(n)
+        dim = Dimension(canonical_int(header[2:]))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     vertices = [parse_vertex(dim, line) for line in lines[1:]]

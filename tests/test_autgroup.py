@@ -334,6 +334,8 @@ def test_parse_element_errors():
         with pytest.raises(ParseError, match="bad flip-mask string"):
             parse_element(d, text)
     # the shift is a plain decimal integer, and both prefixes are required
-    for text in ("s=+1;m=000", "s= 1;m=000", "s=1 ;m=000", "t=1;m=000", "s=1;x=000"):
+    for text in (
+        "s=+1;m=000", "s= 1;m=000", "s=1 ;m=000", "s=01;m=000", "t=1;m=000", "s=1;x=000"
+    ):
         with pytest.raises(ParseError, match="bad automorphism text"):
             parse_element(d, text)

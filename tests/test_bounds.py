@@ -37,7 +37,7 @@ from cubesteiner.domination import (
     steinerize,
 )
 from cubesteiner.errors import BudgetExceededError
-from cubesteiner.steiner import SteinerInstance, _dp_witness, steiner_exact, validate_tree
+from cubesteiner.steiner import SteinerInstance, _dp_solve, steiner_exact, validate_tree
 
 D3 = Dimension(3)
 D4 = Dimension(4)
@@ -196,7 +196,7 @@ def test_experiment_pairs_isomorphic_instances():
     assert exp.distance == 5
     assert exp.mirrored.members == parity_class(D3, 1).members
     assert len(exp.tree.edges) == len(exp.mirror_tree.edges) == 5
-    d, mtree = _dp_witness(D3, exp.mirrored.members)
+    d, mtree = _dp_solve(D3, exp.mirrored.members, witness=True)
     assert d == 5
     assert mtree == exp.mirror_tree
     assert {v ^ 1 for v in exp.tree.vertices} == exp.mirror_tree.vertices
@@ -204,7 +204,7 @@ def test_experiment_pairs_isomorphic_instances():
 
 def _assert_mirror_tree_is_dp_tree(members):
     exp = build_intersection_experiment(members)
-    d, mtree = _dp_witness(members.dim, mirror_set(members).members)
+    d, mtree = _dp_solve(members.dim, mirror_set(members).members, witness=True)
     assert d == exp.distance
     assert mtree == exp.mirror_tree
 
@@ -230,14 +230,14 @@ def test_mirror_tree_equals_dp_solve_of_mirror_q7():
 def test_experiment_runs_one_exact_solve(monkeypatch):
     calls = []
 
-    def counting(dim, terms):
-        calls.append(terms)
-        return _dp_witness(dim, terms)
+    def counting(dim, terms, *, witness):
+        calls.append((terms, witness))
+        return _dp_solve(dim, terms, witness=witness)
 
-    monkeypatch.setattr("cubesteiner.bounds._dp_witness", counting)
+    monkeypatch.setattr("cubesteiner.bounds._dp_solve", counting)
     members = VertexSet.of(D4, [0, 3, 5, 9])
     exp = build_intersection_experiment(members)
-    assert calls == [members.members]
+    assert calls == [(members.members, True)]
     validate_tree(exp.mirror_tree, exp.mirrored)
 
 
@@ -594,8 +594,13 @@ def test_report_and_sweep_never_build_a_witness(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("witness solver called")
 
-    monkeypatch.setattr("cubesteiner.bounds._dp_witness", refuse)
-    monkeypatch.setattr("cubesteiner.steiner._dp_witness", refuse)
+    def distance_only(dim, terms, *, witness):
+        if witness:
+            refuse()
+        return _dp_solve(dim, terms, witness=False)
+
+    monkeypatch.setattr("cubesteiner.bounds._dp_solve", distance_only)
+    monkeypatch.setattr("cubesteiner.steiner._dp_solve", distance_only)
     monkeypatch.setattr("cubesteiner.steiner.steiner_exact", refuse)
     assert build_bounds_report(EVEN3).exact == 5
     assert build_bounds_report(parity_class(Dimension(5), 0)).exact == 20

@@ -724,6 +724,14 @@ def test_precondition_exit_codes(run):
         ["cds"],
         ["sdiam", "--n", "3"],
         ["exact", "--n", "3"],
+        # integers have one spelling: ASCII digits, no sign, space, '_' or leading zero
+        ["exact", "--n", " +3", "--set", "even"],
+        ["exact", "--n", "0_3", "--set", "even"],
+        ["exact", "--n", "03", "--set", "even"],
+        ["sdiam", "--n", "3", "--k", "+3"],
+        ["cds", "--n", "3", "--seed", "-7"],
+        ["cds", "--n", "3", "--budget-states", "-1"],
+        ["experiment", "--n", "3", "--set", "even", "--samples", "1_0"],
     ],
     ids=lambda argv: " ".join(argv) or "no-arguments",
 )

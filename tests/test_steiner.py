@@ -12,6 +12,7 @@ from cubesteiner.cube import (
     Dimension,
     Edge,
     VertexSet,
+    bfs_forest,
     edge_between,
     hamming_distance,
     parity,
@@ -24,7 +25,7 @@ from cubesteiner.steiner import (
     SteinerTree,
     _across,
     _block_masks,
-    _dp_witness,
+    _dp_solve,
     _steiner_vertex_search,
     _subset_dp,
     load_instance,
@@ -177,6 +178,12 @@ def test_budget_guard_reports_projection():
         steiner_brute_oracle(_inst(D4, [0, 15]), budget=3)
 
 
+def test_oracle_charges_its_vertex_listing_before_building_it():
+    with pytest.raises(BudgetExceededError) as exc_info:
+        steiner_brute_oracle(_inst(Dimension(12), [0, 4095]), budget=1000)
+    assert (exc_info.value.what, exc_info.value.projected) == ("oracle vertex listing", 4094)
+
+
 def test_validate_tree_rejects_cycle():
     cycle = SteinerTree(
         D3,
@@ -240,6 +247,7 @@ def test_parse_instance_text_round_trip():
         "n=+3\n000\n",
         "n= 3\n000\n",
         "n=0_3\n000\n",
+        "n=03\n000\n",
     ],
 )
 def test_parse_instance_text_errors(text):
@@ -384,7 +392,7 @@ def test_nine_bit_fields_on_a_q4_set_embedded_in_q13(monkeypatch):
         return rows, w
 
     monkeypatch.setattr(steiner, "_subset_dp", recording_dp)
-    d13, tree = _dp_witness(Dimension(13), tuple(sorted(lifted)))
+    d13, tree = _dp_solve(Dimension(13), tuple(sorted(lifted)), witness=True)
     assert widths == [(10, 13, 9)]
     assert d13 == d4
     validate_tree(tree, lifted)
@@ -392,7 +400,7 @@ def test_nine_bit_fields_on_a_q4_set_embedded_in_q13(monkeypatch):
 
 def _unrooted_witness(terms, n):
     """The DP over all k terminals, rebuilt from (full, terms[0]) by the
-    same rules as `_dp_witness`: the first half-split in increasing
+    same rules as `_dp_solve`: the first half-split in increasing
     submask order whose values add up, else the smallest neighbour one
     closer. Returns the distance and the edge set."""
     dim = Dimension(n)
@@ -420,7 +428,7 @@ def _unrooted_witness(terms, n):
 
 
 def _assert_rooted_witness_matches_unrooted(terms, n):
-    dist, tree = _dp_witness(Dimension(n), tuple(sorted(terms)))
+    dist, tree = _dp_solve(Dimension(n), tuple(sorted(terms)), witness=True)
     assert (dist, set(tree.edges)) == _unrooted_witness(sorted(terms), n)
 
 
@@ -458,17 +466,41 @@ def test_distance_search_dp_and_oracle_agree(n, all_even, data):
     terms = data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
     inst = _inst(Dimension(n), terms)
     d = steiner_distance(inst)
-    assert d == _dp_witness(inst.dim, inst.terminals.members)[0]
+    members = inst.terminals.members
+    assert d == _dp_solve(inst.dim, members, witness=False)[0]
+    assert d == _dp_solve(inst.dim, members, witness=True)[0]
     assert d == steiner_brute_oracle(inst)
+    # within the allowance `_solve` gives it
+    allowance = (3 ** (k - 1) - (1 << k) + 1) // 2 + ((1 << (k - 1)) - k) * n
+    added = _steiner_vertex_search(n, members, allowance)
+    if added is not None:
+        assert len(set(added)) == len(added)
+        assert not set(added) & set(members)
+        assert len(bfs_forest(n, set(members).union(added))) == 1
+        assert k - 1 + len(added) == d
 
 
 @pytest.mark.parametrize("n, d", [(1, 0), (2, 2), (3, 5), (4, 10), (5, 20), (6, 39)])
 def test_even_class_anchors_by_steiner_vertex_search(n, d):
     # d(S) = |S| - 1 + |A|; the DP and the oracle cannot reach n = 5, 6 here
     evens = list(parity_class(Dimension(n), 0))
-    added = _steiner_vertex_search(n, evens)
-    assert len(evens) - 1 + added.bit_count() == d
-    assert not added & sum(1 << v for v in evens)
+    added = _steiner_vertex_search(n, evens, 1 << 40)  # far above what these charge
+    assert len(set(added)) == len(added)
+    assert len(evens) - 1 + len(added) == d
+    assert not set(added) & set(evens)
+
+
+def test_single_terminal_of_q64_builds_no_dp_row(monkeypatch):
+    # _subset_dp([], 64) would allocate one 2^65-bit row
+    def refuse(terms, n):
+        raise AssertionError("subset DP called")
+
+    monkeypatch.setattr(steiner, "_subset_dp", refuse)
+    v = (1 << 64) - 1
+    inst = _inst(Dimension(64), [v])
+    d, tree = steiner_exact(inst)
+    assert (d, tree.edges, tree.vertices) == (0, frozenset(), frozenset([v]))
+    assert steiner_distance(inst) == 0
 
 
 def _count_dp_calls(monkeypatch):
@@ -553,7 +585,7 @@ def test_exact_takes_both_branches_on_a_seeded_sample():
 
 def test_exact_keeps_the_dp_tree_on_a_sparse_set(monkeypatch):
     inst = _inst(Dimension(10), random.Random(4).sample(range(1 << 10), 4))
-    want = _dp_witness(inst.dim, inst.terminals.members)
+    want = _dp_solve(inst.dim, inst.terminals.members, witness=True)
     calls = _count_dp_calls(monkeypatch)
     assert steiner_exact(inst) == want
     assert calls == [(3, 10)]
