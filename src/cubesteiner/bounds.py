@@ -216,9 +216,10 @@ def run_intersection_experiment(
     looks its count up (0 if h matches none). samples=None covers all
     |group|^2 ordered pairs: with a transcript it lists them in
     lexicographic order, without one it reads only the identity row (1, h),
-    each h weighted |group|, since every row repeats that row. Either way it
-    insists the exact mean equals d^2/(n 2^{n-1}): the row sums to d^2 only
-    if the enumerated group lists each counted h exactly once. Otherwise
+    whose mean is that of all pairs, since every row repeats that row; the
+    mean is always taken over the pairs read. Either way it insists the
+    exact mean equals d^2/(n 2^{n-1}): the row sums to d^2 only if the
+    enumerated group lists each counted h exactly once. Otherwise
     it draws that many independent uniform pairs from the seeded generator.
     min_lhs reports the smallest value of 2d - X seen. The budget is
     charged one unit per pair read: |group| without a transcript and
@@ -226,12 +227,10 @@ def run_intersection_experiment(
     any exhaustive run.
     """
     dim = exp.dim
-    weight = 1
     if samples is None:
         group = enumerate_group(dim, budget=budget)
         count = len(group) ** 2
         rows = group if keep_transcript else group[:1]  # group[0] is the identity
-        weight = len(group) // len(rows)
         pairs = ((g1, g2) for g1 in rows for g2 in group)
         charged = len(rows) * len(group)
     else:
@@ -264,7 +263,7 @@ def run_intersection_experiment(
         if transcript is not None:
             transcript.append((g1, g2, x))
 
-    mean = Fraction(total * weight, count)
+    mean = Fraction(total, charged)
     if samples is None and mean != Fraction(exp.distance**2, dim.num_edges):
         raise AssertionError("exhaustive overlap mean broke the group identity")
     return IntersectionSummary(

@@ -266,6 +266,15 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _option_int(text: str) -> int:
+    """`canonical_int` as an argparse type. argparse prints the message of
+    an ArgumentTypeError, but names the type function for a ValueError."""
+    try:
+        return canonical_int(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -277,13 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, takes_set, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         # a --set command may take n from an instance file
-        p.add_argument("--n", type=canonical_int, required=not takes_set, help="cube dimension")
+        p.add_argument("--n", type=_option_int, required=not takes_set, help="cube dimension")
         p.add_argument(
-            "--seed", type=canonical_int, default=0, help="random seed (always recorded)"
+            "--seed", type=_option_int, default=0, help="random seed (always recorded)"
         )
         p.add_argument(
             "--budget-states",
-            type=canonical_int,
+            type=_option_int,
             default=DEFAULT_BUDGET,
             help="max states/candidates any single step may touch",
         )
@@ -302,10 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
                 help="sweep all ordered automorphism pairs (default)",
             )
             mode.add_argument(
-                "--samples", type=canonical_int, default=None, help="sample this many pairs"
+                "--samples", type=_option_int, default=None, help="sample this many pairs"
             )
         if name == "sdiam":
-            p.add_argument("--k", type=canonical_int, required=True, help="terminal set size")
+            p.add_argument("--k", type=_option_int, required=True, help="terminal set size")
     return parser
 
 

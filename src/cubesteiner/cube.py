@@ -62,6 +62,12 @@ def parity(v: int) -> int:
     return v.bit_count() & 1
 
 
+def _closed_ball(n: int, v: int) -> int:
+    """Membership mask over V(Q_n) of the already validated vertex v and
+    its n neighbors: bit v and the n bits v ^ 2^b."""
+    return sum(1 << (v ^ (1 << b)) for b in range(n)) | 1 << v
+
+
 def hamming_distance(dim: Dimension, u: int, v: int) -> int:
     """Graph distance between two vertices of Q_n (popcount of the XOR)."""
     check_vertex(dim, u)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .cube import Dimension, VertexSet, _geodesic, bfs_forest
+from .cube import Dimension, VertexSet, _closed_ball, _geodesic, bfs_forest
 from .errors import DEFAULT_BUDGET, check_budget
 
 METHODS = ("greedy", "hamming_code", "exact", "steinerized")
@@ -38,13 +38,7 @@ METHODS = ("greedy", "hamming_code", "exact", "steinerized")
 
 def closed_neighborhood_masks(dim: Dimension) -> list[int]:
     """closed[v] = membership mask over V(Q_n) of v and its n neighbors."""
-    masks = []
-    for v in range(dim.num_vertices):
-        m = 1 << v
-        for b in range(dim.n):
-            m |= 1 << (v ^ (1 << b))
-        masks.append(m)
-    return masks
+    return [_closed_ball(dim.n, v) for v in range(dim.num_vertices)]
 
 
 def is_connected_subset(members: VertexSet) -> bool:
@@ -52,12 +46,13 @@ def is_connected_subset(members: VertexSet) -> bool:
 
 
 def is_dominating(members: VertexSet) -> bool:
-    """Direct neighborhood check over all 2^n vertices."""
+    """Whether the closed neighborhoods of the members cover all 2^n
+    vertices: the OR of one `_closed_ball` mask per member, O(|members| n)
+    bit sets."""
     dim = members.dim
-    closed = closed_neighborhood_masks(dim)
     covered = 0
     for v in members:
-        covered |= closed[v]
+        covered |= _closed_ball(dim.n, v)
     return covered == (1 << dim.num_vertices) - 1
 
 
@@ -223,10 +218,9 @@ def exact_connected_dominating_set(
     """
     if dim.n > 5:
         raise ValueError("exact connected domination limited to n <= 5")
-    n = dim.n
     closed = closed_neighborhood_masks(dim)
     full = (1 << dim.num_vertices) - 1
-    ball = n + 1
+    ball = dim.n + 1
     nodes = 0
 
     def search(mask: int, covered: int, excluded: int, left: int) -> int:
@@ -253,14 +247,14 @@ def exact_connected_dominating_set(
                     return mask | low
                 cand ^= low
             return 0
-        u = (uncovered & -uncovered).bit_length() - 1
-        for v in sorted({u} | {u ^ (1 << b) for b in range(n)}):
-            if (excluded >> v) & 1:
-                continue
-            found = search(mask | 1 << v, covered | closed[v], excluded, left - 1)
+        cand = closed[(uncovered & -uncovered).bit_length() - 1] & ~excluded
+        while cand:
+            low = cand & -cand
+            found = search(mask | low, covered | closed[low.bit_length() - 1], excluded, left - 1)
             if found:
                 return found
-            excluded |= 1 << v
+            excluded |= low
+            cand ^= low
         return 0
 
     for limit in range(sphere_covering_floor(dim), dim.num_vertices + 1):

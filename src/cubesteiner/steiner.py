@@ -69,6 +69,7 @@ from .cube import (
     Dimension,
     Edge,
     VertexSet,
+    _closed_ball,
     _edge,
     _geodesic,
     bfs_forest,
@@ -297,8 +298,9 @@ def _steiner_vertex_search(
     Inside the search, vertex sets are bitmasks over the 2^n vertices.
     Each component of terms + A is kept with its outside neighbourhood N;
     adding v merges the components whose neighbourhood holds v, and the
-    merged one gets (N(v) + the merged N's) - merged, where N(v) has the n
-    bits v ^ 2^b.
+    merged one gets (B(v) + the merged N's) - merged, where B(v) is the
+    closed ball of v (`_closed_ball`: bit v and the n bits v ^ 2^b); v is
+    in merged, so only its n neighbours can survive the difference.
     A node branches on the component with the fewest non-excluded outside
     neighbours, one of which must join A, tries them in increasing order,
     and excludes each tried vertex from its later siblings. One vertex
@@ -310,9 +312,6 @@ def _steiner_vertex_search(
     # Q_1 is connected, so there c = 1 and the divisor never matters.
     per = max(n - 1, 1)
     spent = 0
-
-    def ball(v: int) -> int:
-        return sum(1 << (v ^ (1 << b)) for b in range(n))
 
     def search(
         comps: list[tuple[int, int]], added: tuple[int, ...], excluded: int, left: int
@@ -331,7 +330,7 @@ def _steiner_vertex_search(
             bit = cands & -cands
             v = bit.bit_length() - 1
             merged = bit
-            around = ball(v)
+            around = _closed_ball(n, v)
             rest = []
             for comp, nbrs in comps:
                 if nbrs & bit:
@@ -352,7 +351,7 @@ def _steiner_vertex_search(
         comp = around = 0
         for v in tree:
             comp |= 1 << v
-            around |= ball(v)
+            around |= _closed_ball(n, v)
         comps.append((comp, around & ~comp))
     limit = -((len(comps) - 1) // -per)
     try:

@@ -743,6 +743,16 @@ def test_argparse_failures_are_parse_errors(run, argv):
     assert err.startswith("error[parse]:")
     assert err.count("\n") == 1
     assert "usage:" not in err
+    assert "canonical_int" not in err
+
+
+@pytest.mark.parametrize("text", ["03", "x"])
+def test_bad_integer_option_says_what_was_expected(run, text):
+    assert run(["exact", "--n", text, "--set", "even"]) == (
+        2,
+        "",
+        f"error[parse]: argument --n: expected a plain decimal integer, got '{text}'\n",
+    )
 
 
 def test_help_still_exits_zero(capsys):

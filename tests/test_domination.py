@@ -10,6 +10,7 @@ from cubesteiner.cube import (
     _geodesic,
     bfs_forest,
     hamming_distance,
+    neighbors,
     parity_class,
 )
 from cubesteiner.domination import (
@@ -32,6 +33,35 @@ from cubesteiner.errors import BudgetExceededError, check_budget
 def test_closed_neighborhood_masks():
     masks = closed_neighborhood_masks(Dimension(2))
     assert masks == [0b0111, 0b1011, 0b1101, 0b1110]
+    for n in range(1, 7):
+        dim = Dimension(n)
+        masks = closed_neighborhood_masks(dim)
+        assert len(masks) == dim.num_vertices
+        for v, mask in enumerate(masks):
+            assert mask == (1 << v) + sum(1 << u for u in neighbors(dim, v))
+
+
+@given(st.data())
+def test_is_dominating_matches_its_definition(data):
+    # every vertex is in the set or adjacent to it
+    n = data.draw(st.integers(1, 7))
+    dim = Dimension(n)
+    vertices = range(dim.num_vertices)
+    members = data.draw(
+        st.one_of(
+            st.just(set()),
+            st.just(set(vertices)),
+            st.sets(st.sampled_from(vertices)),
+            # near-dominating: the whole cube less a few vertices
+            st.sets(st.sampled_from(vertices), max_size=4).map(
+                lambda gone: set(vertices) - gone
+            ),
+        )
+    )
+    expected = all(
+        v in members or any(u in members for u in neighbors(dim, v)) for v in vertices
+    )
+    assert is_dominating(VertexSet.of(dim, members)) == expected
 
 
 def test_induced_components_ordering():
