@@ -169,8 +169,9 @@ def build_intersection_experiment(
     of the terminals and of two neighbours of a vertex, dp'[mask][phi(v)] =
     dp[mask][v], half-splits read values only, geodesics flip the same bits.
 
-    T is the tree `_dp_solve` rebuilds from the rooted DP even where the
-    Steiner-vertex search would answer `steiner_exact`: the overlap
+    T is the tree `_dp_solve` rebuilds from the rooted DP with unit weights
+    on S itself, even where `steiner_exact` would answer by the
+    Steiner-vertex search or by the DP on S's column classes: the overlap
     statistics (max_overlap, min_lhs, sampled means) depend on which optimal
     tree T is, and the statement above about phi is one about that tree.
     The budget is charged as `steiner_exact` charges it."""
@@ -180,7 +181,9 @@ def build_intersection_experiment(
     mirrored = mirror_set(terminals)
     if len(terminals) > 1:
         check_budget("subset DP states", _dp_projection(dim, len(terminals)), budget)
-    d, tree = _dp_solve(dim, SteinerInstance(dim, terminals).terminals.members, witness=True)
+    members = SteinerInstance(dim, terminals).terminals.members
+    d, edges = _dp_solve((1,) * dim.n, members, witness=True)
+    tree = _certified_tree(dim, edges, members)
     edges = (_edge(e.even_end ^ 1, e.bit_index) for e in tree.edges)
     mtree = _certified_tree(dim, edges, mirrored)
     return IntersectionExperiment(terminals, mirrored, tree, mtree, d)

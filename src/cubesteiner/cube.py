@@ -65,7 +65,10 @@ def parity(v: int) -> int:
 def _closed_ball(n: int, v: int) -> int:
     """Membership mask over V(Q_n) of the already validated vertex v and
     its n neighbors: bit v and the n bits v ^ 2^b."""
-    return sum(1 << (v ^ (1 << b)) for b in range(n)) | 1 << v
+    m = 1 << v
+    for b in range(n):
+        m |= 1 << (v ^ (1 << b))
+    return m
 
 
 def hamming_distance(dim: Dimension, u: int, v: int) -> int:

@@ -48,8 +48,11 @@ def is_connected_subset(members: VertexSet) -> bool:
 def is_dominating(members: VertexSet) -> bool:
     """Whether the closed neighborhoods of the members cover all 2^n
     vertices: the OR of one `_closed_ball` mask per member, O(|members| n)
-    bit sets."""
+    bit sets. A set below the sphere-covering floor cannot cover them and
+    is answered before any mask is built."""
     dim = members.dim
+    if len(members) < sphere_covering_floor(dim):
+        return False
     covered = 0
     for v in members:
         covered |= _closed_ball(dim.n, v)

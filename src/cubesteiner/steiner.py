@@ -12,51 +12,76 @@ which S + A induces a connected subgraph. Three routes compute it:
 - the subset DP (Dreyfus-Wagner) over (terminal subset, vertex) states
   with merge and grow transitions, rooted at one terminal r: it solves
   the other k - 1 terminals and reads d(S) = dp[S - r][r], in
-  O(3^(k-1) 2^n + 2^(k-1) 2^n n) time (`_subset_dp`); `_dp_solve` is its
-  one entry, and rebuilds a witness tree from its values when asked.
+  O(3^(k-1) 2^n + 2^(k-1) 2^n n) time (`_subset_dp`). It takes one weight
+  m_b >= 1 per coordinate, the cost of an edge across b; all ones is Q_n.
+  `_dp_solve` is its one entry, and rebuilds a tree from its values when
+  asked.
 - the Steiner-vertex search: a branch-and-bound over the Steiner vertices
   A (`_steiner_vertex_search`), fast when S is dense and A small, exactly
   where the DP's 3^(k-1) merge work is largest.
 
 steiner_exact (distance and witness) and steiner_distance (distance only)
-share one dispatch. Both charge the budget for one DP solve, so both exit
-on the same sets. The search then gets the rooted DP's own work as its
-allowance, (3^(k-1) - 2^k + 1)/2 merge pairs plus (2^(k-1) - k) n grow
-steps, with each search node charged its component count + 1; the solver
-is thus picked by k, n and the set itself. When the search finds a
+share one dispatch. Both charge the budget for one DP solve on Q_n, so
+both exit on the same sets. The search then gets the rooted DP's own work
+as its allowance, (3^(k-1) - 2^k + 1)/2 merge pairs plus (2^(k-1) - k) n
+grow steps, with each search node charged its component count + 1; the
+solver is thus picked by k, n and the set itself. When the search finds a
 minimum A, d(S) = k - 1 + |A| and the witness is the BFS spanning tree of
 S + A: it has |S| + |A| - 1 = d(S) edges, and every leaf is a terminal,
 because S + A - a stays connected when a is a leaf, so a leaf a in A
 would contradict the minimality of |A|. A search that runs past its
-allowance, and a single terminal, go to the packed DP (`_dp_solve`), which
-rebuilds its tree only when a witness is asked for. The overlap experiment
-keeps the DP's tree on every set (see
-`bounds.build_intersection_experiment`).
+allowance, and a single terminal, go to the DP on S's column classes
+(`_class_dp_solve`), which rebuilds its tree only when a witness is asked
+for. The overlap experiment keeps the unit-weight DP's tree on S itself
+on every set (see `bounds.build_intersection_experiment`).
+
+Column classes. XOR with the first terminal r is an automorphism, so take
+r = 0. Coordinate b's column is its bit over the other terminals; drop
+the zero columns and group equal ones into c classes C_i of m_i
+coordinates, c <= min(n, 2^(k-1) - 1). Summing the coordinates of each
+class maps Q_n onto the grid P of the paths [0, m_i], every edge onto an
+edge of P or, across a dropped coordinate, onto one vertex; the prefix
+lift (set the first w_i coordinates of each C_i) embeds P back into Q_n.
+So d(S) is the Steiner distance of the image of S in P, whose terminals
+sit at path ends. By the Hanan grid theorem for rectilinear Steiner trees,
+which holds in every dimension (Hanan, SIAM J. Appl. Math. 1966; Snyder,
+SIAM J. Comput. 1992), some minimum tree uses path ends only: it lives in
+Q_c with weight m_i on direction i, which the DP solves in rows of 2^c
+fields. Each edge of class i at x (bit i clear) lifts to the m_i cube
+edges that flip C_i's coordinates in increasing order from r ^ lift(x);
+distinct edges lift to paths sharing no edge or inner vertex, so the
+lifted tree has d(S) edges and only terminal leaves, and `validate_tree`
+certifies it. When all n columns are distinct and nonzero, c = n and the
+DP runs on S itself.
 
 A SteinerInstance checks its terminals once, when it is built. The
-dispatch `_solve` and `_dp_solve` take its dimension and sorted terminal
-tuple and check nothing again, so the `sdiam` sweep passes the tuples it
+dispatch `_solve` and `_class_dp_solve` take its dimension and sorted
+terminal tuple, and `_dp_solve` a weight vector and a terminal tuple;
+none checks them again, so the `sdiam` sweep passes the tuples it
 generates straight in.
 
 The DP keeps each row dp[mask] (one value per vertex) packed in one Python
 int, one w-bit field per vertex, and updates whole rows with big-int
 arithmetic ("SIMD within a register"). Fields stay below the guard bit
-2^(w-1), because dp[mask][v] is at most the sum of the Hamming distances
-from v to the terminals in mask, hence at most (k-1)*n for the k - 1
-terminals the DP runs over, and w = ((k-1)*n + 1).bit_length() + 1 is the
-least width with (k-1)*n + 1 < 2^(w-1); so a sum of two rows or a row plus
-one never carries into the next field, and the field-wise minimum reads
-the guard bit of (a | guard) - b. The merge takes that minimum over the
-half-splits of a mask; the grow is the separable L1 distance transform,
-one pass per coordinate b relaxing every vertex against its neighbour
-across b.
+2^(w-1), because dp[mask][v] is at most the sum of the weighted distances
+from v to the terminals in mask, hence at most (k-1)*sum(m) for the k - 1
+terminals the DP runs over, and the grow step adds some m_b to such a
+value before its minimum; w = ((k-1)*sum(m) + max(m)).bit_length() + 1
+is the least width with (k-1)*sum(m) + max(m) < 2^(w-1), so neither a
+sum of two rows nor a row plus m_b carries into the next field, and the
+field-wise minimum reads the guard bit of (a | guard) - b. With unit
+weights that is ((k-1)*n + 1).bit_length() + 1, and sum(m) <= n in
+general. The merge takes that minimum over the half-splits of a mask;
+the grow is the separable weighted L1 distance transform, one pass per
+coordinate b relaxing every vertex against its neighbour across b plus
+m_b.
 
-DP witnesses are rebuilt from the packed values alone, deterministically,
+DP trees are rebuilt from the packed values alone, deterministically,
 starting at the state (S - r, r); field v of a row is read as
 (row >> w*v) & (2^w - 1). At a state (mask, v) the first half-split of
 mask, in increasing submask order, whose two values sum to dp[mask][v] is
-followed; failing that, the smallest neighbor u with
-dp[mask][u] = dp[mask][v] - 1 is.
+followed; failing that, the smallest neighbour u across some b with
+dp[mask][u] = dp[mask][v] - m_b is.
 """
 
 from __future__ import annotations
@@ -235,26 +260,33 @@ def _across(row: int, lo: int, s: int) -> int:
     return ((row >> s) & lo) | ((row & lo) << s)
 
 
-def _subset_dp(terms: list[int], n: int) -> tuple[list[int], int]:
-    """Every row dp[mask], mask = 0 .. 2^k - 1, packed, and the field width.
+def _subset_dp(terms: list[int], weights: tuple[int, ...]) -> tuple[list[int], int]:
+    """Every row dp[mask], mask = 0 .. 2^k - 1, packed, and the field width,
+    on the cube Q_n, n = len(weights), whose edges across coordinate b
+    cost weights[b] >= 1 (all ones is Q_n itself).
 
-    dp[mask][v] is the minimum edge count of a tree spanning the terminals
+    dp[mask][v] is the least weight of a tree spanning the terminals
     selected by mask together with v (dp[0] is all zeros). Row dp[mask] is
     one int holding dp[mask][v] in bits w*v .. w*v + w - 1, with
-    w = (k*n + 1).bit_length() + 1, the least width with k*n + 1 < 2^(w-1).
+    w = (k*sum(weights) + max(weights)).bit_length() + 1, the least width
+    with k*sum(weights) + max(weights) < 2^(w-1).
     """
     k = len(terms)
-    w = (k * n + 1).bit_length() + 1
+    n = len(weights)
+    w = (k * sum(weights) + max(weights)).bit_length() + 1
     ones = ((1 << (w << n)) - 1) // ((1 << w) - 1)
     guard = ones << (w - 1)
     shift = w - 1
     low = _block_masks(n, w)
+    # the grow increments: weights[b] in every field
+    inc = [ones * m for m in weights]
 
     dp = [0] * (1 << k)
     for i, t in enumerate(terms):
-        # Hamming distance to t: one per coordinate where v differs from t.
+        # Weighted Hamming distance to t: weights[b] per coordinate b where
+        # v differs from t.
         dp[1 << i] = sum(
-            ones & (low[b] if t >> b & 1 else ~low[b]) for b in range(n)
+            inc[b] & (low[b] if t >> b & 1 else ~low[b]) for b in range(n)
         )
 
     # Increasing numeric order visits every submask before its supersets.
@@ -271,7 +303,7 @@ def _subset_dp(terms: list[int], n: int) -> tuple[list[int], int]:
         # Grow step: relax every vertex against its neighbour across bit b,
         # one coordinate at a time.
         for b, lo in enumerate(low):
-            arr = _pmin(arr, _across(arr, lo, w << b) + ones, guard, shift)
+            arr = _pmin(arr, _across(arr, lo, w << b) + inc[b], guard, shift)
 
         dp[mask] = arr
 
@@ -363,26 +395,27 @@ def _steiner_vertex_search(
 
 
 def _dp_solve(
-    dim: Dimension, terms: tuple[int, ...], *, witness: bool
-) -> tuple[int, Optional[SteinerTree]]:
-    """The rooted DP's distance and, with `witness`, the tree rebuilt from
-    its values, for the sorted, nonempty terminal tuple of a
-    `SteinerInstance`; without `witness` the tree is None for k > 1.
+    weights: tuple[int, ...], terms: tuple[int, ...], *, witness: bool
+) -> tuple[int, Optional[set[Edge]]]:
+    """The rooted DP's distance and, with `witness`, the edges of the tree
+    rebuilt from its values, on the cube whose edges across coordinate b
+    cost weights[b] (`_subset_dp`); without `witness` the edges are None
+    for k > 1. `terms` is a nonempty tuple of distinct vertices.
 
     The DP is rooted at r = terms[0] (Dreyfus-Wagner): it runs over the
     other k - 1 terminals only, and d(S) = dp[full][r] with full the mask
     of all of them, since a tree spanning them together with r spans S.
-    A single terminal returns before any row is built. The witness is
-    rebuilt from the packed values, starting at (full, r), and checked by
-    `validate_tree`. The caller charges the budget.
+    A single terminal returns before any row is built. The tree is rebuilt
+    from the packed values, starting at (full, r); its edge weights add up
+    to d(S). The caller charges the budget and certifies the tree.
     """
     k = len(terms)
     if k == 1:
-        return 0, _certified_tree(dim, (), terms)
+        return 0, set()
 
     root, others = terms[0], terms[1:]
     full = (1 << (k - 1)) - 1
-    dp, w = _subset_dp(others, dim.n)
+    dp, w = _subset_dp(others, weights)
     field = (1 << w) - 1
     dist = dp[full] >> (w * root) & field
     if not witness:
@@ -404,15 +437,89 @@ def _dp_solve(
                 stack.append((mask ^ sub, v))
                 break
         else:
-            nbrs = (v ^ (1 << b) for b in range(dim.n))
-            u = min(x for x in nbrs if row >> (w * x) & field == here - 1)
+            u = min(
+                v ^ (1 << b)
+                for b, m in enumerate(weights)
+                if row >> (w * (v ^ (1 << b))) & field == here - m
+            )
             edges.add(_edge(v, (u ^ v).bit_length() - 1))
             stack.append((mask, u))
 
-    if len(edges) != dist:
-        raise AssertionError(
-            f"witness has {len(edges)} edges but DP value is {dist}"
-        )
+    weight = sum(weights[e.bit_index] for e in edges)
+    if weight != dist:
+        raise AssertionError(f"witness weighs {weight} but DP value is {dist}")
+    return dist, edges
+
+
+def _column_classes(terms: tuple[int, ...]) -> dict[int, int]:
+    """S's column classes: each class's column mapped to its coordinate
+    mask, in order of the class's lowest coordinate.
+
+    Coordinate b's column is its bit in t ^ r over the other terminals t,
+    r = terms[0] (bit j for terms[j + 1]), read in one pass over the set
+    bits of each t ^ r; zero columns are dropped and equal ones form a
+    class.
+    """
+    r = terms[0]
+    columns: dict[int, int] = {}
+    j = 1
+    for t in terms[1:]:
+        x = t ^ r
+        while x:
+            bit = x & -x
+            columns[bit] = columns.get(bit, 0) | j
+            x ^= bit
+        j <<= 1
+    classes: dict[int, int] = {}
+    for bit in sorted(columns):
+        column = columns[bit]
+        classes[column] = classes.get(column, 0) | bit
+    return classes
+
+
+def _class_dp_solve(
+    dim: Dimension, terms: tuple[int, ...], *, witness: bool
+) -> tuple[int, Optional[SteinerTree]]:
+    """d(S) and, with `witness`, a certified tree, from the rooted DP on
+    the weighted cube Q_c of S's column classes (see the module
+    docstring); without `witness` the tree is None. Where all n columns
+    are distinct and nonzero, c = n and the DP runs on S itself with unit
+    weights, so the tree is the one it rebuilds for S (on the translate
+    of S its smallest-neighbour ties could break differently).
+
+    Class i has weight m_i, its coordinate count. Reduced terminal x_t has
+    bit i set where class i's column is 1 at t, so r ^ lift(x_t) = t, with
+    lift(x) the OR of the coordinate masks of the classes in x, and
+    x_r = 0. The reduced tree is lifted edge by edge: an edge of class i
+    with end x (bit i clear) becomes the m_i cube edges that flip the
+    class's coordinates in increasing order from r ^ lift(x).
+    """
+    classes = _column_classes(terms)
+    if len(classes) == dim.n:
+        dist, edges = _dp_solve((1,) * dim.n, terms, witness=witness)
+    else:
+        masks = list(classes.values())
+        reduced = [0] * len(terms)
+        for i, column in enumerate(classes):
+            while column:
+                bit = column & -column
+                # column bit 2^j stands for terms[j + 1]
+                reduced[bit.bit_length()] |= 1 << i
+                column ^= bit
+        weights = tuple(m.bit_count() for m in masks)
+        dist, edges = _dp_solve(weights, tuple(reduced), witness=witness)
+        if witness:
+            lifted = []
+            for e in edges:
+                x = e.even_end & ~(1 << e.bit_index)
+                v = terms[0]
+                for i, mask in enumerate(masks):
+                    if x >> i & 1:
+                        v ^= mask
+                lifted += _geodesic(v, v ^ masks[e.bit_index])
+            edges = lifted
+    if not witness:
+        return dist, None
     return dist, _certified_tree(dim, edges, terms)
 
 
@@ -422,9 +529,10 @@ def _solve(
     """The dispatch behind `steiner_distance` and `steiner_exact` (see the
     module docstring): for k > 1 the budget charge and the Steiner-vertex
     search within the rooted DP's work; a single terminal, and a search
-    past its allowance, go to `_dp_solve`. `terms` is sorted, nonempty and
-    inside Q_n, as a `SteinerInstance` holds it; nothing here checks that
-    again. Without `witness` the tree may be None."""
+    past its allowance, go to the DP on the column classes
+    (`_class_dp_solve`). `terms` is sorted, nonempty and inside Q_n, as a
+    `SteinerInstance` holds it; nothing here checks that again. Without
+    `witness` the tree may be None."""
     k = len(terms)
     n = dim.n
     if k > 1:
@@ -438,7 +546,7 @@ def _solve(
             [parent] = bfs_forest(n, set(terms).union(added))
             edges = (_edge(v, (v ^ p).bit_length() - 1) for v, p in parent.items() if v != p)
             return dist, _certified_tree(dim, edges, terms)
-    return _dp_solve(dim, terms, witness=witness)
+    return _class_dp_solve(dim, terms, witness=witness)
 
 
 def steiner_distance(inst: SteinerInstance, *, budget: int = DEFAULT_BUDGET) -> int:
@@ -457,7 +565,8 @@ def steiner_exact(
 
     When the Steiner-vertex search finds a minimum A, the witness is the
     BFS spanning tree of S + A, with |S| + |A| - 1 = d(S) edges; otherwise
-    it is the rooted DP's rebuilt tree (`_dp_solve`).
+    it is the rooted DP's tree on S's column classes, lifted back to Q_n
+    (`_class_dp_solve`).
     """
     dist, tree = _solve(inst.dim, inst.terminals.members, budget, witness=True)
     assert tree is not None

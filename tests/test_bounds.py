@@ -196,17 +196,18 @@ def test_experiment_pairs_isomorphic_instances():
     assert exp.distance == 5
     assert exp.mirrored.members == parity_class(D3, 1).members
     assert len(exp.tree.edges) == len(exp.mirror_tree.edges) == 5
-    d, mtree = _dp_solve(D3, exp.mirrored.members, witness=True)
+    d, medges = _dp_solve((1,) * 3, exp.mirrored.members, witness=True)
     assert d == 5
-    assert mtree == exp.mirror_tree
+    assert medges == exp.mirror_tree.edges
     assert {v ^ 1 for v in exp.tree.vertices} == exp.mirror_tree.vertices
 
 
 def _assert_mirror_tree_is_dp_tree(members):
     exp = build_intersection_experiment(members)
-    d, mtree = _dp_solve(members.dim, mirror_set(members).members, witness=True)
+    n = members.dim.n
+    d, medges = _dp_solve((1,) * n, mirror_set(members).members, witness=True)
     assert d == exp.distance
-    assert mtree == exp.mirror_tree
+    assert medges == exp.mirror_tree.edges
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,14 +231,15 @@ def test_mirror_tree_equals_dp_solve_of_mirror_q7():
 def test_experiment_runs_one_exact_solve(monkeypatch):
     calls = []
 
-    def counting(dim, terms, *, witness):
-        calls.append((terms, witness))
-        return _dp_solve(dim, terms, witness=witness)
+    def counting(weights, terms, *, witness):
+        calls.append((weights, terms, witness))
+        return _dp_solve(weights, terms, witness=witness)
 
     monkeypatch.setattr("cubesteiner.bounds._dp_solve", counting)
     members = VertexSet.of(D4, [0, 3, 5, 9])
     exp = build_intersection_experiment(members)
-    assert calls == [(members.members, True)]
+    # unit weights on the terminals themselves, not on their column classes
+    assert calls == [((1,) * 4, members.members, True)]
     validate_tree(exp.mirror_tree, exp.mirrored)
 
 
@@ -594,10 +596,10 @@ def test_report_and_sweep_never_build_a_witness(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("witness solver called")
 
-    def distance_only(dim, terms, *, witness):
+    def distance_only(weights, terms, *, witness):
         if witness:
             refuse()
-        return _dp_solve(dim, terms, witness=False)
+        return _dp_solve(weights, terms, witness=False)
 
     monkeypatch.setattr("cubesteiner.bounds._dp_solve", distance_only)
     monkeypatch.setattr("cubesteiner.steiner._dp_solve", distance_only)

@@ -42,8 +42,10 @@ def test_exact_inline_example(run):
 
     # The chosen witness trees are pinned. The all-even set is answered by
     # the Steiner-vertex search, so its tree is the BFS tree of S + A; the
-    # sparse set exhausts the search's allowance and keeps the DP's tree.
-    # (The overlap experiment always uses the DP's tree, see experiment-q5.)
+    # sparse set exhausts the search's allowance, and its tree is the DP's
+    # one on the weighted cube of its 8 column classes, lifted back to Q_10.
+    # (The overlap experiment always uses the unit-weight DP's tree on S
+    # itself, see experiment-q5.)
     witnesses = {
         # an all-even 10-set of Q_5
         "11000,10100,01100,10010,01010,10001,01001,00101,10111,01111": (
@@ -58,8 +60,8 @@ def test_exact_inline_example(run):
             "0100000100-0110000100 0100000100-0101000100 1110000100-0110000100 "
             "1110000100-1110010100 1110011100-1110010100 1110011100-1110011110 "
             "1110011100-1110011101 1101000010-0101000010 0101000110-0101000010 "
-            "0101000110-0101000100 0101000110-0101000111 1110111101-1010111101 "
-            "1110111101-1110011101 0101001111-0101000111",
+            "0101000110-0101000100 0101000110-0101000111 1010011101-1110011101 "
+            "1010011101-1010111101 0101001111-0101000111",
         ),
     }
     for terminals, (distance, edges) in witnesses.items():
@@ -105,6 +107,30 @@ def test_exact_even_class_of_q5_by_search_alone(run, monkeypatch):
     fields = _parse_text(out)
     assert fields["distance"] == "20"
     assert len(fields["tree_edges"].split()) == 20
+
+
+def test_exact_reaches_a_four_block_set_of_q20(run, monkeypatch):
+    # 0 and four disjoint blocks of five ones: four column classes of
+    # weight 5, so the DP builds 2^4 fields a row, where the DP on Q_20
+    # would build 16 rows of 2^20 fields. The charge ahead of the search is
+    # still 2^5 * 2^20 units, above the default budget.
+    terminals = ["0" * 20] + ["0" * (5 * i) + "1" * 5 + "0" * (15 - 5 * i) for i in range(4)]
+    argv = ["exact", "--n", "20", "--set", "inline:" + ",".join(terminals)]
+    calls = []
+    subset_dp = steiner._subset_dp
+
+    def recording(terms, weights):
+        calls.append((len(terms), weights))
+        return subset_dp(terms, weights)
+
+    monkeypatch.setattr(steiner, "_subset_dp", recording)
+    code, out, err = run(argv + ["--budget-states", "33554432"])
+    assert (code, err, calls) == (0, "", [(4, (5, 5, 5, 5))])
+    fields = _parse_text(out)
+    assert fields["distance"] == "20"
+    assert len(fields["tree_edges"].split()) == 20
+    code, _, err = run(argv)
+    assert code == 3 and "projected 33554432 units exceeds budget" in err
 
 
 # Full stdout pinned. exact-q6 prints the BFS tree of S + A found by the

@@ -64,6 +64,15 @@ def test_is_dominating_matches_its_definition(data):
     assert is_dominating(VertexSet.of(dim, members)) == expected
 
 
+def test_is_dominating_refuses_a_set_below_the_floor_without_masks(monkeypatch):
+    # a closed-ball mask over Q_40 would take 2^40 bits
+    def refuse(n, v):
+        raise AssertionError("closed-ball mask built")
+
+    monkeypatch.setattr(domination, "_closed_ball", refuse)
+    assert not is_dominating(VertexSet.of(Dimension(40), [0, (1 << 40) - 1]))
+
+
 def test_induced_components_ordering():
     d3 = Dimension(3)
     comps = [sorted(t) for t in bfs_forest(3, VertexSet.of(d3, [6, 0, 1]))]

@@ -25,6 +25,9 @@ from cubesteiner.steiner import (
     SteinerTree,
     _across,
     _block_masks,
+    _certified_tree,
+    _class_dp_solve,
+    _column_classes,
     _dp_solve,
     _steiner_vertex_search,
     _subset_dp,
@@ -273,16 +276,20 @@ def test_exact_matches_oracle_on_random_triples(a, b, c):
     assert steiner_exact(inst)[0] == steiner_brute_oracle(inst)
 
 
-def _reference_subset_dp(terms, n):
-    """The subset DP with one list entry per vertex and a bucketed BFS for
+def _reference_subset_dp(terms, weights):
+    """The subset DP with one list entry per vertex and a bucketed
+    shortest-path search (edges across coordinate b cost weights[b]) for
     the grow step: plain loops, the reference for the packed rows.
     Returns dp[mask] for mask = 1 .. 2^k - 1 (dp[0] is unused)."""
     k = len(terms)
+    n = len(weights)
     nverts = 1 << n
     full = (1 << k) - 1
     dp = [[]] * (1 << k)
     for i, t in enumerate(terms):
-        dp[1 << i] = [(t ^ v).bit_count() for v in range(nverts)]
+        dp[1 << i] = [
+            sum(m for b, m in enumerate(weights) if (t ^ v) >> b & 1) for v in range(nverts)
+        ]
 
     def half_splits(mask):
         subs = []
@@ -313,32 +320,32 @@ def _reference_subset_dp(terms, n):
             for v in buckets.pop(d, ()):
                 if arr[v] != d:
                     continue
-                for b in range(n):
+                for b, m in enumerate(weights):
                     u = v ^ (1 << b)
-                    if arr[u] > d + 1:
-                        arr[u] = d + 1
-                        buckets.setdefault(d + 1, []).append(u)
+                    if arr[u] > d + m:
+                        arr[u] = d + m
+                        buckets.setdefault(d + m, []).append(u)
             d += 1
         dp[mask] = arr
     return dp
 
 
-def _unpacked_subset_dp(terms, n):
+def _unpacked_subset_dp(terms, weights):
     """`_subset_dp`'s packed rows as lists, one value per vertex, and the
     field width."""
-    rows, w = _subset_dp(terms, n)
+    rows, w = _subset_dp(terms, weights)
     field = (1 << w) - 1
-    return [[row >> (w * v) & field for v in range(1 << n)] for row in rows], w
+    return [[row >> (w * v) & field for v in range(1 << len(weights))] for row in rows], w
 
 
-def _assert_rows_match_reference(terms, n):
-    rows, w = _unpacked_subset_dp(terms, n)
-    ref = _reference_subset_dp(terms, n)
-    assert w == (len(terms) * n + 1).bit_length() + 1
+def _assert_rows_match_reference(terms, weights):
+    rows, w = _unpacked_subset_dp(terms, weights)
+    ref = _reference_subset_dp(terms, weights)
+    assert w == (len(terms) * sum(weights) + max(weights)).bit_length() + 1
     assert len(rows) == 1 << len(terms)
-    assert rows[0] == [0] * (1 << n)
+    assert rows[0] == [0] * (1 << len(weights))
     for mask in range(1, 1 << len(terms)):
-        assert rows[mask] == ref[mask], (terms, n, mask)
+        assert rows[mask] == ref[mask], (terms, weights, mask)
     return w
 
 
@@ -348,12 +355,15 @@ def test_subset_dp_rows_match_reference(n, all_even, data):
     pool = [v for v in range(1 << n) if not all_even or parity(v) == 0]
     k = data.draw(st.integers(1, min(8, len(pool))))
     terms = data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
-    _assert_rows_match_reference(terms, n)
+    weights = data.draw(
+        st.one_of(st.just((1,) * n), st.tuples(*[st.integers(1, 9)] * n))
+    )
+    _assert_rows_match_reference(terms, weights)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_subset_dp_rows_match_reference_on_even_classes(n):
-    _assert_rows_match_reference(list(parity_class(Dimension(n), 0)), n)
+    _assert_rows_match_reference(list(parity_class(Dimension(n), 0)), (1,) * n)
 
 
 @pytest.mark.parametrize(
@@ -372,7 +382,27 @@ def test_subset_dp_rows_match_reference_at_every_field_width(n, k, w):
     # are the k vertices nearest vertex 0, so values grow towards the far
     # corner of the cube.
     terms = sorted(range(1 << n), key=lambda v: (v.bit_count(), v))[:k]
-    assert _assert_rows_match_reference(terms, n) == w
+    assert _assert_rows_match_reference(terms, (1,) * n) == w
+
+
+@pytest.mark.parametrize(
+    "weights, k, w",
+    [
+        ((2,), 2, 4),
+        ((4,), 2, 5), ((2, 2), 3, 5),
+        ((4, 2), 2, 6),
+        ((8, 4), 2, 7),
+        ((8, 6), 4, 8),
+        ((9, 8, 7), 5, 9),
+    ],
+)
+def test_weighted_subset_dp_rows_match_reference_at_every_field_width(weights, k, w):
+    # k*sum(weights) + max(weights) runs through the field widths from 4 to
+    # 9 bits. From 5 bits on, each case overflows a field at the unit-weight
+    # width (k*n + 1).bit_length() + 1, since the grow step adds a weight
+    # before its minimum. Terminals as in the unit-weight test above.
+    terms = sorted(range(1 << len(weights)), key=lambda v: (v.bit_count(), v))[:k]
+    assert _assert_rows_match_reference(terms, weights) == w
 
 
 def test_nine_bit_fields_on_a_q4_set_embedded_in_q13(monkeypatch):
@@ -386,16 +416,16 @@ def test_nine_bit_fields_on_a_q4_set_embedded_in_q13(monkeypatch):
     lifted = [v ^ 0b1011001110000 for v in small]
     widths = []
 
-    def recording_dp(terms, n):
-        rows, w = _subset_dp(terms, n)
-        widths.append((len(terms), n, w))
+    def recording_dp(terms, weights):
+        rows, w = _subset_dp(terms, weights)
+        widths.append((len(terms), len(weights), w))
         return rows, w
 
     monkeypatch.setattr(steiner, "_subset_dp", recording_dp)
-    d13, tree = _dp_solve(Dimension(13), tuple(sorted(lifted)), witness=True)
+    d13, edges = _dp_solve((1,) * 13, tuple(sorted(lifted)), witness=True)
     assert widths == [(10, 13, 9)]
-    assert d13 == d4
-    validate_tree(tree, lifted)
+    assert d13 == d4 == len(edges)
+    _certified_tree(Dimension(13), edges, lifted)
 
 
 def _unrooted_witness(terms, n):
@@ -404,7 +434,7 @@ def _unrooted_witness(terms, n):
     submask order whose values add up, else the smallest neighbour one
     closer. Returns the distance and the edge set."""
     dim = Dimension(n)
-    dp, _ = _unpacked_subset_dp(terms, n)
+    dp, _ = _unpacked_subset_dp(terms, (1,) * n)
     full = (1 << len(terms)) - 1
     root = terms[0]
     edges = set()
@@ -428,8 +458,8 @@ def _unrooted_witness(terms, n):
 
 
 def _assert_rooted_witness_matches_unrooted(terms, n):
-    dist, tree = _dp_solve(Dimension(n), tuple(sorted(terms)), witness=True)
-    assert (dist, set(tree.edges)) == _unrooted_witness(sorted(terms), n)
+    dist, edges = _dp_solve((1,) * n, tuple(sorted(terms)), witness=True)
+    assert (dist, edges) == _unrooted_witness(sorted(terms), n)
 
 
 @settings(deadline=None, max_examples=60)
@@ -467,8 +497,8 @@ def test_distance_search_dp_and_oracle_agree(n, all_even, data):
     inst = _inst(Dimension(n), terms)
     d = steiner_distance(inst)
     members = inst.terminals.members
-    assert d == _dp_solve(inst.dim, members, witness=False)[0]
-    assert d == _dp_solve(inst.dim, members, witness=True)[0]
+    assert d == _dp_solve((1,) * n, members, witness=False)[0]
+    assert d == _dp_solve((1,) * n, members, witness=True)[0]
     assert d == steiner_brute_oracle(inst)
     # within the allowance `_solve` gives it
     allowance = (3 ** (k - 1) - (1 << k) + 1) // 2 + ((1 << (k - 1)) - k) * n
@@ -491,8 +521,8 @@ def test_even_class_anchors_by_steiner_vertex_search(n, d):
 
 
 def test_single_terminal_of_q64_builds_no_dp_row(monkeypatch):
-    # _subset_dp([], 64) would allocate one 2^65-bit row
-    def refuse(terms, n):
+    # one DP row over Q_64 would hold 2^64 fields
+    def refuse(terms, weights):
         raise AssertionError("subset DP called")
 
     monkeypatch.setattr(steiner, "_subset_dp", refuse)
@@ -506,9 +536,9 @@ def test_single_terminal_of_q64_builds_no_dp_row(monkeypatch):
 def _count_dp_calls(monkeypatch):
     calls = []
 
-    def counting(terms, n):
-        calls.append((len(terms), n))
-        return _subset_dp(terms, n)
+    def counting(terms, weights):
+        calls.append((len(terms), len(weights)))
+        return _subset_dp(terms, weights)
 
     monkeypatch.setattr(steiner, "_subset_dp", counting)
     return calls
@@ -533,8 +563,10 @@ def test_distance_falls_back_to_the_dp_on_a_sparse_set(monkeypatch):
     assert _steiner_vertex_search(10, terms, 46) is None
     calls = _count_dp_calls(monkeypatch)
     d = steiner_distance(_inst(q10, terms))
-    assert calls == [(3, 10)]
+    # coordinate 0 is constant and the other nine fall into five classes
+    assert calls == [(3, 5)]
     assert d == steiner_exact(_inst(q10, terms))[0]
+    assert d == _dp_solve((1,) * 10, tuple(sorted(terms)), witness=False)[0]
 
 
 def test_distance_budget_exit_matches_exact():
@@ -585,7 +617,62 @@ def test_exact_takes_both_branches_on_a_seeded_sample():
 
 def test_exact_keeps_the_dp_tree_on_a_sparse_set(monkeypatch):
     inst = _inst(Dimension(10), random.Random(4).sample(range(1 << 10), 4))
-    want = _dp_solve(inst.dim, inst.terminals.members, witness=True)
+    want = _class_dp_solve(inst.dim, inst.terminals.members, witness=True)
     calls = _count_dp_calls(monkeypatch)
     assert steiner_exact(inst) == want
-    assert calls == [(3, 10)]
+    assert calls == [(3, 5)]
+
+
+def _few_column_set(n, k, data):
+    """Terminals base ^ x_j whose coordinates copy one of a few drawn
+    columns over the other terminals, a zero column making a coordinate
+    constant; duplicates merge, so the set may have fewer than k."""
+    columns = data.draw(st.lists(st.integers(0, (1 << (k - 1)) - 1), min_size=1, max_size=n))
+    pick = data.draw(st.lists(st.sampled_from(columns), min_size=n, max_size=n))
+    base = data.draw(st.integers(0, (1 << n) - 1))
+    terms = {base}
+    for j in range(k - 1):
+        terms.add(base ^ sum(1 << b for b, col in enumerate(pick) if col >> j & 1))
+    return tuple(sorted(terms))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 8), st.integers(1, 7), st.data())
+def test_column_class_dp_agrees_with_unit_dp_and_oracle(n, k, data):
+    terms = _few_column_set(n, k, data)
+    dim = Dimension(n)
+    classes = _column_classes(terms)
+    assert sum(m.bit_count() for m in classes.values()) <= n
+    assert len(classes) <= min(n, (1 << (len(terms) - 1)) - 1)
+    d, tree = _class_dp_solve(dim, terms, witness=True)
+    validate_tree(tree, terms)
+    assert len(tree.edges) == d
+    assert d == _class_dp_solve(dim, terms, witness=False)[0]
+    assert d == _dp_solve((1,) * n, terms, witness=False)[0]
+    if n <= 5:
+        assert d == steiner_brute_oracle(SteinerInstance(dim, VertexSet.of(dim, terms)))
+
+
+@pytest.mark.parametrize("n", [13, 64])
+def test_antipodal_pair_is_one_class_of_weight_n(monkeypatch, n):
+    # c = 1, m = n: one field per vertex of Q_1 holds values up to n
+    calls = _count_dp_calls(monkeypatch)
+    terms = (0, (1 << n) - 1)
+    d, tree = _class_dp_solve(Dimension(n), terms, witness=True)
+    assert calls == [(1, 1)]
+    assert d == len(tree.edges) == n
+    validate_tree(tree, terms)
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_heaviest_class_of_weight_n_minus_one(n):
+    # 0, then the first n - 1 coordinates set, then all n: classes of
+    # weight n - 1 and 1. The grow step adds n - 1 to a sum of two rows of
+    # up to 2n - 1, and 3n - 2 needs more bits than (k - 1)*n + 1 = 2n + 1
+    # at n = 6 and 12.
+    terms = (0, (1 << (n - 1)) - 1, (1 << n) - 1)
+    assert _column_classes(terms) == {0b11: (1 << (n - 1)) - 1, 0b10: 1 << (n - 1)}
+    d, tree = _class_dp_solve(Dimension(n), terms, witness=True)
+    assert d == len(tree.edges) == n
+    validate_tree(tree, terms)
+    assert steiner_exact(_inst(Dimension(n), terms))[0] == n
