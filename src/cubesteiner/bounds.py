@@ -174,13 +174,14 @@ def build_intersection_experiment(
     Steiner-vertex search or by the DP on S's column classes: the overlap
     statistics (max_overlap, min_lhs, sampled means) depend on which optimal
     tree T is, and the statement above about phi is one about that tree.
-    The budget is charged as `steiner_exact` charges it."""
+    The budget is charged that DP's own work, 2^(k-1) rows of 2^n fields,
+    not the column-class ceiling `steiner_exact` charges."""
     if any(parity(v) for v in terminals):
         raise ValueError("experiment requires an all-even terminal set")
     dim = terminals.dim
     mirrored = mirror_set(terminals)
     if len(terminals) > 1:
-        check_budget("subset DP states", _dp_projection(dim, len(terminals)), budget)
+        check_budget("subset DP states", (1 << (len(terminals) - 1)) << dim.n, budget)
     members = SteinerInstance(dim, terminals).terminals.members
     d, edges = _dp_solve((1,) * dim.n, members, witness=True)
     tree = _certified_tree(dim, edges, members)
@@ -416,8 +417,9 @@ def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> S
     distances are monotone under taking supersets). That bound needs
     s >= 2, so at n = 1 (s = 1) the counting floor k - 1 stands in. The
     upper bound k + |cds| - 1 holds for every k-set at once by the
-    attachment construction. The exact value is computed when one DP
-    projection per swept set fits the budget, and is omitted otherwise.
+    attachment construction. The exact value is computed when the sweep's
+    charge, the dispatch's ceiling `steiner._dp_projection` once per swept
+    set, fits the budget, and is omitted otherwise.
     Each swept tuple, sorted and distinct as `combinations` yields it, goes
     straight to the distance-only dispatch `steiner._solve`, which builds
     no witness; only the worst set becomes a VertexSet, after the loop.
@@ -440,7 +442,7 @@ def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> S
 
     exact: Optional[int] = None
     worst: Optional[VertexSet] = None
-    projected = math.comb(dim.num_vertices - 1, k - 1) * _dp_projection(dim, k)
+    projected = math.comb(dim.num_vertices - 1, k - 1) * _dp_projection(dim.n, k)
     try:
         check_budget("k-subset diameter sweep", projected, budget)
     except BudgetExceededError as exc:

@@ -21,19 +21,23 @@ which S + A induces a connected subgraph. Three routes compute it:
   where the DP's 3^(k-1) merge work is largest.
 
 steiner_exact (distance and witness) and steiner_distance (distance only)
-share one dispatch. Both charge the budget for one DP solve on Q_n, so
-both exit on the same sets. The search then gets the rooted DP's own work
-as its allowance, (3^(k-1) - 2^k + 1)/2 merge pairs plus (2^(k-1) - k) n
-grow steps, with each search node charged its component count + 1; the
-solver is thus picked by k, n and the set itself. When the search finds a
-minimum A, d(S) = k - 1 + |A| and the witness is the BFS spanning tree of
-S + A: it has |S| + |A| - 1 = d(S) edges, and every leaf is a terminal,
-because S + A - a stays connected when a is a leaf, so a leaf a in A
-would contradict the minimality of |A|. A search that runs past its
-allowance, and a single terminal, go to the DP on S's column classes
-(`_class_dp_solve`), which rebuilds its tree only when a witness is asked
-for. The overlap experiment keeps the unit-weight DP's tree on S itself
-on every set (see `bounds.build_intersection_experiment`).
+share one dispatch, with one cost ceiling (`_dp_projection`): the rooted
+DP's 2^(k-1) rows of 2^c fields at the most column classes (below) a
+k-set can have, c = min(n, 2^(k-1) - 1). Both charge it before anything
+runs, so both exit on the same sets. The search keeps bitmasks of 2^n
+bits, so it runs only where n < 2^(k-1): there S can have n classes and
+the ceiling is 2^(k-1) 2^n. It gets the rooted DP's work on Q_n as its
+allowance, (3^(k-1) - 2^k + 1)/2 merge pairs plus (2^(k-1) - k) n
+grow steps, with each search node charged its component count + 1. When
+the search finds a minimum A, d(S) = k - 1 + |A| and the witness is the
+BFS spanning tree of S + A: it has |S| + |A| - 1 = d(S) edges, and every
+leaf is a terminal, because S + A - a stays connected when a is a leaf,
+so a leaf a in A would contradict the minimality of |A|. Every other set,
+a search that runs past its allowance and a single terminal go to the DP
+on S's column classes (`_class_dp_solve`), the one DP path, which
+rebuilds its tree only when a witness is asked for. The overlap
+experiment keeps the unit-weight DP's tree on S itself on every set (see
+`bounds.build_intersection_experiment`).
 
 Column classes. XOR with the first terminal r is an automorphism, so take
 r = 0. Coordinate b's column is its bit over the other terminals; drop
@@ -51,8 +55,9 @@ fields. Each edge of class i at x (bit i clear) lifts to the m_i cube
 edges that flip C_i's coordinates in increasing order from r ^ lift(x);
 distinct edges lift to paths sharing no edge or inner vertex, so the
 lifted tree has d(S) edges and only terminal leaves, and `validate_tree`
-certifies it. When all n columns are distinct and nonzero, c = n and the
-DP runs on S itself.
+certifies it. When all n columns are distinct and nonzero, c = n: the
+reduced terminals are the translate of S by r, with unit weights, and
+each edge lifts to one edge.
 
 A SteinerInstance checks its terminals once, when it is built. The
 dispatch `_solve` and `_class_dp_solve` take its dimension and sorted
@@ -310,10 +315,15 @@ def _subset_dp(terms: list[int], weights: tuple[int, ...]) -> tuple[list[int], i
     return dp, w
 
 
-def _dp_projection(dim: Dimension, k: int) -> int:
-    """Budget units for one DP solve over k terminals: 2^k rows of 2^n
-    states, twice the 2^(k-1) rows the rooted DP builds."""
-    return (1 << k) * dim.num_vertices
+def _dp_projection(n: int, k: int) -> int:
+    """Budget units for one exact solve of a k-set of Q_n, k >= 2: the
+    rooted DP's 2^(k-1) rows times 2^c fields a row, at the most column
+    classes a k-set can have, c = min(n, 2^(k-1) - 1). It bounds the rows
+    and fields `_class_dp_solve` builds, and where n < 2^(k-1), the only
+    place `_solve` searches, it is 2^(k-1) 2^n, above the search's 2^n-bit
+    masks."""
+    rows = 1 << (k - 1)
+    return rows << min(n, rows - 1)
 
 
 class _OutOfAllowance(Exception):
@@ -482,61 +492,57 @@ def _class_dp_solve(
 ) -> tuple[int, Optional[SteinerTree]]:
     """d(S) and, with `witness`, a certified tree, from the rooted DP on
     the weighted cube Q_c of S's column classes (see the module
-    docstring); without `witness` the tree is None. Where all n columns
-    are distinct and nonzero, c = n and the DP runs on S itself with unit
-    weights, so the tree is the one it rebuilds for S (on the translate
-    of S its smallest-neighbour ties could break differently).
+    docstring); without `witness` the tree is None.
 
     Class i has weight m_i, its coordinate count. Reduced terminal x_t has
     bit i set where class i's column is 1 at t, so r ^ lift(x_t) = t, with
     lift(x) the OR of the coordinate masks of the classes in x, and
     x_r = 0. The reduced tree is lifted edge by edge: an edge of class i
     with end x (bit i clear) becomes the m_i cube edges that flip the
-    class's coordinates in increasing order from r ^ lift(x).
+    class's coordinates in increasing order from r ^ lift(x). Where all n
+    columns are distinct and nonzero, class i is coordinate i, x_t = t ^ r
+    with unit weights, and each edge lifts to one edge.
     """
     classes = _column_classes(terms)
-    if len(classes) == dim.n:
-        dist, edges = _dp_solve((1,) * dim.n, terms, witness=witness)
-    else:
-        masks = list(classes.values())
-        reduced = [0] * len(terms)
-        for i, column in enumerate(classes):
-            while column:
-                bit = column & -column
-                # column bit 2^j stands for terms[j + 1]
-                reduced[bit.bit_length()] |= 1 << i
-                column ^= bit
-        weights = tuple(m.bit_count() for m in masks)
-        dist, edges = _dp_solve(weights, tuple(reduced), witness=witness)
-        if witness:
-            lifted = []
-            for e in edges:
-                x = e.even_end & ~(1 << e.bit_index)
-                v = terms[0]
-                for i, mask in enumerate(masks):
-                    if x >> i & 1:
-                        v ^= mask
-                lifted += _geodesic(v, v ^ masks[e.bit_index])
-            edges = lifted
+    masks = list(classes.values())
+    reduced = [0] * len(terms)
+    for i, column in enumerate(classes):
+        while column:
+            bit = column & -column
+            # column bit 2^j stands for terms[j + 1]
+            reduced[bit.bit_length()] |= 1 << i
+            column ^= bit
+    weights = tuple(m.bit_count() for m in masks)
+    dist, edges = _dp_solve(weights, tuple(reduced), witness=witness)
     if not witness:
         return dist, None
-    return dist, _certified_tree(dim, edges, terms)
+    lifted = []
+    for e in edges:
+        x = e.even_end & ~(1 << e.bit_index)
+        v = terms[0]
+        for i, mask in enumerate(masks):
+            if x >> i & 1:
+                v ^= mask
+        lifted += _geodesic(v, v ^ masks[e.bit_index])
+    return dist, _certified_tree(dim, lifted, terms)
 
 
 def _solve(
     dim: Dimension, terms: tuple[int, ...], budget: int, *, witness: bool
 ) -> tuple[int, Optional[SteinerTree]]:
     """The dispatch behind `steiner_distance` and `steiner_exact` (see the
-    module docstring): for k > 1 the budget charge and the Steiner-vertex
-    search within the rooted DP's work; a single terminal, and a search
-    past its allowance, go to the DP on the column classes
-    (`_class_dp_solve`). `terms` is sorted, nonempty and inside Q_n, as a
-    `SteinerInstance` holds it; nothing here checks that again. Without
-    `witness` the tree may be None."""
+    module docstring): for k > 1 the budget charge `_dp_projection`, then,
+    where n < 2^(k-1), the Steiner-vertex search within the rooted DP's
+    work on Q_n; a single terminal, every other set and a search past its
+    allowance go to the DP on the column classes (`_class_dp_solve`).
+    `terms` is sorted, nonempty and inside Q_n, as a `SteinerInstance`
+    holds it; nothing here checks that again. Without `witness` the tree
+    may be None."""
     k = len(terms)
     n = dim.n
     if k > 1:
-        check_budget("subset DP states", _dp_projection(dim, k), budget)
+        check_budget("subset DP states", _dp_projection(n, k), budget)
+    if n < 1 << (k - 1):
         allowance = (3 ** (k - 1) - (1 << k) + 1) // 2 + ((1 << (k - 1)) - k) * n
         added = _steiner_vertex_search(n, terms, allowance)
         if added is not None:
@@ -601,7 +607,7 @@ def parse_instance_text(text: str) -> SteinerInstance:
 
 
 def load_instance(path: str) -> SteinerInstance:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -612,10 +612,13 @@ def test_report_and_sweep_never_build_a_witness(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n, k, d", [(4, 6, 8), (5, 4, 8), (6, 3, 6), (8, 2, 8), (9, 2, 9)]
+    "n, k, d",
+    [(4, 6, 8), (5, 4, 8), (8, 2, 8), (9, 2, 9), (11, 2, 11)]
+    # Q_n is a median graph, so d(S) = (d12 + d13 + d23)/2 <= n for a 3-set
+    + [(n, 3, n) for n in range(2, 8)],
 )
 def test_sdiam_sweeps_every_set_containing_zero_within_the_default_budget(n, k, d):
-    # the sweep is charged C(2^n - 1, k - 1) DP projections, one per set
+    # the sweep is charged C(2^n - 1, k - 1) dispatch ceilings, one per set
     # it solves, so these fit the default budget
     rep = sdiam_sandwich(Dimension(n), k)
     assert (rep.exact, rep.exact_reason) == (d, "computed")

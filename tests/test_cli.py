@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import random
 import re
 import sys
 
@@ -112,8 +113,9 @@ def test_exact_even_class_of_q5_by_search_alone(run, monkeypatch):
 def test_exact_reaches_a_four_block_set_of_q20(run, monkeypatch):
     # 0 and four disjoint blocks of five ones: four column classes of
     # weight 5, so the DP builds 2^4 fields a row, where the DP on Q_20
-    # would build 16 rows of 2^20 fields. The charge ahead of the search is
-    # still 2^5 * 2^20 units, above the default budget.
+    # would build 16 rows of 2^20 fields. A 5-set has at most 15 classes,
+    # so the charge is 2^4 * 2^15 units, within the default budget, and
+    # n = 20 >= 2^4 leaves the search out.
     terminals = ["0" * 20] + ["0" * (5 * i) + "1" * 5 + "0" * (15 - 5 * i) for i in range(4)]
     argv = ["exact", "--n", "20", "--set", "inline:" + ",".join(terminals)]
     calls = []
@@ -124,13 +126,25 @@ def test_exact_reaches_a_four_block_set_of_q20(run, monkeypatch):
         return subset_dp(terms, weights)
 
     monkeypatch.setattr(steiner, "_subset_dp", recording)
-    code, out, err = run(argv + ["--budget-states", "33554432"])
+    code, out, err = run(argv)
     assert (code, err, calls) == (0, "", [(4, (5, 5, 5, 5))])
     fields = _parse_text(out)
     assert fields["distance"] == "20"
     assert len(fields["tree_edges"].split()) == 20
-    code, _, err = run(argv)
-    assert code == 3 and "projected 33554432 units exceeds budget" in err
+    code, _, err = run(argv + ["--budget-states", str((1 << 19) - 1)])
+    assert code == 3 and "projected 524288 units exceeds budget" in err
+
+
+def test_exact_refuses_a_six_set_of_q64_before_any_dp_row(run, monkeypatch):
+    # 2^5 rows of up to 2^31 fields: random 6-sets of Q_64 have 26-30
+    # column classes, out of reach
+    rng = random.Random(6)
+    terminals = [format(rng.getrandbits(64), "064b") for _ in range(6)]
+    calls = []
+    monkeypatch.setattr(steiner, "_subset_dp", lambda *a: calls.append(a))
+    code, out, err = run(["exact", "--n", "64", "--set", "inline:" + ",".join(terminals)])
+    assert (code, out, calls) == (3, "", [])
+    assert "projected 68719476736 units exceeds budget" in err
 
 
 # Full stdout pinned. exact-q6 prints the BFS tree of S + A found by the
@@ -657,11 +671,12 @@ def test_budget_exit_code(run):
     assert "error[budget]" in err
     assert "exceeds budget 100" in err
 
-    # 2^15 terminals project 2^32784 DP states, past int-to-str's digit cap
+    # 2^15 terminals project 2^32767 rows of 2^16 fields, past
+    # int-to-str's digit cap
     code, _, err = run(["exact", "--n", "16", "--set", "even"])
     assert code == 3
     assert "error[budget]" in err
-    assert "projected 2^32784+ units" in err
+    assert "projected 2^32783+ units" in err
 
     # --set all is charged before its 2^22 vertices are enumerated
     code, _, err = run(

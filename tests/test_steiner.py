@@ -266,6 +266,14 @@ def test_load_instance(tmp_path):
     assert list(inst.terminals) == [0, 15]
 
 
+def test_load_instance_skips_a_utf8_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("n=3\n000\n011\n", encoding="utf-8")
+    marked.write_text("n=3\n000\n011\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_instance(str(marked)) == load_instance(str(plain))
+
+
 @settings(deadline=None)
 @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7))
 def test_exact_matches_oracle_on_random_triples(a, b, c):
@@ -570,15 +578,78 @@ def test_distance_falls_back_to_the_dp_on_a_sparse_set(monkeypatch):
 
 
 def test_distance_budget_exit_matches_exact():
+    # 8 terminals of Q_4 are charged 2^7 rows of 2^4 fields
     inst = SteinerInstance(D4, parity_class(D4, 0))
-    for budget in (100, 4095):
+    for budget in (100, 2047):
         with pytest.raises(BudgetExceededError) as want:
             steiner_exact(inst, budget=budget)
         with pytest.raises(BudgetExceededError) as got:
             steiner_distance(inst, budget=budget)
         assert str(got.value) == str(want.value)
-    assert steiner_distance(inst, budget=4096) == 10
+    assert steiner_distance(inst, budget=2048) == 10
     assert steiner_distance(_inst(D4, [9]), budget=1) == 0
+
+
+def test_charge_covers_the_dp_that_runs(monkeypatch):
+    # the charge is 2^(k-1) rows of 2^c fields at the largest c a k-set
+    # can have, and the search, run only where n < 2^(k-1), keeps 2^n-bit
+    # masks within it
+    charges, dp_calls, searches = [], [], []
+
+    def recording_budget(what, projected, limit):
+        if what == "subset DP states":
+            charges.append(projected)
+
+    def recording_dp(terms, weights):
+        rows, w = _subset_dp(terms, weights)
+        dp_calls.append((len(rows), len(weights)))
+        return rows, w
+
+    def failing_search(n, terms, allowance):
+        searches.append((n, len(terms)))
+
+    monkeypatch.setattr(steiner, "check_budget", recording_budget)
+    monkeypatch.setattr(steiner, "_subset_dp", recording_dp)
+    monkeypatch.setattr(steiner, "_steiner_vertex_search", failing_search)
+    rng = random.Random(5)
+    equal = 0
+    for n in range(1, 11):
+        for k in range(2, min(8, 1 << n) + 1):
+            for _ in range(6):
+                for log in (charges, dp_calls, searches):
+                    log.clear()
+                terms = rng.sample(range(1 << n), k)
+                d, tree = steiner_exact(_inst(Dimension(n), terms))
+                assert len(tree.edges) == d
+                [charge] = charges
+                [(rows, c)] = dp_calls
+                assert rows == 1 << (k - 1)
+                assert charge >= rows << c
+                if c == min(n, (1 << (k - 1)) - 1):
+                    assert charge == rows << c
+                    equal += 1
+                assert searches == ([(n, k)] if n < 1 << (k - 1) else [])
+                if searches:
+                    assert 1 << n <= charge >> (k - 1)
+    assert equal >= 100
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_sets_with_n_at_least_2_to_the_k_minus_1_skip_the_search(monkeypatch, k):
+    def refuse(n, terms, allowance):
+        raise AssertionError("Steiner-vertex search called")
+
+    monkeypatch.setattr(steiner, "_steiner_vertex_search", refuse)
+    rng = random.Random(k)
+    for n in sorted({1 << (k - 1), 13, 20, 40, 64} - set(range(1 << (k - 1)))):
+        for _ in range(3):
+            terms = rng.sample(range(1 << n), k) if n < 64 else [rng.getrandbits(n) for _ in range(k)]
+            inst = _inst(Dimension(n), terms)
+            d, tree = steiner_exact(inst)
+            validate_tree(tree, terms)
+            assert len(tree.edges) == d == steiner_distance(inst)
+            if n <= 13:
+                assert d == _dp_solve((1,) * n, inst.terminals.members, witness=False)[0]
 
 
 def _exact_branch(n, terms):
