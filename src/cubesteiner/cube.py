@@ -33,7 +33,8 @@ class Dimension:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_DIMENSION:
+        # type(), not isinstance(): a bool is an int, but True is not n = 1
+        if type(self.n) is not int or not 1 <= self.n <= MAX_DIMENSION:
             raise ValueError(f"dimension must be an int in [1, {MAX_DIMENSION}], got {self.n!r}")
 
     @property
@@ -51,8 +52,9 @@ class Dimension:
 
 
 def check_vertex(dim: Dimension, v: int) -> int:
-    """Validate that v is a vertex of Q_n; returns v for chaining."""
-    if not isinstance(v, int) or not 0 <= v < dim.num_vertices:
+    """Validate that v is a vertex of Q_n, a plain int (not a bool) in
+    range; returns v for chaining."""
+    if type(v) is not int or not 0 <= v < dim.num_vertices:
         raise ValueError(f"vertex {v!r} not valid under dimension n={dim.n}")
     return v
 

@@ -24,19 +24,24 @@ steiner_exact (distance and witness) and steiner_distance (distance only)
 share one dispatch, with one cost ceiling (`_dp_projection`): the rooted
 DP's 2^(k-1) rows of 2^c fields at the most column classes (below) a
 k-set can have, c = min(n, 2^(k-1) - 1). Both charge it before anything
-runs, so both exit on the same sets. The search keeps bitmasks of 2^n
-bits, so it runs only where n < 2^(k-1): there S can have n classes and
-the ceiling is 2^(k-1) 2^n. It gets the rooted DP's work on Q_n as its
-allowance, (3^(k-1) - 2^k + 1)/2 merge pairs plus (2^(k-1) - k) n
-grow steps, with each search node charged its component count + 1. When
-the search finds a minimum A, d(S) = k - 1 + |A| and the witness is the
-BFS spanning tree of S + A: it has |S| + |A| - 1 = d(S) edges, and every
-leaf is a terminal, because S + A - a stays connected when a is a leaf,
-so a leaf a in A would contradict the minimality of |A|. Every other set,
-a search that runs past its allowance and a single terminal go to the DP
-on S's column classes (`_class_dp_solve`), the one DP path, which
-rebuilds its tree only when a witness is asked for. The overlap
-experiment keeps the unit-weight DP's tree on S itself on every set (see
+runs, a single terminal's one unit included, so both exit on the same
+sets. One density rule picks the solver: the search runs only where S
+has more terminals than Q_n has coordinates, n < k. A sparser set is
+answered faster by the DP on its column classes, and the search there
+mostly runs out of its allowance first. The rule also keeps the search's
+bitmasks of 2^n bits inside the charge: n < k <= 2^(k-1), so
+c = n is possible and the ceiling is 2^(k-1) 2^n. The search gets the
+rooted DP's work on Q_n as its allowance, (3^(k-1) - 2^k + 1)/2 merge
+pairs plus (2^(k-1) - k) n grow steps, with each search node charged its
+component count + 1. When the search finds a minimum A,
+d(S) = k - 1 + |A| and the witness is the BFS spanning tree of S + A: it
+has |S| + |A| - 1 = d(S) edges, and every leaf is a terminal, because
+S + A - a stays connected when a is a leaf, so a leaf a in A would
+contradict the minimality of |A|. Every other set, a single terminal
+included, and a search that runs past its allowance go to the DP on S's
+column classes (`_class_dp_solve`), the one DP path, which rebuilds its
+tree only when a witness is asked for. The overlap experiment keeps the
+unit-weight DP's tree on S itself on every set (see
 `bounds.build_intersection_experiment`).
 
 Column classes. XOR with the first terminal r is an automorphism, so take
@@ -316,11 +321,12 @@ def _subset_dp(terms: list[int], weights: tuple[int, ...]) -> tuple[list[int], i
 
 
 def _dp_projection(n: int, k: int) -> int:
-    """Budget units for one exact solve of a k-set of Q_n, k >= 2: the
+    """Budget units for one exact solve of a k-set of Q_n, k >= 1: the
     rooted DP's 2^(k-1) rows times 2^c fields a row, at the most column
-    classes a k-set can have, c = min(n, 2^(k-1) - 1). It bounds the rows
-    and fields `_class_dp_solve` builds, and where n < 2^(k-1), the only
-    place `_solve` searches, it is 2^(k-1) 2^n, above the search's 2^n-bit
+    classes a k-set can have, c = min(n, 2^(k-1) - 1); one unit for a
+    single terminal. It bounds the rows and fields `_class_dp_solve`
+    builds, and where n < k, the only place `_solve` searches,
+    n < k <= 2^(k-1) makes it 2^(k-1) 2^n, above the search's 2^n-bit
     masks."""
     rows = 1 << (k - 1)
     return rows << min(n, rows - 1)
@@ -461,14 +467,15 @@ def _dp_solve(
     return dist, edges
 
 
-def _column_classes(terms: tuple[int, ...]) -> dict[int, int]:
-    """S's column classes: each class's column mapped to its coordinate
-    mask, in order of the class's lowest coordinate.
+def _column_classes(terms: tuple[int, ...]) -> list[int]:
+    """The coordinate masks of S's column classes, in order of each
+    class's lowest coordinate.
 
     Coordinate b's column is its bit in t ^ r over the other terminals t,
     r = terms[0] (bit j for terms[j + 1]), read in one pass over the set
     bits of each t ^ r; zero columns are dropped and equal ones form a
-    class.
+    class. All coordinates of a class share its column, so each t ^ r
+    holds all of a class's coordinates or none.
     """
     r = terms[0]
     columns: dict[int, int] = {}
@@ -484,7 +491,7 @@ def _column_classes(terms: tuple[int, ...]) -> dict[int, int]:
     for bit in sorted(columns):
         column = columns[bit]
         classes[column] = classes.get(column, 0) | bit
-    return classes
+    return list(classes.values())
 
 
 def _class_dp_solve(
@@ -495,23 +502,23 @@ def _class_dp_solve(
     docstring); without `witness` the tree is None.
 
     Class i has weight m_i, its coordinate count. Reduced terminal x_t has
-    bit i set where class i's column is 1 at t, so r ^ lift(x_t) = t, with
-    lift(x) the OR of the coordinate masks of the classes in x, and
-    x_r = 0. The reduced tree is lifted edge by edge: an edge of class i
-    with end x (bit i clear) becomes the m_i cube edges that flip the
-    class's coordinates in increasing order from r ^ lift(x). Where all n
-    columns are distinct and nonzero, class i is coordinate i, x_t = t ^ r
-    with unit weights, and each edge lifts to one edge.
+    bit i set where class i's column is 1 at t, that is where t ^ r meets
+    the class's coordinate mask, which it holds whole or not at all. So
+    r ^ lift(x_t) = t, with lift(x) the OR of the coordinate masks of the
+    classes in x, and x_r = 0. The reduced tree is lifted edge by edge: an
+    edge of class i with end x (bit i clear) becomes the m_i cube edges
+    that flip the class's coordinates in increasing order from
+    r ^ lift(x). Where all n columns are distinct and nonzero, class i is
+    coordinate i, x_t = t ^ r with unit weights, and each edge lifts to
+    one edge.
     """
-    classes = _column_classes(terms)
-    masks = list(classes.values())
+    masks = _column_classes(terms)
+    r = terms[0]
     reduced = [0] * len(terms)
-    for i, column in enumerate(classes):
-        while column:
-            bit = column & -column
-            # column bit 2^j stands for terms[j + 1]
-            reduced[bit.bit_length()] |= 1 << i
-            column ^= bit
+    for i, m in enumerate(masks):
+        for j, t in enumerate(terms):
+            if (t ^ r) & m:
+                reduced[j] |= 1 << i
     weights = tuple(m.bit_count() for m in masks)
     dist, edges = _dp_solve(weights, tuple(reduced), witness=witness)
     if not witness:
@@ -519,7 +526,7 @@ def _class_dp_solve(
     lifted = []
     for e in edges:
         x = e.even_end & ~(1 << e.bit_index)
-        v = terms[0]
+        v = r
         for i, mask in enumerate(masks):
             if x >> i & 1:
                 v ^= mask
@@ -531,18 +538,18 @@ def _solve(
     dim: Dimension, terms: tuple[int, ...], budget: int, *, witness: bool
 ) -> tuple[int, Optional[SteinerTree]]:
     """The dispatch behind `steiner_distance` and `steiner_exact` (see the
-    module docstring): for k > 1 the budget charge `_dp_projection`, then,
-    where n < 2^(k-1), the Steiner-vertex search within the rooted DP's
-    work on Q_n; a single terminal, every other set and a search past its
-    allowance go to the DP on the column classes (`_class_dp_solve`).
+    module docstring): the budget charge `_dp_projection`, then, where S
+    has more terminals than Q_n has coordinates (n < k), the Steiner-vertex
+    search within the rooted DP's work on Q_n; every other set and a
+    search past its allowance go to the DP on the column classes
+    (`_class_dp_solve`).
     `terms` is sorted, nonempty and inside Q_n, as a `SteinerInstance`
     holds it; nothing here checks that again. Without `witness` the tree
     may be None."""
     k = len(terms)
     n = dim.n
-    if k > 1:
-        check_budget("subset DP states", _dp_projection(n, k), budget)
-    if n < 1 << (k - 1):
+    check_budget("subset DP states", _dp_projection(n, k), budget)
+    if n < k:
         allowance = (3 ** (k - 1) - (1 << k) + 1) // 2 + ((1 << (k - 1)) - k) * n
         added = _steiner_vertex_search(n, terms, allowance)
         if added is not None:

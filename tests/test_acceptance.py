@@ -6,8 +6,12 @@ summary by conftest). Expected values are exact: rational identities
 admit no tolerance, counts and bounds are integers.
 """
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -17,6 +21,7 @@ from itertools import combinations
 import pytest
 
 from conftest import record_criterion
+import cubesteiner
 from cubesteiner.autgroup import group_order, verify_sharp_edge_transitivity
 from cubesteiner.bounds import (
     best_connected_dominating_set,
@@ -262,3 +267,33 @@ def test_criterion_9_cli_determinism(capsys):
                 out2 = capsys.readouterr()
                 assert code1 == code2 == 0, full
                 assert out1 == out2, full
+
+
+def test_cli_reports_match_across_processes(capsys):
+    # criterion 9 repeats each run in one process; str hashing, and so any
+    # set or dict order that follows it, changes only between processes
+    argvs = [argv + ["--format", fmt] for argv in _CLI_CONFIGS for fmt in ("text", "json", "csv")]
+    script = (
+        "import json, sys\n"
+        "from cubesteiner.cli import main\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    src = os.path.dirname(os.path.dirname(cubesteiner.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            input=json.dumps(argvs),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), seed
+        outs.append(proc.stdout)
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    assert outs[0] == outs[1] == capsys.readouterr().out

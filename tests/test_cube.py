@@ -27,6 +27,9 @@ def test_dimension_bounds():
         Dimension(0)
     with pytest.raises(ValueError):
         Dimension(65)
+    # bool is an int subclass, but True is not the dimension 1
+    with pytest.raises(ValueError):
+        Dimension(True)
 
 
 def test_dimension_edge_count_formula():
@@ -41,6 +44,8 @@ def test_check_vertex_range():
         check_vertex(d, 8)
     with pytest.raises(ValueError):
         check_vertex(d, -1)
+    with pytest.raises(ValueError):
+        check_vertex(d, True)
 
 
 def test_hamming_distance_examples():
@@ -178,6 +183,8 @@ def test_vertex_set_rejects_unsorted_members():
 def test_vertex_set_rejects_out_of_range():
     with pytest.raises(ValueError):
         VertexSet.of(Dimension(2), [4])
+    with pytest.raises(ValueError):
+        VertexSet.of(Dimension(3), [True, 2])
 
 
 def test_vertex_string_examples():

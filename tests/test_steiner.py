@@ -592,8 +592,8 @@ def test_distance_budget_exit_matches_exact():
 
 def test_charge_covers_the_dp_that_runs(monkeypatch):
     # the charge is 2^(k-1) rows of 2^c fields at the largest c a k-set
-    # can have, and the search, run only where n < 2^(k-1), keeps 2^n-bit
-    # masks within it
+    # can have, and the search, run only where n < k, keeps 2^n-bit masks
+    # within it
     charges, dp_calls, searches = [], [], []
 
     def recording_budget(what, projected, limit):
@@ -628,7 +628,7 @@ def test_charge_covers_the_dp_that_runs(monkeypatch):
                 if c == min(n, (1 << (k - 1)) - 1):
                     assert charge == rows << c
                     equal += 1
-                assert searches == ([(n, k)] if n < 1 << (k - 1) else [])
+                assert searches == ([(n, k)] if n < k else [])
                 if searches:
                     assert 1 << n <= charge >> (k - 1)
     assert equal >= 100
@@ -650,6 +650,38 @@ def test_sets_with_n_at_least_2_to_the_k_minus_1_skip_the_search(monkeypatch, k)
             assert len(tree.edges) == d == steiner_distance(inst)
             if n <= 13:
                 assert d == _dp_solve((1,) * n, inst.terminals.members, witness=False)[0]
+
+
+def test_search_runs_only_where_terminals_outnumber_coordinates(monkeypatch):
+    # random 5-sets of Q_10..Q_15 and 6-sets of Q_6, Q_7 have k <= n <
+    # 2^(k-1); a search on them would mostly run out of allowance, so they
+    # go straight to the DP, while the all-even 10-12-sets of Q_5, Q_6 search
+    searches = []
+
+    def counting_search(n, terms, allowance):
+        searches.append((n, len(terms)))
+        return _steiner_vertex_search(n, terms, allowance)
+
+    monkeypatch.setattr(steiner, "_steiner_vertex_search", counting_search)
+    calls = _count_dp_calls(monkeypatch)
+    rng = random.Random(25)
+    sparse = [(n, 5) for n in range(10, 16)] + [(6, 6), (7, 6)]
+    for n, k in sparse:
+        for _ in range(4):
+            terms = rng.sample(range(1 << n), k)
+            inst = _inst(Dimension(n), terms)
+            searches.clear()
+            calls.clear()
+            d, tree = steiner_exact(inst)
+            validate_tree(tree, terms)
+            assert len(tree.edges) == d
+            assert (searches, len(calls)) == ([], 1)
+    for n in (5, 6):
+        evens = list(parity_class(Dimension(n), 0))
+        for k in (10, 11, 12):
+            searches.clear()
+            steiner_distance(_inst(Dimension(n), rng.sample(evens, k)))
+            assert searches == [(n, k)]
 
 
 def _exact_branch(n, terms):
@@ -712,9 +744,10 @@ def _few_column_set(n, k, data):
 def test_column_class_dp_agrees_with_unit_dp_and_oracle(n, k, data):
     terms = _few_column_set(n, k, data)
     dim = Dimension(n)
-    classes = _column_classes(terms)
-    assert sum(m.bit_count() for m in classes.values()) <= n
-    assert len(classes) <= min(n, (1 << (len(terms) - 1)) - 1)
+    masks = _column_classes(terms)
+    assert sum(m.bit_count() for m in masks) <= n
+    assert len(masks) <= min(n, (1 << (len(terms) - 1)) - 1)
+    assert masks == sorted(masks, key=lambda m: m & -m)
     d, tree = _class_dp_solve(dim, terms, witness=True)
     validate_tree(tree, terms)
     assert len(tree.edges) == d
@@ -742,7 +775,7 @@ def test_heaviest_class_of_weight_n_minus_one(n):
     # up to 2n - 1, and 3n - 2 needs more bits than (k - 1)*n + 1 = 2n + 1
     # at n = 6 and 12.
     terms = (0, (1 << (n - 1)) - 1, (1 << n) - 1)
-    assert _column_classes(terms) == {0b11: (1 << (n - 1)) - 1, 0b10: 1 << (n - 1)}
+    assert _column_classes(terms) == [(1 << (n - 1)) - 1, 1 << (n - 1)]
     d, tree = _class_dp_solve(Dimension(n), terms, witness=True)
     assert d == len(tree.edges) == n
     validate_tree(tree, terms)
