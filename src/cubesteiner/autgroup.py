@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .cube import (
-    Dimension, Edge, all_edges, canonical_int, check_edge, check_vertex, parse_vertex,
-    vertex_to_string,
+    Dimension, Edge, _across, _block_masks, all_edges, canonical_int, check_edge, check_vertex,
+    parse_vertex, vertex_to_string,
 )
 from .errors import DEFAULT_BUDGET, ParseError, check_budget
 
@@ -41,6 +41,9 @@ class Automorphism(NamedTuple):
 
 
 def check_element(dim: Dimension, g: Automorphism) -> Automorphism:
+    # type(), not isinstance(): a bool is an int, but True is not shift 1
+    if type(g.shift) is not int or type(g.flip_mask) is not int:
+        raise ValueError(f"element {g} needs int shift and flip mask")
     if not 0 <= g.shift < dim.n:
         raise ValueError(f"shift {g.shift} outside [0, {dim.n})")
     if not 0 <= g.flip_mask < dim.num_vertices:
@@ -116,17 +119,6 @@ def _edge_image(dim: Dimension, g: Automorphism, e: Edge) -> Edge:
     )
 
 
-def _quotient(dim: Dimension, g1: Automorphism, g2: Automorphism) -> Automorphism:
-    """compose(dim, inverse(dim, g1), g2), the h with g1 h = g2, without the
-    argument checks, for sweeps over elements the code drew or enumerated
-    itself. inverse(g1) = (-s1, rot(m1, -s1)), and composing it after g2
-    rotates m2 by -s1 too, so one rotation of m1 ^ m2 gives h's mask."""
-    return Automorphism(
-        (g2.shift - g1.shift) % dim.n,
-        rotate_coords(dim, g1.flip_mask ^ g2.flip_mask, -g1.shift),
-    )
-
-
 def apply_edge(dim: Dimension, g: Automorphism, e: Edge) -> Edge:
     """Image of a canonical edge; canonical again because parity is kept.
 
@@ -189,29 +181,53 @@ def verify_sharp_edge_transitivity(
     """Check that every ordered edge pair has exactly one mapping element.
 
     Since the group and the edge set have equal size, it is enough to see
-    that each edge's orbit map g -> g(e) hits every edge. Every image is
-    computed as a packed int key (bit_index << (n+1)) | even_end: for each
-    source edge and shift s, one _edge_image under (s, 0) gives (r, c), and
-    by the normal form the image under (s, m) is (r ^ m, c), so its key is
-    the (s, 0) key XOR m. Bit n of a key is a guard: a vertex off the cube
-    sets it and so can never alias an edge of Q_n. On failure the
-    counterexample is (source edge, problem edge), decoded back to edges:
-    the first image in group order that repeats an earlier one, or, when no
-    image repeats, the smallest edge that no image hits.
+    that each edge's orbit map g -> g(e) hits every edge. An image is a
+    packed int key (bit_index << (n+1)) | even_end, and by the normal form
+    the image under (s, m) is (r ^ m, c), where (r, c) is the image under
+    (s, 0). So the keys of one edge's images under the shift-s elements
+    are the bitset of their masks (bit m set for each listed (s, m)),
+    XOR-translated by r and moved up to offset c << (n+1). Every translate
+    of each shift's bitset is built once, one `_across` block swap apiece,
+    so an edge costs n lookups and n ORs. It passes when the list has the
+    group's order and the union of its n translates is the bitset of all
+    edge keys. Bit n of a key is a guard: a vertex off the cube sets it and
+    so can never alias an edge of Q_n. The translates take n 2^n ints of
+    2^(n+1) bits, 8/n bits per unit of the budget charged.
+
+    Only a failing edge is decoded key by key. Its counterexample is
+    (source edge, problem edge): the first image in group order that
+    repeats an earlier one, or, when no image repeats, the smallest edge
+    that no image hits.
     """
     order = group_order(dim)
     check_budget("edge-pair transitivity sweep", order * dim.num_edges, budget)
     edges = all_edges(dim, budget=budget)
     group = enumerate_group(dim, budget=budget)
     width = dim.n + 1
-    edge_keys = {(b << width) | v for v, b in edges}
+    edge_bits = sum(1 << ((b << width) | v) for v, b in edges)
+    masks = [0] * dim.n
+    for s, m in group:
+        masks[s] |= 1 << m
+    # translates[s][r] is masks[s] XOR-translated by r: the step for bit b
+    # adds the translates by r + 2^b, r < 2^b.
+    swaps = list(enumerate(_block_masks(width, 1)[: dim.n]))
+    translates = []
+    for row in masks:
+        table = [row]
+        for b, lo in swaps:
+            table += [_across(t, lo, 1 << b) for t in table]
+        translates.append(table)
     pairs = order * len(edges)
     for e1 in edges:
-        shifted = (_edge_image(dim, Automorphism(s, 0), e1) for s in range(dim.n))
+        shifted = [_edge_image(dim, Automorphism(s, 0), e1) for s in range(dim.n)]
+        if len(group) == order:
+            hit = 0
+            for (r, c), table in zip(shifted, translates):
+                hit |= table[r] << (c << width)
+            if hit == edge_bits:
+                continue
         base = [(c << width) | r for r, c in shifted]
         keys = [base[s] ^ m for s, m in group]
-        if set(keys) == edge_keys:
-            continue
         seen: set[int] = set()
         for key in keys:
             if key in seen:

@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .autgroup import Automorphism, _edge_image, _quotient, enumerate_group, sample_uniform
+from .autgroup import Automorphism, _edge_image, enumerate_group, sample_uniform
 from .cube import (
     Dimension,
     VertexSet,
@@ -258,12 +258,19 @@ def run_intersection_experiment(
                 if b == c:
                     h = Automorphism(s, r ^ u)
                     overlap[h] = overlap.get(h, 0) + 1
+    # Each pair reads X(1, h), h = g1^-1 g2 = (s2 - s1, rotate_coords(m1 ^ m2,
+    # -s1)): a left shift of the mask word by s1 wrapped at bit n, where the
+    # wrapped part is empty for s1 = 0.
+    n, coord_mask = dim.n, dim.coord_mask
     total = max_overlap = 0
     transcript: Optional[list] = [] if keep_transcript else None
     for g1, g2 in pairs:
-        x = overlap.get(_quotient(dim, g1, g2), 0)
+        (s1, m1), (s2, m2) = g1, g2
+        m = m1 ^ m2
+        x = overlap.get(((s2 - s1) % n, ((m << s1) | (m >> (n - s1))) & coord_mask), 0)
         total += x
-        max_overlap = max(max_overlap, x)
+        if x > max_overlap:
+            max_overlap = x
         if transcript is not None:
             transcript.append((g1, g2, x))
 

@@ -73,6 +73,26 @@ def _closed_ball(n: int, v: int) -> int:
     return m
 
 
+def _block_masks(n: int, w: int) -> list[int]:
+    """low[b] is all ones on the w-bit fields of the vertices with bit b
+    clear, for a row packing one w-bit field per vertex v of Q_n in bits
+    w*v .. w*v + w - 1: the lower half of a row for b = n - 1, halved
+    blocks below that."""
+    low = [0] * n
+    m = (1 << (w << n >> 1)) - 1
+    for b in reversed(range(n)):
+        low[b] = m
+        m ^= m << (w << b >> 1)
+    return low
+
+
+def _across(row: int, lo: int, s: int) -> int:
+    """Move every field of a row to the vertex across coordinate b, given
+    lo = low[b] and s = w << b: the blocks of 2^b fields swap pairwise.
+    With w = 1 a row is a set of vertices, and this XORs each by 2^b."""
+    return ((row >> s) & lo) | ((row & lo) << s)
+
+
 def hamming_distance(dim: Dimension, u: int, v: int) -> int:
     """Graph distance between two vertices of Q_n (popcount of the XOR)."""
     check_vertex(dim, u)
@@ -162,6 +182,8 @@ def check_edge(dim: Dimension, e: Edge) -> Edge:
     check_vertex(dim, e.even_end)
     if parity(e.even_end) != 0:
         raise ValueError(f"edge {e} does not store its even endpoint")
+    if type(e.bit_index) is not int:
+        raise ValueError(f"edge {e} has bit index {e.bit_index!r}, not an int")
     if not 0 <= e.bit_index < dim.n:
         raise ValueError(f"edge {e} flips bit {e.bit_index}, outside n={dim.n}")
     return e
@@ -218,7 +240,7 @@ def parity_class(
     dim: Dimension, par: int, *, budget: int = DEFAULT_BUDGET
 ) -> VertexSet:
     """The 2^(n-1) vertices of the requested parity (0 even, 1 odd)."""
-    if par not in (0, 1):
+    if type(par) is not int or par not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {par!r}")
     check_budget("parity_class enumeration", dim.num_vertices, budget)
     return VertexSet.of(

@@ -104,6 +104,8 @@ from .cube import (
     Dimension,
     Edge,
     VertexSet,
+    _across,
+    _block_masks,
     _closed_ball,
     _edge,
     _geodesic,
@@ -251,23 +253,6 @@ def _pmin(a: int, b: int, guard: int, shift: int) -> int:
     guard bit: the guard bit of (a | guard) - b survives where a >= b."""
     t = ((a | guard) - b) & guard
     return a ^ ((a ^ b) & ((t << 1) - (t >> shift)))
-
-
-def _block_masks(n: int, w: int) -> list[int]:
-    """low[b] is all ones on the w-bit fields of the vertices with bit b
-    clear: the lower half of a row for b = n - 1, halved blocks below that."""
-    low = [0] * n
-    m = (1 << (w << n >> 1)) - 1
-    for b in reversed(range(n)):
-        low[b] = m
-        m ^= m << (w << b >> 1)
-    return low
-
-
-def _across(row: int, lo: int, s: int) -> int:
-    """Move every field of a row to the vertex across coordinate b, given
-    lo = low[b] and s = w << b: the blocks of 2^b fields swap pairwise."""
-    return ((row >> s) & lo) | ((row & lo) << s)
 
 
 def _subset_dp(terms: list[int], weights: tuple[int, ...]) -> tuple[list[int], int]:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from cubesteiner import autgroup
 from cubesteiner.autgroup import (
     Automorphism,
+    TransitivityReport,
     apply_edge,
     apply_vertex,
     check_element,
@@ -39,6 +40,15 @@ def test_check_element_rejects_invalid():
         check_element(d, Automorphism(0, 1))  # odd flip count
     with pytest.raises(ValueError):
         check_element(d, Automorphism(0, 1 << 4))
+
+
+@pytest.mark.parametrize(
+    "g", [Automorphism(True, 0), Automorphism(1.0, 0), Automorphism(0, 3.0), Automorphism(0, False)]
+)
+def test_check_element_rejects_fields_that_are_not_ints(g):
+    # True passes the range checks, and a float mask has no bit_count()
+    with pytest.raises(ValueError, match="needs int shift and flip mask"):
+        check_element(Dimension(4), g)
 
 
 def test_rotate_coords_shifts_string_left():
@@ -114,17 +124,6 @@ def test_compose_matches_function_composition_exhaustive():
             h = compose(d, g2, g1)
             for v in range(8):
                 assert apply_vertex(d, h, v) == apply_vertex(d, g2, apply_vertex(d, g1, v))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_unchecked_quotient_is_inverse_then_compose(n):
-    # Q_1's group is the identity alone
-    d = Dimension(n)
-    elems = _elements(n)
-    for g1 in elems:
-        back = inverse(d, g1)
-        for g2 in elems:
-            assert autgroup._quotient(d, g1, g2) == compose(d, back, g2)
 
 
 def test_rotation_commutes_past_flips_with_shifted_indices():
@@ -234,13 +233,95 @@ def test_sample_uniform_frequencies_near_uniform():
         assert abs(c - total * p) <= tol
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_sharp_edge_transitivity_small_dimensions(n):
-    report = verify_sharp_edge_transitivity(Dimension(n))
+    # n <= 8 fits the default budget; Q_9 needs (9 * 2^8)^2 = 5_308_416 pairs
+    kwargs = {"budget": 5_308_416} if n == 9 else {}
+    report = verify_sharp_edge_transitivity(Dimension(n), **kwargs)
     assert report.ok
     assert report.counterexample is None
     assert report.group_size == report.edge_count == n * 2 ** (n - 1)
     assert report.pair_count == report.group_size**2
+
+
+def _reference_transitivity(d, group):
+    # Every listed element applied to every edge, one image at a time: the
+    # first repeated image of a source edge, else its least unhit edge. An
+    # element with bit n in its mask (off the cube, which apply_edge
+    # refuses) gets the same formula without the checks.
+    edges = all_edges(d)
+    order = group_order(d)
+
+    def report(counterexample):
+        return TransitivityReport(
+            counterexample is None, order, len(edges), order * len(edges), counterexample
+        )
+
+    for e1 in edges:
+        seen = set()
+        for g in group:
+            if g.flip_mask < d.num_vertices:
+                image = apply_edge(d, g, e1)
+            else:
+                image = Edge(
+                    rotate_coords(d, e1.even_end, g.shift) ^ g.flip_mask,
+                    (e1.bit_index - g.shift) % d.n,
+                )
+            if image in seen:
+                return report((e1, image))
+            seen.add(image)
+        unhit = [e for e in edges if e not in seen]
+        if unhit:
+            return report((e1, unhit[0]))
+    return report(None)
+
+
+def _perturbed_groups(n, rng):
+    # The real group, then each fault at seeded positions: a duplicate, a
+    # dropped element, a mask with bit n set, an element moved to another
+    # shift, and one duplicate appended (|list| > order).
+    group = _elements(n)
+    yield "real", group
+    for _ in range(3):
+        i = rng.randrange(len(group))
+        s, m = group[i]
+        yield "dropped", group[:i] + group[i + 1:]
+        yield "bit n", group[:i] + [Automorphism(s, m | 1 << n)] + group[i + 1:]
+        yield "appended", group + [group[i]]
+        if n > 1:  # Q_1's group is the identity alone
+            j = rng.choice([k for k in range(len(group)) if k != i])
+            yield "duplicate", group[:i] + [group[j]] + group[i + 1:]
+            moved = Automorphism((s + rng.randrange(1, n)) % n, m)
+            yield "moved", group[:i] + [moved] + group[i + 1:]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_bitset_sweep_matches_the_per_image_reference(monkeypatch, n):
+    d = Dimension(n)
+    rng = random.Random(n)
+    for name, group in _perturbed_groups(n, rng):
+        _patch_group(monkeypatch, group)
+        want = _reference_transitivity(d, group)
+        assert verify_sharp_edge_transitivity(d) == want, name
+        assert want.ok == (name == "real"), name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_bitset_sweep_matches_the_reference_under_a_broken_action(monkeypatch, n):
+    # Every shift-1 image gets an odd end: the translates by these odd r are
+    # the odd masks, where a sweep that skipped the translation would still
+    # see the even masks it was built from.
+    d = Dimension(n)
+    real = autgroup._edge_image
+
+    def broken(dim, g, e):
+        r, c = real(dim, g, e)
+        return Edge(r ^ 1 if g.shift == 1 else r, c)
+
+    monkeypatch.setattr(autgroup, "_edge_image", broken)
+    want = _reference_transitivity(d, _elements(n))
+    assert not want.ok
+    assert verify_sharp_edge_transitivity(d) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubesteiner import bounds
-from cubesteiner.autgroup import apply_edge, enumerate_group, group_order, identity
+from cubesteiner.autgroup import (
+    apply_edge, compose, enumerate_group, group_order, identity, inverse
+)
 from cubesteiner.bounds import (
     BoundsReport,
     bootstrap_case,
@@ -358,6 +360,24 @@ def test_sampled_overlap_matches_two_sided_reference():
         )
         xs = [_two_sided_overlap(exp, g1, g2) for g1, g2, _ in summary.transcript]
         assert [x for _, _, x in summary.transcript] == xs
+        _assert_matches_reference(exp, summary, xs)
+
+
+def test_sampled_overlap_reads_x_at_the_inverse_then_compose_element():
+    # Each pair reads X(1, h) = |E(T) n h(E(T'))| at h = g1^-1 g2, built here
+    # by the checked inverse and compose; the draws cover every shift of g1.
+    for seed, exp in enumerate(_reference_experiments(max_n=7), start=100):
+        dim = exp.dim
+        summary = run_intersection_experiment(
+            exp, samples=200, seed=seed, keep_transcript=True
+        )
+        xs = []
+        for g1, g2, _ in summary.transcript:
+            h = compose(dim, inverse(dim, g1), g2)
+            image = {apply_edge(dim, h, e) for e in exp.mirror_tree.edges}
+            xs.append(len(exp.tree.edges & image))
+        assert [x for _, _, x in summary.transcript] == xs
+        assert {g1.shift for g1, _, _ in summary.transcript} == set(range(dim.n))
         _assert_matches_reference(exp, summary, xs)
 
 

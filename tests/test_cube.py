@@ -146,6 +146,13 @@ def test_check_edge_rejects_bad_fields():
         check_edge(d, Edge(0, 3))  # bit index out of range
 
 
+@pytest.mark.parametrize("bit", [1.0, True])
+def test_check_edge_rejects_a_bit_index_that_is_not_an_int(bit):
+    # 1.0 passes the range check, and Edge(0, 1.0).endpoints() raises TypeError
+    with pytest.raises(ValueError, match="not an int"):
+        check_edge(Dimension(3), Edge(0, bit))
+
+
 def test_parity_class_small_cases():
     d2 = Dimension(2)
     assert list(parity_class(d2, 0)) == [0, 3]
@@ -160,6 +167,13 @@ def test_parity_class_small_cases():
 def test_parity_class_rejects_bad_parity():
     with pytest.raises(ValueError, match="parity must be 0 or 1"):
         parity_class(Dimension(3), 2)
+
+
+@pytest.mark.parametrize("par", [True, 1.0, False])
+def test_parity_class_rejects_a_parity_that_is_not_an_int(par):
+    # True == 1.0 == 1 and False == 0: only the type check refuses them
+    with pytest.raises(ValueError, match="parity must be 0 or 1"):
+        parity_class(Dimension(3), par)
 
 
 def test_parity_class_budget_guard():
