@@ -196,8 +196,9 @@ def verify_sharp_edge_transitivity(
 
     Only a failing edge is decoded key by key. Its counterexample is
     (source edge, problem edge): the first image in group order that
-    repeats an earlier one, or, when no image repeats, the smallest edge
-    that no image hits.
+    repeats an earlier one; when no image repeats, the smallest edge that
+    no image hits; and when every edge is hit too, so that the list is
+    longer than the order, the first image that is no edge of Q_n.
     """
     order = group_order(dim)
     check_budget("edge-pair transitivity sweep", order * dim.num_edges, budget)
@@ -231,13 +232,16 @@ def verify_sharp_edge_transitivity(
         seen: set[int] = set()
         for key in keys:
             if key in seen:
-                problem = Edge(key & ~(-1 << width), key >> width)
                 break
             seen.add(key)
-        else:  # edges run in (even_end, bit_index) order: the first unhit is least
-            problem = next(
-                e for e in edges if (e.bit_index << width) | e.even_end not in seen
-            )
+        else:
+            # edges run in (even_end, bit_index) order, so the first unhit
+            # one is least; with every edge hit, the list is longer than
+            # the order and some image is no edge
+            edge_keys = ((b << width) | v for v, b in edges)
+            unhit = [key for key in edge_keys if key not in seen]
+            key = (unhit + [key for key in keys if not edge_bits >> key & 1])[0]
+        problem = Edge(key & ~(-1 << width), key >> width)
         return TransitivityReport(False, order, len(edges), pairs, (e1, problem))
     return TransitivityReport(True, order, len(edges), pairs, None)
 

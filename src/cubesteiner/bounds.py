@@ -174,16 +174,14 @@ def build_intersection_experiment(
     Steiner-vertex search or by the DP on S's column classes: the overlap
     statistics (max_overlap, min_lhs, sampled means) depend on which optimal
     tree T is, and the statement above about phi is one about that tree.
-    The budget is charged that DP's own work, 2^(k-1) rows of 2^n fields,
-    not the column-class ceiling `steiner_exact` charges."""
+    `_dp_solve` charges the budget that DP's own work, 2^(k-1) rows of 2^n
+    fields, and nothing for a single terminal."""
     if any(parity(v) for v in terminals):
         raise ValueError("experiment requires an all-even terminal set")
     dim = terminals.dim
     mirrored = mirror_set(terminals)
-    if len(terminals) > 1:
-        check_budget("subset DP states", (1 << (len(terminals) - 1)) << dim.n, budget)
     members = SteinerInstance(dim, terminals).terminals.members
-    d, edges = _dp_solve((1,) * dim.n, members, witness=True)
+    d, edges = _dp_solve((1,) * dim.n, members, budget, witness=True)
     tree = _certified_tree(dim, edges, members)
     edges = (_edge(e.even_end ^ 1, e.bit_index) for e in tree.edges)
     mtree = _certified_tree(dim, edges, mirrored)

@@ -9,7 +9,7 @@ neighbor in it. Constructions provided:
 - hamming_code: for n = 2^m - 1, the perfect single-error-correcting code
   of length n; its distance-1 balls tile the cube, so it dominates with
   exactly 2^n/(n+1) words, pairwise at distance >= 3 (never connected for
-  n >= 3).
+  n >= 3); the budget caps the 2^n words it scans.
 - steinerize: connect a disconnected dominating set by repeatedly joining
   the two closest components along a deterministic geodesic; the budget
   caps the vertex pairs its rounds scan.
@@ -112,27 +112,27 @@ def greedy_dominating_set(
     return DominatingSetCertificate(VertexSet.of(dim, chosen), "greedy")
 
 
-def hamming_code_dominating_set(dim: Dimension) -> DominatingSetCertificate:
+def hamming_code_dominating_set(
+    dim: Dimension, *, budget: int = DEFAULT_BUDGET
+) -> DominatingSetCertificate:
     """The length-n perfect code as a dominating set, for n = 2^m - 1.
 
-    A word belongs to the code iff the XOR of (i+1) over its set bit
-    positions i vanishes. A non-codeword has nonzero syndrome s and is at
-    distance 1 from exactly one codeword (flip position s-1), so the
-    distance-1 balls tile the cube: 2^n/(n+1) words, perfect covering.
+    A word belongs to the code iff its syndrome, the XOR of (i+1) over its
+    set bit positions i, vanishes. A non-codeword has nonzero syndrome s
+    and is at distance 1 from exactly one codeword (flip position s-1), so
+    the distance-1 balls tile the cube: 2^n/(n+1) words, perfect covering.
+    Each word's syndrome is that of the word without its lowest set bit,
+    XOR that bit's position + 1. The budget is charged the 2^n syndromes
+    before the first.
     """
     n = dim.n
     if (n + 1) & n:
         raise ValueError(f"perfect code needs n = 2^m - 1, got n={n}")
-    codewords = []
-    for v in range(dim.num_vertices):
-        syndrome = 0
-        bits = v
-        while bits:
-            low = bits & -bits
-            syndrome ^= low.bit_length()
-            bits ^= low
-        if syndrome == 0:
-            codewords.append(v)
+    check_budget("perfect code enumeration", dim.num_vertices, budget)
+    syndrome = [0] * dim.num_vertices
+    for v in range(1, dim.num_vertices):
+        syndrome[v] = syndrome[v & (v - 1)] ^ (v & -v).bit_length()
+    codewords = [v for v, s in enumerate(syndrome) if s == 0]
     return DominatingSetCertificate(VertexSet.of(dim, codewords), "hamming_code")
 
 
@@ -292,7 +292,7 @@ def cds_constructions(
     built = {"greedy": greedy_dominating_set(dim, budget=budget)}
     built["steinerized_greedy"] = steinerize(built["greedy"].vertex_set, budget=budget)
     if (dim.n + 1) & dim.n == 0:
-        built["hamming"] = hamming_code_dominating_set(dim)
+        built["hamming"] = hamming_code_dominating_set(dim, budget=budget)
         built["steinerized_hamming"] = steinerize(
             built["hamming"].vertex_set, budget=budget
         )

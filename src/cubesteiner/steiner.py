@@ -21,16 +21,18 @@ which S + A induces a connected subgraph. Three routes compute it:
   where the DP's 3^(k-1) merge work is largest.
 
 steiner_exact (distance and witness) and steiner_distance (distance only)
-share one dispatch, with one cost ceiling (`_dp_projection`): the rooted
-DP's 2^(k-1) rows of 2^c fields at the most column classes (below) a
-k-set can have, c = min(n, 2^(k-1) - 1). Both charge it before anything
-runs, a single terminal's one unit included, so both exit on the same
-sets. One density rule picks the solver: the search runs only where S
-has more terminals than Q_n has coordinates, n < k. A sparser set is
-answered faster by the DP on its column classes, and the search there
-mostly runs out of its allowance first. The rule also keeps the search's
-bitmasks of 2^n bits inside the charge: n < k <= 2^(k-1), so
-c = n is possible and the ceiling is 2^(k-1) 2^n. The search gets the
+share one dispatch, so both exit on the same sets. One density rule picks
+the solver: the search runs only where S has more terminals than Q_n has
+coordinates, n < k. A sparser set is answered faster by the DP on its
+column classes (below), and the search there mostly runs out of its
+allowance first. The budget is charged "subset DP states" in two places.
+`_dp_solve` charges the 2^(k-1) rows of 2^c fields it is about to build,
+c the coordinate count of the cube it runs on; a single terminal builds
+no row and is charged nothing. Before a search, the dispatch charges the
+one up-front ceiling `_dp_projection`, the rooted DP's rows at the most
+column classes a k-set can have, c = min(n, 2^(k-1) - 1): there
+n < k <= 2^(k-1), so it is 2^(k-1) 2^n, above the search's bitmasks of
+2^n bits and any DP the search falls back to. The search gets the
 rooted DP's work on Q_n as its allowance, (3^(k-1) - 2^k + 1)/2 merge
 pairs plus (2^(k-1) - k) n grow steps, with each search node charged its
 component count + 1. When the search finds a minimum A,
@@ -306,13 +308,13 @@ def _subset_dp(terms: list[int], weights: tuple[int, ...]) -> tuple[list[int], i
 
 
 def _dp_projection(n: int, k: int) -> int:
-    """Budget units for one exact solve of a k-set of Q_n, k >= 1: the
-    rooted DP's 2^(k-1) rows times 2^c fields a row, at the most column
-    classes a k-set can have, c = min(n, 2^(k-1) - 1); one unit for a
-    single terminal. It bounds the rows and fields `_class_dp_solve`
-    builds, and where n < k, the only place `_solve` searches,
-    n < k <= 2^(k-1) makes it 2^(k-1) 2^n, above the search's 2^n-bit
-    masks."""
+    """The up-front ceiling on one exact solve of a k-set of Q_n, k >= 1:
+    the rooted DP's 2^(k-1) rows times 2^c fields a row, at the most
+    column classes a k-set can have, c = min(n, 2^(k-1) - 1). It bounds
+    what `_class_dp_solve` charges for any k-set of Q_n. `_solve` charges
+    it before a search, where n < k <= 2^(k-1) makes it 2^(k-1) 2^n,
+    above the search's 2^n-bit masks; the `sdiam` sweep charges it once
+    per swept set."""
     rows = 1 << (k - 1)
     return rows << min(n, rows - 1)
 
@@ -396,7 +398,7 @@ def _steiner_vertex_search(
 
 
 def _dp_solve(
-    weights: tuple[int, ...], terms: tuple[int, ...], *, witness: bool
+    weights: tuple[int, ...], terms: tuple[int, ...], budget: int, *, witness: bool
 ) -> tuple[int, Optional[set[Edge]]]:
     """The rooted DP's distance and, with `witness`, the edges of the tree
     rebuilt from its values, on the cube whose edges across coordinate b
@@ -406,9 +408,11 @@ def _dp_solve(
     The DP is rooted at r = terms[0] (Dreyfus-Wagner): it runs over the
     other k - 1 terminals only, and d(S) = dp[full][r] with full the mask
     of all of them, since a tree spanning them together with r spans S.
-    A single terminal returns before any row is built. The tree is rebuilt
-    from the packed values, starting at (full, r); its edge weights add up
-    to d(S). The caller charges the budget and certifies the tree.
+    A single terminal returns before any row is built, and is charged
+    nothing; otherwise the budget is charged the 2^(k-1) rows of 2^c
+    fields, c = len(weights), before the first is built. The tree is
+    rebuilt from the packed values, starting at (full, r); its edge
+    weights add up to d(S). The caller certifies the tree.
     """
     k = len(terms)
     if k == 1:
@@ -416,6 +420,7 @@ def _dp_solve(
 
     root, others = terms[0], terms[1:]
     full = (1 << (k - 1)) - 1
+    check_budget("subset DP states", (full + 1) << len(weights), budget)
     dp, w = _subset_dp(others, weights)
     field = (1 << w) - 1
     dist = dp[full] >> (w * root) & field
@@ -480,11 +485,12 @@ def _column_classes(terms: tuple[int, ...]) -> list[int]:
 
 
 def _class_dp_solve(
-    dim: Dimension, terms: tuple[int, ...], *, witness: bool
+    dim: Dimension, terms: tuple[int, ...], budget: int, *, witness: bool
 ) -> tuple[int, Optional[SteinerTree]]:
     """d(S) and, with `witness`, a certified tree, from the rooted DP on
     the weighted cube Q_c of S's column classes (see the module
-    docstring); without `witness` the tree is None.
+    docstring); without `witness` the tree is None. `_dp_solve` charges
+    the budget its 2^(k-1) rows of 2^c fields.
 
     Class i has weight m_i, its coordinate count. Reduced terminal x_t has
     bit i set where class i's column is 1 at t, that is where t ^ r meets
@@ -505,7 +511,7 @@ def _class_dp_solve(
             if (t ^ r) & m:
                 reduced[j] |= 1 << i
     weights = tuple(m.bit_count() for m in masks)
-    dist, edges = _dp_solve(weights, tuple(reduced), witness=witness)
+    dist, edges = _dp_solve(weights, tuple(reduced), budget, witness=witness)
     if not witness:
         return dist, None
     lifted = []
@@ -523,18 +529,18 @@ def _solve(
     dim: Dimension, terms: tuple[int, ...], budget: int, *, witness: bool
 ) -> tuple[int, Optional[SteinerTree]]:
     """The dispatch behind `steiner_distance` and `steiner_exact` (see the
-    module docstring): the budget charge `_dp_projection`, then, where S
-    has more terminals than Q_n has coordinates (n < k), the Steiner-vertex
+    module docstring): where S has more terminals than Q_n has coordinates
+    (n < k), the budget charge `_dp_projection`, then the Steiner-vertex
     search within the rooted DP's work on Q_n; every other set and a
     search past its allowance go to the DP on the column classes
-    (`_class_dp_solve`).
+    (`_class_dp_solve`), which charges the rows it builds.
     `terms` is sorted, nonempty and inside Q_n, as a `SteinerInstance`
     holds it; nothing here checks that again. Without `witness` the tree
     may be None."""
     k = len(terms)
     n = dim.n
-    check_budget("subset DP states", _dp_projection(n, k), budget)
     if n < k:
+        check_budget("subset DP states", _dp_projection(n, k), budget)
         allowance = (3 ** (k - 1) - (1 << k) + 1) // 2 + ((1 << (k - 1)) - k) * n
         added = _steiner_vertex_search(n, terms, allowance)
         if added is not None:
@@ -544,14 +550,14 @@ def _solve(
             [parent] = bfs_forest(n, set(terms).union(added))
             edges = (_edge(v, (v ^ p).bit_length() - 1) for v, p in parent.items() if v != p)
             return dist, _certified_tree(dim, edges, terms)
-    return _class_dp_solve(dim, terms, witness=witness)
+    return _class_dp_solve(dim, terms, budget, witness=witness)
 
 
 def steiner_distance(inst: SteinerInstance, *, budget: int = DEFAULT_BUDGET) -> int:
     """Exact Steiner distance without a witness tree.
 
-    Same dispatch and budget charge as `steiner_exact`, so both exit on the
-    same sets and agree on every value; only the witness is skipped.
+    Same dispatch and budget charges as `steiner_exact`, so both exit on
+    the same sets and agree on every value; only the witness is skipped.
     """
     return _solve(inst.dim, inst.terminals.members, budget, witness=False)[0]
 

@@ -246,9 +246,10 @@ def test_sharp_edge_transitivity_small_dimensions(n):
 
 def _reference_transitivity(d, group):
     # Every listed element applied to every edge, one image at a time: the
-    # first repeated image of a source edge, else its least unhit edge. An
-    # element with bit n in its mask (off the cube, which apply_edge
-    # refuses) gets the same formula without the checks.
+    # first repeated image of a source edge, else its least unhit edge, else
+    # its first image that is no edge. An element with bit n in its mask
+    # (off the cube, which apply_edge refuses) gets the same formula without
+    # the checks.
     edges = all_edges(d)
     order = group_order(d)
 
@@ -259,6 +260,7 @@ def _reference_transitivity(d, group):
 
     for e1 in edges:
         seen = set()
+        images = []
         for g in group:
             if g.flip_mask < d.num_vertices:
                 image = apply_edge(d, g, e1)
@@ -270,16 +272,19 @@ def _reference_transitivity(d, group):
             if image in seen:
                 return report((e1, image))
             seen.add(image)
+            images.append(image)
         unhit = [e for e in edges if e not in seen]
-        if unhit:
-            return report((e1, unhit[0]))
+        off = [image for image in images if image not in edges]
+        if unhit or off:
+            return report((e1, (unhit + off)[0]))
     return report(None)
 
 
 def _perturbed_groups(n, rng):
     # The real group, then each fault at seeded positions: a duplicate, a
     # dropped element, a mask with bit n set, an element moved to another
-    # shift, and one duplicate appended (|list| > order).
+    # shift, one duplicate appended (|list| > order), and one element with
+    # bit n set appended (|list| > order, every edge hit, no image repeated).
     group = _elements(n)
     yield "real", group
     for _ in range(3):
@@ -288,6 +293,7 @@ def _perturbed_groups(n, rng):
         yield "dropped", group[:i] + group[i + 1:]
         yield "bit n", group[:i] + [Automorphism(s, m | 1 << n)] + group[i + 1:]
         yield "appended", group + [group[i]]
+        yield "appended off the cube", group + [Automorphism(s, m | 1 << n)]
         if n > 1:  # Q_1's group is the identity alone
             j = rng.choice([k for k in range(len(group)) if k != i])
             yield "duplicate", group[:i] + [group[j]] + group[i + 1:]
@@ -388,6 +394,16 @@ def test_sharp_edge_transitivity_reports_the_least_unhit_edge(monkeypatch):
     )
     assert not report.ok
     assert report.counterexample == (e1, Edge(0, 2))
+
+
+def test_sharp_edge_transitivity_reports_an_extra_image_off_the_cube(monkeypatch):
+    # Q_3's whole group and one more element, off the cube: every edge is
+    # hit and no image repeats, so the extra element's image is the problem.
+    d = Dimension(3)
+    _patch_group(monkeypatch, _elements(3) + [Automorphism(0, 1 << 3)])
+    report = verify_sharp_edge_transitivity(d)
+    assert not report.ok
+    assert report.counterexample == (Edge(0, 0), Edge(1 << 3, 0))
 
 
 def test_sharp_edge_transitivity_budget_guard():

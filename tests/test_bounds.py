@@ -38,7 +38,7 @@ from cubesteiner.domination import (
     hamming_code_dominating_set,
     steinerize,
 )
-from cubesteiner.errors import BudgetExceededError
+from cubesteiner.errors import DEFAULT_BUDGET, BudgetExceededError
 from cubesteiner.steiner import SteinerInstance, _dp_solve, steiner_exact, validate_tree
 
 D3 = Dimension(3)
@@ -198,7 +198,7 @@ def test_experiment_pairs_isomorphic_instances():
     assert exp.distance == 5
     assert exp.mirrored.members == parity_class(D3, 1).members
     assert len(exp.tree.edges) == len(exp.mirror_tree.edges) == 5
-    d, medges = _dp_solve((1,) * 3, exp.mirrored.members, witness=True)
+    d, medges = _dp_solve((1,) * 3, exp.mirrored.members, DEFAULT_BUDGET, witness=True)
     assert d == 5
     assert medges == exp.mirror_tree.edges
     assert {v ^ 1 for v in exp.tree.vertices} == exp.mirror_tree.vertices
@@ -207,7 +207,7 @@ def test_experiment_pairs_isomorphic_instances():
 def _assert_mirror_tree_is_dp_tree(members):
     exp = build_intersection_experiment(members)
     n = members.dim.n
-    d, medges = _dp_solve((1,) * n, mirror_set(members).members, witness=True)
+    d, medges = _dp_solve((1,) * n, mirror_set(members).members, DEFAULT_BUDGET, witness=True)
     assert d == exp.distance
     assert medges == exp.mirror_tree.edges
 
@@ -233,9 +233,9 @@ def test_mirror_tree_equals_dp_solve_of_mirror_q7():
 def test_experiment_runs_one_exact_solve(monkeypatch):
     calls = []
 
-    def counting(weights, terms, *, witness):
+    def counting(weights, terms, budget, *, witness):
         calls.append((weights, terms, witness))
-        return _dp_solve(weights, terms, witness=witness)
+        return _dp_solve(weights, terms, budget, witness=witness)
 
     monkeypatch.setattr("cubesteiner.bounds._dp_solve", counting)
     members = VertexSet.of(D4, [0, 3, 5, 9])
@@ -616,10 +616,10 @@ def test_report_and_sweep_never_build_a_witness(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("witness solver called")
 
-    def distance_only(weights, terms, *, witness):
+    def distance_only(weights, terms, budget, *, witness):
         if witness:
             refuse()
-        return _dp_solve(weights, terms, witness=False)
+        return _dp_solve(weights, terms, budget, witness=False)
 
     monkeypatch.setattr("cubesteiner.bounds._dp_solve", distance_only)
     monkeypatch.setattr("cubesteiner.steiner._dp_solve", distance_only)

@@ -112,10 +112,9 @@ def test_exact_even_class_of_q5_by_search_alone(run, monkeypatch):
 
 def test_exact_reaches_a_four_block_set_of_q20(run, monkeypatch):
     # 0 and four disjoint blocks of five ones: four column classes of
-    # weight 5, so the DP builds 2^4 fields a row, where the DP on Q_20
-    # would build 16 rows of 2^20 fields. A 5-set has at most 15 classes,
-    # so the charge is 2^4 * 2^15 units, within the default budget, and
-    # n = 20 >= 2^4 leaves the search out.
+    # weight 5, so the DP builds 16 rows of 2^4 fields, where the DP on
+    # Q_20 would build 16 rows of 2^20 fields, and is charged those
+    # 2^4 * 2^4 units. n = 20 >= 5 leaves the search out.
     terminals = ["0" * 20] + ["0" * (5 * i) + "1" * 5 + "0" * (15 - 5 * i) for i in range(4)]
     argv = ["exact", "--n", "20", "--set", "inline:" + ",".join(terminals)]
     calls = []
@@ -131,20 +130,72 @@ def test_exact_reaches_a_four_block_set_of_q20(run, monkeypatch):
     fields = _parse_text(out)
     assert fields["distance"] == "20"
     assert len(fields["tree_edges"].split()) == 20
-    code, _, err = run(argv + ["--budget-states", str((1 << 19) - 1)])
-    assert code == 3 and "projected 524288 units exceeds budget" in err
+    code, _, err = run(argv + ["--budget-states", "255"])
+    assert code == 3 and "projected 256 units exceeds budget 255" in err
+    assert run(argv + ["--budget-states", "256"])[0] == 0
 
 
 def test_exact_refuses_a_six_set_of_q64_before_any_dp_row(run, monkeypatch):
-    # 2^5 rows of up to 2^31 fields: random 6-sets of Q_64 have 26-30
-    # column classes, out of reach
+    # random 6-sets of Q_64 have 26-30 column classes; this one has 26, so
+    # 2^5 rows of 2^26 fields, out of reach
     rng = random.Random(6)
     terminals = [format(rng.getrandbits(64), "064b") for _ in range(6)]
     calls = []
     monkeypatch.setattr(steiner, "_subset_dp", lambda *a: calls.append(a))
     code, out, err = run(["exact", "--n", "64", "--set", "inline:" + ",".join(terminals)])
     assert (code, out, calls) == (3, "", [])
-    assert "projected 68719476736 units exceeds budget" in err
+    assert "projected 2147483648 units exceeds budget" in err
+
+
+def _six_set_of_q64_on_classes(c):
+    """0 and five terminals whose coordinate b copies the column
+    cols[b % c] over them, for c distinct nonzero 5-bit columns: c column
+    classes of 64 // c or 64 // c + 1 coordinates each."""
+    cols = random.Random(c).sample(range(1, 32), c)
+    terminals = [0] + [sum(1 << b for b in range(64) if cols[b % c] >> j & 1) for j in range(5)]
+    return [format(v, "064b")[::-1] for v in terminals]
+
+
+@pytest.mark.parametrize("c", [12, 17])
+def test_exact_answers_a_six_set_of_q64_on_few_classes(run, monkeypatch, c):
+    # 2^5 rows of 2^c fields: 131072 units at c = 12, and the default
+    # budget itself at c = 17
+    calls = []
+    subset_dp = steiner._subset_dp
+
+    def recording(terms, weights):
+        calls.append((len(terms), len(weights)))
+        return subset_dp(terms, weights)
+
+    monkeypatch.setattr(steiner, "_subset_dp", recording)
+    terminals = _six_set_of_q64_on_classes(c)
+    code, out, err = run(["exact", "--n", "64", "--set", "inline:" + ",".join(terminals)])
+    assert (code, err, calls) == (0, "", [(5, c)])
+    fields = _parse_text(out)
+    assert len(fields["tree_edges"].split()) == int(fields["distance"])
+    assert set(terminals) <= set(fields["tree_vertices"].split())
+
+
+def test_exact_refuses_a_six_set_of_q64_on_18_classes(run, monkeypatch):
+    calls = []
+    monkeypatch.setattr(steiner, "_subset_dp", lambda *a: calls.append(a))
+    terminals = _six_set_of_q64_on_classes(18)
+    code, out, err = run(["exact", "--n", "64", "--set", "inline:" + ",".join(terminals)])
+    assert (code, out, calls) == (3, "", [])
+    assert err == (
+        "error[budget]: subset DP states: projected 8388608 units exceeds budget 4194304\n"
+    )
+
+
+def test_exact_refuses_the_even_class_of_q6_at_its_ceiling(run):
+    # 32 terminals of Q_6: n < k, so the dispatch charges 2^31 rows of
+    # 2^6 fields before its search
+    assert run(["exact", "--n", "6", "--set", "even"]) == (
+        3,
+        "",
+        "error[budget]: subset DP states: projected 137438953472 units "
+        "exceeds budget 4194304\n",
+    )
 
 
 # Full stdout pinned. exact-q6 prints the BFS tree of S + A found by the
@@ -376,7 +427,10 @@ def test_bound_reports_budget_omission(run):
     assert code == 0
     fields = _parse_text(out)
     assert fields["exact"] == "omitted"
-    assert fields["exact_reason"].startswith("budget:")
+    # 64 terminals of Q_7: 2^63 rows of 2^7 fields, charged before the search
+    assert fields["exact_reason"] == (
+        "budget: subset DP states: projected 2^70+ units exceeds budget 4194304"
+    )
     assert fields["lower"] == "452/7"
 
 

@@ -247,6 +247,26 @@ def test_hamming_code_requires_code_length():
     assert list(hamming_code_dominating_set(Dimension(1)).vertex_set) == [0]
 
 
+def test_hamming_code_budget_caps_the_words_it_scans(monkeypatch):
+    # Q_31 has 2^31 words; the charge comes before the first syndrome
+    with pytest.raises(BudgetExceededError, match="perfect code enumeration: projected 2147483648"):
+        hamming_code_dominating_set(Dimension(31))
+    with pytest.raises(BudgetExceededError, match="perfect code enumeration"):
+        hamming_code_dominating_set(Dimension(7), budget=127)
+    words = list(hamming_code_dominating_set(Dimension(7), budget=128).vertex_set)
+    assert words == [0, 7, 25, 30, 42, 45, 51, 52, 75, 76, 82, 85, 97, 102, 120, 127]
+    # cds_constructions passes its budget on
+    charged = []
+
+    def recording_check_budget(what, projected, limit):
+        charged.append((what, projected, limit))
+        return check_budget(what, projected, limit)
+
+    monkeypatch.setattr(domination, "check_budget", recording_check_budget)
+    cds_constructions(Dimension(3), budget=1000)
+    assert ("perfect code enumeration", 8, 1000) in charged
+
+
 def test_steinerize_joins_components():
     d3 = Dimension(3)
     cert = steinerize(VertexSet.of(d3, [0, 7]))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubesteiner import steiner
 from cubesteiner.autgroup import apply_vertex, sample_uniform
+from cubesteiner.bounds import build_intersection_experiment
 from cubesteiner.cube import (
     Dimension,
     Edge,
@@ -19,7 +20,7 @@ from cubesteiner.cube import (
     parity_class,
     parse_vertex,
 )
-from cubesteiner.errors import BudgetExceededError, ParseError
+from cubesteiner.errors import DEFAULT_BUDGET, BudgetExceededError, ParseError, check_budget
 from cubesteiner.steiner import (
     SteinerInstance,
     SteinerTree,
@@ -28,6 +29,7 @@ from cubesteiner.steiner import (
     _certified_tree,
     _class_dp_solve,
     _column_classes,
+    _dp_projection,
     _dp_solve,
     _steiner_vertex_search,
     _subset_dp,
@@ -430,7 +432,8 @@ def test_nine_bit_fields_on_a_q4_set_embedded_in_q13(monkeypatch):
         return rows, w
 
     monkeypatch.setattr(steiner, "_subset_dp", recording_dp)
-    d13, edges = _dp_solve((1,) * 13, tuple(sorted(lifted)), witness=True)
+    # 2^10 rows of 2^13 fields
+    d13, edges = _dp_solve((1,) * 13, tuple(sorted(lifted)), 1 << 23, witness=True)
     assert widths == [(10, 13, 9)]
     assert d13 == d4 == len(edges)
     _certified_tree(Dimension(13), edges, lifted)
@@ -466,7 +469,7 @@ def _unrooted_witness(terms, n):
 
 
 def _assert_rooted_witness_matches_unrooted(terms, n):
-    dist, edges = _dp_solve((1,) * n, tuple(sorted(terms)), witness=True)
+    dist, edges = _dp_solve((1,) * n, tuple(sorted(terms)), DEFAULT_BUDGET, witness=True)
     assert (dist, edges) == _unrooted_witness(sorted(terms), n)
 
 
@@ -505,8 +508,8 @@ def test_distance_search_dp_and_oracle_agree(n, all_even, data):
     inst = _inst(Dimension(n), terms)
     d = steiner_distance(inst)
     members = inst.terminals.members
-    assert d == _dp_solve((1,) * n, members, witness=False)[0]
-    assert d == _dp_solve((1,) * n, members, witness=True)[0]
+    assert d == _dp_solve((1,) * n, members, DEFAULT_BUDGET, witness=False)[0]
+    assert d == _dp_solve((1,) * n, members, DEFAULT_BUDGET, witness=True)[0]
     assert d == steiner_brute_oracle(inst)
     # within the allowance `_solve` gives it
     allowance = (3 ** (k - 1) - (1 << k) + 1) // 2 + ((1 << (k - 1)) - k) * n
@@ -574,7 +577,7 @@ def test_distance_falls_back_to_the_dp_on_a_sparse_set(monkeypatch):
     # coordinate 0 is constant and the other nine fall into five classes
     assert calls == [(3, 5)]
     assert d == steiner_exact(_inst(q10, terms))[0]
-    assert d == _dp_solve((1,) * 10, tuple(sorted(terms)), witness=False)[0]
+    assert d == _dp_solve((1,) * 10, tuple(sorted(terms)), DEFAULT_BUDGET, witness=False)[0]
 
 
 def test_distance_budget_exit_matches_exact():
@@ -591,47 +594,66 @@ def test_distance_budget_exit_matches_exact():
 
 
 def test_charge_covers_the_dp_that_runs(monkeypatch):
-    # the charge is 2^(k-1) rows of 2^c fields at the largest c a k-set
-    # can have, and the search, run only where n < k, keeps 2^n-bit masks
-    # within it
-    charges, dp_calls, searches = [], [], []
+    # every DP is charged, just before it runs, the 2^(k-1) rows of 2^c
+    # fields it builds, c its coordinate count; a search, run only where
+    # n < k, is charged the ceiling first, which keeps its 2^n-bit masks
+    # within it; a single terminal builds no row and is charged nothing
+    events = []
 
     def recording_budget(what, projected, limit):
         if what == "subset DP states":
-            charges.append(projected)
+            events.append(("charge", projected))
+        check_budget(what, projected, limit)
 
     def recording_dp(terms, weights):
         rows, w = _subset_dp(terms, weights)
-        dp_calls.append((len(rows), len(weights)))
+        events.append(("built", len(rows) << len(weights)))
         return rows, w
 
     def failing_search(n, terms, allowance):
-        searches.append((n, len(terms)))
+        events.append(("search", n))
 
     monkeypatch.setattr(steiner, "check_budget", recording_budget)
     monkeypatch.setattr(steiner, "_subset_dp", recording_dp)
     monkeypatch.setattr(steiner, "_steiner_vertex_search", failing_search)
+
+    def charged_as_built(solve, arg, head=()):
+        events.clear()
+        result = solve(arg)
+        built = events[-1][1]
+        assert events == [*head, ("charge", built), ("built", built)]
+        return built, result
+
     rng = random.Random(5)
-    equal = 0
+    below = 0
     for n in range(1, 11):
+        dim = Dimension(n)
         for k in range(2, min(8, 1 << n) + 1):
+            head = [("charge", _dp_projection(n, k)), ("search", n)] if n < k else []
+            if head:
+                assert 1 << n <= _dp_projection(n, k) >> (k - 1)
             for _ in range(6):
-                for log in (charges, dp_calls, searches):
-                    log.clear()
-                terms = rng.sample(range(1 << n), k)
-                d, tree = steiner_exact(_inst(Dimension(n), terms))
+                inst = _inst(dim, rng.sample(range(1 << n), k))
+                c = len(_column_classes(inst.terminals.members))
+                below += c < min(n, (1 << (k - 1)) - 1)
+                built, (d, tree) = charged_as_built(steiner_exact, inst, head)
                 assert len(tree.edges) == d
-                [charge] = charges
-                [(rows, c)] = dp_calls
-                assert rows == 1 << (k - 1)
-                assert charge >= rows << c
-                if c == min(n, (1 << (k - 1)) - 1):
-                    assert charge == rows << c
-                    equal += 1
-                assert searches == ([(n, k)] if n < k else [])
-                if searches:
-                    assert 1 << n <= charge >> (k - 1)
-    assert equal >= 100
+                assert built == (1 << (k - 1)) << c
+                assert charged_as_built(steiner_distance, inst, head) == (built, d)
+        # the overlap experiment's DP runs on S itself: 2^(k-1) rows of 2^n
+        evens = list(parity_class(dim, 0))
+        for k in range(2, min(6, len(evens)) + 1):
+            terms = VertexSet.of(dim, rng.sample(evens, k))
+            built, _ = charged_as_built(build_intersection_experiment, terms)
+            assert built == (1 << (k - 1)) << n
+        for solve in (steiner_exact, steiner_distance):
+            events.clear()
+            solve(_inst(dim, [rng.randrange(1 << n)]))
+            assert events == []
+        events.clear()
+        build_intersection_experiment(VertexSet.of(dim, [0]))
+        assert events == []
+    assert below >= 100
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -649,7 +671,8 @@ def test_sets_with_n_at_least_2_to_the_k_minus_1_skip_the_search(monkeypatch, k)
             validate_tree(tree, terms)
             assert len(tree.edges) == d == steiner_distance(inst)
             if n <= 13:
-                assert d == _dp_solve((1,) * n, inst.terminals.members, witness=False)[0]
+                members = inst.terminals.members
+                assert d == _dp_solve((1,) * n, members, DEFAULT_BUDGET, witness=False)[0]
 
 
 def test_search_runs_only_where_terminals_outnumber_coordinates(monkeypatch):
@@ -720,7 +743,7 @@ def test_exact_takes_both_branches_on_a_seeded_sample():
 
 def test_exact_keeps_the_dp_tree_on_a_sparse_set(monkeypatch):
     inst = _inst(Dimension(10), random.Random(4).sample(range(1 << 10), 4))
-    want = _class_dp_solve(inst.dim, inst.terminals.members, witness=True)
+    want = _class_dp_solve(inst.dim, inst.terminals.members, DEFAULT_BUDGET, witness=True)
     calls = _count_dp_calls(monkeypatch)
     assert steiner_exact(inst) == want
     assert calls == [(3, 5)]
@@ -748,11 +771,11 @@ def test_column_class_dp_agrees_with_unit_dp_and_oracle(n, k, data):
     assert sum(m.bit_count() for m in masks) <= n
     assert len(masks) <= min(n, (1 << (len(terms) - 1)) - 1)
     assert masks == sorted(masks, key=lambda m: m & -m)
-    d, tree = _class_dp_solve(dim, terms, witness=True)
+    d, tree = _class_dp_solve(dim, terms, DEFAULT_BUDGET, witness=True)
     validate_tree(tree, terms)
     assert len(tree.edges) == d
-    assert d == _class_dp_solve(dim, terms, witness=False)[0]
-    assert d == _dp_solve((1,) * n, terms, witness=False)[0]
+    assert d == _class_dp_solve(dim, terms, DEFAULT_BUDGET, witness=False)[0]
+    assert d == _dp_solve((1,) * n, terms, DEFAULT_BUDGET, witness=False)[0]
     if n <= 5:
         assert d == steiner_brute_oracle(SteinerInstance(dim, VertexSet.of(dim, terms)))
 
@@ -762,7 +785,7 @@ def test_antipodal_pair_is_one_class_of_weight_n(monkeypatch, n):
     # c = 1, m = n: one field per vertex of Q_1 holds values up to n
     calls = _count_dp_calls(monkeypatch)
     terms = (0, (1 << n) - 1)
-    d, tree = _class_dp_solve(Dimension(n), terms, witness=True)
+    d, tree = _class_dp_solve(Dimension(n), terms, DEFAULT_BUDGET, witness=True)
     assert calls == [(1, 1)]
     assert d == len(tree.edges) == n
     validate_tree(tree, terms)
@@ -776,7 +799,7 @@ def test_heaviest_class_of_weight_n_minus_one(n):
     # at n = 6 and 12.
     terms = (0, (1 << (n - 1)) - 1, (1 << n) - 1)
     assert _column_classes(terms) == [(1 << (n - 1)) - 1, 1 << (n - 1)]
-    d, tree = _class_dp_solve(Dimension(n), terms, witness=True)
+    d, tree = _class_dp_solve(Dimension(n), terms, DEFAULT_BUDGET, witness=True)
     assert d == len(tree.edges) == n
     validate_tree(tree, terms)
     assert steiner_exact(_inst(Dimension(n), terms))[0] == n
