@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .cube import (
-    Dimension, Edge, _across, _block_masks, all_edges, canonical_int, check_edge, check_vertex,
-    parse_vertex, vertex_to_string,
+    Dimension, Edge, all_edges, canonical_int, check_edge, check_vertex, parity, parse_vertex,
+    vertex_to_string,
 )
 from .errors import DEFAULT_BUDGET, ParseError, check_budget
 
@@ -71,11 +71,15 @@ def identity(dim: Dimension) -> Automorphism:
 
 def rotation(dim: Dimension, power: int = 1) -> Automorphism:
     """The coordinate shift applied `power` times."""
+    if type(power) is not int:
+        raise ValueError(f"rotation power {power!r} is not an int")
     return Automorphism(power % dim.n, 0)
 
 
 def double_flip(dim: Dimension, i: int, j: int) -> Automorphism:
     """The generator flipping exactly coordinates i and j."""
+    if type(i) is not int or type(j) is not int:
+        raise ValueError(f"flip coordinates ({i!r}, {j!r}) are not ints")
     if i == j:
         raise ValueError("double flip needs two distinct coordinates")
     if not (0 <= i < dim.n and 0 <= j < dim.n):
@@ -180,69 +184,54 @@ def verify_sharp_edge_transitivity(
 ) -> TransitivityReport:
     """Check that every ordered edge pair has exactly one mapping element.
 
-    Since the group and the edge set have equal size, it is enough to see
-    that each edge's orbit map g -> g(e) hits every edge. An image is a
-    packed int key (bit_index << (n+1)) | even_end, and by the normal form
-    the image under (s, m) is (r ^ m, c), where (r, c) is the image under
-    (s, 0). So the keys of one edge's images under the shift-s elements
-    are the bitset of their masks (bit m set for each listed (s, m)),
-    XOR-translated by r and moved up to offset c << (n+1). Every translate
-    of each shift's bitset is built once, one `_across` block swap apiece,
-    so an edge costs n lookups and n ORs. It passes when the list has the
-    group's order and the union of its n translates is the bitset of all
-    edge keys. Bit n of a key is a guard: a vertex off the cube sets it and
-    so can never alias an edge of Q_n. The translates take n 2^n ints of
-    2^(n+1) bits, 8/n bits per unit of the budget charged.
+    By the normal form, (s, m) maps an edge to (r ^ m, c), where (r, c) is
+    its image under (s, 0). So the listed elements map an edge onto every
+    edge exactly once when the list has the group's order and two facts
+    hold for the edge's n shift images:
+      - their bit indices c are the n indices 0..n-1, one each;
+      - each shift's set of listed masks is the parity class of its r, with
+        r a vertex of Q_n, so that r ^ m runs over the even vertices.
+    Each shift's mask set is matched against the two parity classes once,
+    so an edge costs n shift images and n lookups.
 
-    Only a failing edge is decoded key by key. Its counterexample is
-    (source edge, problem edge): the first image in group order that
-    repeats an earlier one; when no image repeats, the smallest edge that
-    no image hits; and when every edge is hit too, so that the list is
-    longer than the order, the first image that is no edge of Q_n.
+    Only a failing edge is decoded, on its images Edge(r ^ m, c) in group
+    order. Its counterexample is (source edge, problem edge): the first
+    image that repeats an earlier one; when no image repeats, the smallest
+    edge that no image hits; and when every edge is hit too, so that the
+    list is longer than the order, the first image that is no edge of Q_n.
     """
     order = group_order(dim)
     check_budget("edge-pair transitivity sweep", order * dim.num_edges, budget)
     edges = all_edges(dim, budget=budget)
     group = enumerate_group(dim, budget=budget)
-    width = dim.n + 1
-    edge_bits = sum(1 << ((b << width) | v) for v, b in edges)
     masks = [0] * dim.n
     for s, m in group:
         masks[s] |= 1 << m
-    # translates[s][r] is masks[s] XOR-translated by r: the step for bit b
-    # adds the translates by r + 2^b, r < 2^b.
-    swaps = list(enumerate(_block_masks(width, 1)[: dim.n]))
-    translates = []
-    for row in masks:
-        table = [row]
-        for b, lo in swaps:
-            table += [_across(t, lo, 1 << b) for t in table]
-        translates.append(table)
+    evens = sum(1 << v for v in range(dim.num_vertices) if parity(v) == 0)
+    # parities[s] is the parity class shift s lists, None if it lists
+    # neither; an r off the cube reads -1, which matches no entry
+    classes = {evens: 0, evens ^ ((1 << dim.num_vertices) - 1): 1}
+    parities = [classes.get(row) for row in masks]
+    indices = set(range(dim.n))
     pairs = order * len(edges)
     for e1 in edges:
         shifted = [_edge_image(dim, Automorphism(s, 0), e1) for s in range(dim.n)]
-        if len(group) == order:
-            hit = 0
-            for (r, c), table in zip(shifted, translates):
-                hit |= table[r] << (c << width)
-            if hit == edge_bits:
-                continue
-        base = [(c << width) | r for r, c in shifted]
-        keys = [base[s] ^ m for s, m in group]
-        seen: set[int] = set()
-        for key in keys:
-            if key in seen:
-                break
-            seen.add(key)
-        else:
-            # edges run in (even_end, bit_index) order, so the first unhit
-            # one is least; with every edge hit, the list is longer than
-            # the order and some image is no edge
-            edge_keys = ((b << width) | v for v, b in edges)
-            unhit = [key for key in edge_keys if key not in seen]
-            key = (unhit + [key for key in keys if not edge_bits >> key & 1])[0]
-        problem = Edge(key & ~(-1 << width), key >> width)
-        return TransitivityReport(False, order, len(edges), pairs, (e1, problem))
+        if (
+            len(group) == order
+            and [parity(r) if 0 <= r < dim.num_vertices else -1 for r, _ in shifted] == parities
+            and {c for _, c in shifted} == indices
+        ):
+            continue
+        images = [Edge(shifted[s].even_end ^ m, shifted[s].bit_index) for s, m in group]
+        # first[x] is where x first appears; edges run in (even_end,
+        # bit_index) order, so the first unhit edge is the least
+        first = {x: i for i, x in reversed(list(enumerate(images)))}
+        edge_set = set(edges)
+        faults = [x for i, x in enumerate(images) if first[x] != i]
+        faults += [e for e in edges if e not in first]
+        faults += [x for x in images if x not in edge_set]
+        if faults:  # else masks and action both leave the cube and cancel
+            return TransitivityReport(False, order, len(edges), pairs, (e1, faults[0]))
     return TransitivityReport(True, order, len(edges), pairs, None)
 
 

@@ -229,6 +229,8 @@ def run_intersection_experiment(
     any exhaustive run.
     """
     dim = exp.dim
+    if type(seed) is not int or not (samples is None or type(samples) is int):
+        raise ValueError(f"samples {samples!r} and seed {seed!r} must be ints")
     if samples is None:
         group = enumerate_group(dim, budget=budget)
         count = len(group) ** 2

@@ -88,8 +88,7 @@ def _block_masks(n: int, w: int) -> list[int]:
 
 def _across(row: int, lo: int, s: int) -> int:
     """Move every field of a row to the vertex across coordinate b, given
-    lo = low[b] and s = w << b: the blocks of 2^b fields swap pairwise.
-    With w = 1 a row is a set of vertices, and this XORs each by 2^b."""
+    lo = low[b] and s = w << b: the blocks of 2^b fields swap pairwise."""
     return ((row >> s) & lo) | ((row & lo) << s)
 
 

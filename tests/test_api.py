@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import sys
 import types
 from pathlib import Path
 
@@ -69,3 +70,20 @@ def test_benchmark_pin_generator_imports_resolve():
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package promises no runtime dependencies (pyproject: dependencies
+    # = []); relative imports stay inside the package
+    modules = sorted(Path(cubesteiner.__file__).parent.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)

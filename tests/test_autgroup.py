@@ -81,6 +81,21 @@ def test_generator_constructors():
         double_flip(d, 0, 3)
 
 
+def test_rotation_refuses_a_power_that_is_not_an_int():
+    # a bool is an int, but True is not power 1
+    d = Dimension(3)
+    for power in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="not an int"):
+            rotation(d, power)
+
+
+def test_double_flip_refuses_coordinates_that_are_not_ints():
+    d = Dimension(3)
+    for i, j in ((True, 0), (0.0, 1), (0, 2.0)):
+        with pytest.raises(ValueError, match="not ints"):
+            double_flip(d, i, j)
+
+
 def test_apply_vertex_generator_examples():
     d = Dimension(3)
     assert apply_vertex(d, rotation(d), parse_vertex(d, "110")) == parse_vertex(d, "101")
@@ -282,9 +297,10 @@ def _reference_transitivity(d, group):
 
 def _perturbed_groups(n, rng):
     # The real group, then each fault at seeded positions: a duplicate, a
-    # dropped element, a mask with bit n set, an element moved to another
-    # shift, one duplicate appended (|list| > order), and one element with
-    # bit n set appended (|list| > order, every edge hit, no image repeated).
+    # dropped element, a mask with bit n set, a mask with bit n + 1 set, an
+    # element moved to another shift, one duplicate appended (|list| >
+    # order), and one element with bit n set appended (|list| > order, every
+    # edge hit, no image repeated).
     group = _elements(n)
     yield "real", group
     for _ in range(3):
@@ -292,6 +308,7 @@ def _perturbed_groups(n, rng):
         s, m = group[i]
         yield "dropped", group[:i] + group[i + 1:]
         yield "bit n", group[:i] + [Automorphism(s, m | 1 << n)] + group[i + 1:]
+        yield "bit n+1", group[:i] + [Automorphism(s, m | 1 << (n + 1))] + group[i + 1:]
         yield "appended", group + [group[i]]
         yield "appended off the cube", group + [Automorphism(s, m | 1 << n)]
         if n > 1:  # Q_1's group is the identity alone
@@ -312,20 +329,71 @@ def test_bitset_sweep_matches_the_per_image_reference(monkeypatch, n):
         assert want.ok == (name == "real"), name
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_bitset_sweep_matches_the_reference_under_a_broken_action(monkeypatch, n):
-    # Every shift-1 image gets an odd end: the translates by these odd r are
-    # the odd masks, where a sweep that skipped the translation would still
-    # see the even masks it was built from.
-    d = Dimension(n)
+def _break_shift_one(monkeypatch, broken):
+    # The action's shift-1 images (r, c) of an edge e become broken(r, c, e).
     real = autgroup._edge_image
 
-    def broken(dim, g, e):
-        r, c = real(dim, g, e)
-        return Edge(r ^ 1 if g.shift == 1 else r, c)
+    def action(dim, g, e):
+        image = real(dim, g, e)
+        return broken(*image, e) if g.shift == 1 else image
 
-    monkeypatch.setattr(autgroup, "_edge_image", broken)
+    monkeypatch.setattr(autgroup, "_edge_image", action)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_bitset_sweep_matches_the_reference_under_a_broken_action(monkeypatch, n):
+    # Every shift-1 image gets an odd end: the shift-1 masks, an even class,
+    # then take every edge's images to odd vertices.
+    d = Dimension(n)
+    _break_shift_one(monkeypatch, lambda r, c, e: Edge(r ^ 1, c))
     want = _reference_transitivity(d, _elements(n))
+    assert not want.ok
+    assert verify_sharp_edge_transitivity(d) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("fault", ["bit n", "bits n and n+1", "kept bit index"])
+def test_sweep_matches_the_reference_under_other_broken_actions(monkeypatch, fault, n):
+    # Shift-1 images with bit n (odd r) or bits n and n + 1 (even r) set in
+    # their even ends are no edges, so the least edge with the shift-1 bit
+    # index goes unhit. A shift 1 that keeps each edge's bit index, as shift
+    # 0 does, repeats the shift-0 images, though every mask set is still a
+    # parity class.
+    broken = {
+        "bit n": lambda r, c, e: Edge(r | 1 << n, c),
+        "bits n and n+1": lambda r, c, e: Edge(r | 3 << n, c),
+        "kept bit index": lambda r, c, e: Edge(r, e.bit_index),
+    }[fault]
+    d = Dimension(n)
+    _break_shift_one(monkeypatch, broken)
+    want = _reference_transitivity(d, _elements(n))
+    assert not want.ok
+    assert verify_sharp_edge_transitivity(d) == want
+
+
+def _lift_shift_one(monkeypatch, mask_bit):
+    # On Q_3, every shift-1 image of the action sets bit 3, and every
+    # shift-1 mask of the group sets `mask_bit`: no shift-1 mask set is a
+    # parity class, and no shift-1 r is on the cube.
+    _break_shift_one(monkeypatch, lambda r, c, e: Edge(r | 1 << 3, c))
+    group = [Automorphism(s, m | 1 << mask_bit if s == 1 else m) for s, m in _elements(3)]
+    _patch_group(monkeypatch, group)
+    return group
+
+
+def test_sweep_passes_when_off_cube_masks_cancel_an_off_cube_action(monkeypatch):
+    # Each shift-1 image (r | 8) ^ (m | 8) = r ^ m is the real one, so no
+    # edge fails.
+    _lift_shift_one(monkeypatch, 3)
+    assert verify_sharp_edge_transitivity(Dimension(3)).ok
+
+
+def test_sweep_fails_when_off_cube_masks_meet_an_off_cube_action(monkeypatch):
+    # Each shift-1 image (r | 8) ^ (m | 16) is off the cube, so the least
+    # edge with the shift-1 bit index goes unhit, as for the reference.
+    d = Dimension(3)
+    group = _lift_shift_one(monkeypatch, 4)
+    want = _reference_transitivity(d, group)
     assert not want.ok
     assert verify_sharp_edge_transitivity(d) == want
 
@@ -381,9 +449,8 @@ def test_sharp_edge_transitivity_reports_an_edge_no_image_hits(monkeypatch):
 
 def test_sharp_edge_transitivity_reports_the_least_unhit_edge(monkeypatch):
     # With s=1;m=000 moved off the cube too, two edges go unhit. Edge(0, 2),
-    # its true image, is the smaller by (even_end, bit_index), though its
-    # packed key (bit_index first) is larger than that of Edge(6, 1), the
-    # last element's.
+    # its true image, is the smaller by (even_end, bit_index), though by
+    # (bit_index, even_end) Edge(6, 1), the last element's, comes first.
     d = Dimension(3)
     g_first_s1, g_last = _elements(3)[4], _elements(3)[-1]
     _move_off_cube(monkeypatch, 3, [4, -1])

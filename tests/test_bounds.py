@@ -282,6 +282,15 @@ def test_sampled_experiment_is_seed_deterministic():
     assert a.min_lhs == 7
 
 
+def test_experiment_refuses_samples_and_seeds_that_are_not_ints():
+    exp = build_intersection_experiment(EVEN3)
+    for kwargs in (
+        {"samples": True}, {"samples": 2.0}, {"samples": 2, "seed": 1.5}, {"seed": True}
+    ):
+        with pytest.raises(ValueError, match="must be ints"):
+            run_intersection_experiment(exp, **kwargs)
+
+
 def test_sampled_mean_tracks_exact_mean():
     exp = build_intersection_experiment(EVEN3)
     exact = run_intersection_experiment(exp).mean
