@@ -192,7 +192,8 @@ def verify_sharp_edge_transitivity(
       - each shift's set of listed masks is the parity class of its r, with
         r a vertex of Q_n, so that r ^ m runs over the even vertices.
     Each shift's mask set is matched against the two parity classes once,
-    so an edge costs n shift images and n lookups.
+    so an edge costs n shift images and n lookups; the budget is charged
+    the n |E| shift images, not the |G| |E| pairs the verdict covers.
 
     Only a failing edge is decoded, on its images Edge(r ^ m, c) in group
     order. Its counterexample is (source edge, problem edge): the first
@@ -201,7 +202,7 @@ def verify_sharp_edge_transitivity(
     list is longer than the order, the first image that is no edge of Q_n.
     """
     order = group_order(dim)
-    check_budget("edge-pair transitivity sweep", order * dim.num_edges, budget)
+    check_budget("edge-pair transitivity sweep", dim.n * dim.num_edges, budget)
     edges = all_edges(dim, budget=budget)
     group = enumerate_group(dim, budget=budget)
     masks = [0] * dim.n

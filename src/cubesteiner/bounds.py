@@ -78,8 +78,8 @@ def lower_bound_even(dim: Dimension, s: int) -> Fraction:
     """
     n = dim.n
     half = dim.num_vertices // 2
-    if not 2 <= s <= half:
-        raise ValueError(f"need 2 <= s <= 2^(n-1) = {half}, got s={s}")
+    if type(s) is not int or not 2 <= s <= half:
+        raise ValueError(f"need 2 <= s <= 2^(n-1) = {half}, got s={s!r}")
     return s + Fraction(s * s, n << n) - Fraction(n + 1, 2)
 
 
@@ -309,6 +309,8 @@ class BootstrapCase:
 
 
 def bootstrap_case(dim: Dimension, s: int, d: int) -> BootstrapCase:
+    if type(s) is not int or type(d) is not int:
+        raise ValueError(f"need int s and d, got s={s!r}, d={d!r}")
     if d < s - 1:
         raise ValueError("d below s - 1 is impossible for s terminals")
     n = dim.n
@@ -440,8 +442,8 @@ def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> S
     would be a maximiser containing 0 whose sorted tuple begins with 0 < t,
     so it would come before T.
     """
-    if not 2 <= k <= dim.num_vertices:
-        raise ValueError(f"need 2 <= k <= {dim.num_vertices}, got k={k}")
+    if type(k) is not int or not 2 <= k <= dim.num_vertices:
+        raise ValueError(f"need 2 <= k <= {dim.num_vertices}, got k={k!r}")
     s = min(k, dim.num_vertices // 2)
     lower = lower_bound_even(dim, s) if s >= 2 else Fraction(k - 1)
     cds = best_connected_dominating_set(dim, budget=budget)

@@ -11,8 +11,11 @@ neighbor in it. Constructions provided:
   exactly 2^n/(n+1) words, pairwise at distance >= 3 (never connected for
   n >= 3); the budget caps the 2^n words it scans.
 - steinerize: connect a disconnected dominating set by repeatedly joining
-  the two closest components along a deterministic geodesic; the budget
-  caps the vertex pairs its rounds scan.
+  the two closest components along a deterministic geodesic. Each round
+  finds the closest pair by probing the distance-d rings, d = 2, 3, ...,
+  around the members outside the largest component (every cross pair
+  has such an end, and no two components are adjacent); the budget caps
+  the probes its rounds make.
 - exact: a minimum connected dominating set for n <= 5 from one function,
   `exact_connected_dominating_set`: a pruned branch and bound over vertex
   bitmasks that tests connectivity by a flood fill over closed-neighborhood
@@ -28,7 +31,7 @@ trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import combinations
 
 from .cube import Dimension, VertexSet, _closed_ball, _geodesic, bfs_forest
 from .errors import DEFAULT_BUDGET, check_budget
@@ -144,40 +147,44 @@ def steinerize(
     Each round adds the interior of one deterministic geodesic between the
     two components at minimum Hamming distance (ties: smallest vertex
     pair), merging them; a superset of a dominating set still dominates.
-    A dominating set's closest components are within distance 3, so each
-    merge adds at most min(2, n-1) vertices. Each round scans every pair
-    of vertices in different components, (s^2 - sum |C|^2)/2 of them for
-    s current vertices; the budget caps the running total of pairs,
-    checked before each round's scan.
+
+    A round labels the current vertices by component and probes the rings
+    v = u ^ x, popcount(x) = d, around each vertex u outside the largest
+    component, for d = 2, 3, ...; the first ring that reaches another
+    component gives the round's pair, the least (min(u, v), max(u, v))
+    found in it. This is the closest pair over all components: every
+    pair across two components has an end outside the largest one, no
+    two components are adjacent (so d = 1 finds nothing), and among the
+    pairs at the least distance the least (low, high) is the least
+    (distance, low, high). A dominating set's closest components are
+    within distance 3, so each round probes at most three rings and each
+    merge adds at most min(2, n-1) vertices. The budget caps the running
+    total of probes, (|current| - |largest|) C(n, d) per ring, checked
+    before each ring.
     """
     if not is_dominating(members):
         raise ValueError("steinerize requires a dominating input set")
-    dim = members.dim
-    current = set(members)
-    scanned = 0
-    while True:
-        comps = bfs_forest(dim.n, current)
-        if len(comps) == 1:
-            break
-        scanned += (len(current) ** 2 - sum(len(c) ** 2 for c in comps)) // 2
-        check_budget("steinerize pair scan", scanned, budget)
-        # closest pair across two components: (distance, low, high end).
-        # Each vertex u is scanned against the later components at once;
-        # the smallest v at u's least distance gives u's best pair.
-        flat = [v for comp in comps for v in comp]
-        nearest, end = [], 0
-        for comp in comps[:-1]:
-            end += len(comp)
-            later = flat[end:]
-            for u in comp:
-                dist = list(map(int.bit_count, map(u.__xor__, later)))
-                d = min(dist)
-                v = min(compress(later, map(d.__eq__, dist)))
-                nearest.append((d, min(u, v), max(u, v)))
-        _, a, b = min(nearest)
-        for e in _geodesic(a, b):
+    n = members.dim.n
+    current, probes = set(members), 0
+    while len(comps := bfs_forest(n, current)) > 1:
+        label = {v: i for i, comp in enumerate(comps) for v in comp}
+        largest = comps.index(max(comps, key=len))
+        outside = [(u, i) for u, i in label.items() if i != largest]
+        for d in range(2, n + 1):
+            ring = [sum(1 << b for b in bits) for bits in combinations(range(n), d)]
+            probes += len(outside) * len(ring)
+            check_budget("steinerize pair scan", probes, budget)
+            pairs = [
+                (min(u, v), max(u, v))
+                for u, i in outside
+                for x in ring
+                if label.get(v := u ^ x, i) != i
+            ]
+            if pairs:
+                break
+        for e in _geodesic(*min(pairs)):
             current.update(e.endpoints())
-    return DominatingSetCertificate(VertexSet.of(dim, current), "steinerized")
+    return DominatingSetCertificate(VertexSet.of(members.dim, current), "steinerized")
 
 
 def _is_connected_mask(closed: list[int], members: int) -> bool:

@@ -250,9 +250,8 @@ def test_sample_uniform_frequencies_near_uniform():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_sharp_edge_transitivity_small_dimensions(n):
-    # n <= 8 fits the default budget; Q_9 needs (9 * 2^8)^2 = 5_308_416 pairs
-    kwargs = {"budget": 5_308_416} if n == 9 else {}
-    report = verify_sharp_edge_transitivity(Dimension(n), **kwargs)
+    # the default budget covers the n * |E| shift images up to n = 15
+    report = verify_sharp_edge_transitivity(Dimension(n))
     assert report.ok
     assert report.counterexample is None
     assert report.group_size == report.edge_count == n * 2 ** (n - 1)

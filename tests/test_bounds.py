@@ -80,6 +80,12 @@ def test_lower_bound_even_range():
         lower_bound_even(D3, 5)
 
 
+@pytest.mark.parametrize("s", [2.0, True, Fraction(2)])
+def test_lower_bound_even_refuses_a_size_that_is_not_an_int(s):
+    with pytest.raises(ValueError, match="need 2 <= s"):
+        lower_bound_even(D3, s)
+
+
 def test_trivial_lower_floor():
     assert trivial_lower_floor(EVEN3) == 4
     assert trivial_lower_floor(VertexSet.of(D3, [3, 5])) == 2
@@ -497,6 +503,12 @@ def test_bootstrap_cases():
         bootstrap_case(D4, 8, 6)
 
 
+@pytest.mark.parametrize("s, d", [(True, 1), (4, 5.0), (4.0, 5), (4, False)])
+def test_bootstrap_case_refuses_arguments_that_are_not_ints(s, d):
+    with pytest.raises(ValueError, match="need int s and d"):
+        bootstrap_case(D3, s, d)
+
+
 def test_bootstrap_grid_small():
     for n in range(1, 7):
         dim = Dimension(n)
@@ -590,6 +602,12 @@ def test_sdiam_lower_bound_caps_at_even_class():
     rep = sdiam_sandwich(D3, 6)
     assert rep.lower == lower_bound_even(D3, 4)
     assert sdiam_sandwich(D3, 2).lower == lower_bound_even(D3, 2)
+
+
+@pytest.mark.parametrize("k", [3.0, True, Fraction(3)])
+def test_sdiam_sandwich_refuses_a_size_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match="need 2 <= k"):
+        sdiam_sandwich(D3, k)
 
 
 def test_sdiam_small_cubes():

@@ -4,7 +4,9 @@ import io
 import json
 import random
 import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -369,11 +371,12 @@ def test_group_verify_q8_json_is_pinned(run):
     )
 
 
-def test_group_verify_q9_exceeds_the_default_budget(run):
-    code, out, err = run(["group-verify", "--n", "9"])
+def test_group_verify_q16_exceeds_the_default_budget(run):
+    # charged its n * |E| = 16 * 2^19 shift images
+    code, out, err = run(["group-verify", "--n", "16"])
     assert (code, out) == (3, "")
     assert (
-        "edge-pair transitivity sweep: projected 5308416 units exceeds budget 4194304"
+        "edge-pair transitivity sweep: projected 8388608 units exceeds budget 4194304"
         in err
     )
 
@@ -516,6 +519,24 @@ def test_cds_report_is_pinned(run, n):
     assert (code, err) == (0, "")
     header = f"command: cds\nseed: 0\nbudget_states: 4194304\nn: {n}\n"
     assert out == header + CDS_REPORTS[n]
+
+
+def test_cds_q12_answers_under_the_default_budget(run):
+    # greedy needs 2,097,152 units and steinerizing its set 3,200,142
+    code, out, err = run(["cds", "--n", "12"])
+    assert (code, err) == (0, "")
+    fields = _parse_text(out)
+    assert fields["steinerized_greedy_size"] == "763"
+    assert fields["best_size"] == "763"
+
+
+def test_cds_q13_refuses_at_greedy(run):
+    code, out, err = run(["cds", "--n", "13"])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error[budget]: greedy domination sweep: projected 4800512 units "
+        "exceeds budget 4194304\n"
+    )
 
 
 def test_cds_builds_each_construction_once(run, monkeypatch):
@@ -766,11 +787,11 @@ def test_greedy_refuses_before_building_its_masks(run, monkeypatch, argv):
 
 
 def test_steinerize_pair_scan_is_charged(run):
-    # steinerizing the greedy set of Q_9 scans 67,260 pairs in all
-    code, out, err = run(["cds", "--n", "9", "--budget-states", "60000"])
+    # greedy on Q_9 needs 32,768 units and steinerizing its set 47,556
+    code, out, err = run(["cds", "--n", "9", "--budget-states", "40000"])
     assert (code, out) == (3, "")
     assert "error[budget]: steinerize pair scan: projected" in err
-    assert "exceeds budget 60000" in err
+    assert "exceeds budget 40000" in err
 
 
 def test_sampled_experiment_fits_a_budget_below_the_edge_count(run):
@@ -880,3 +901,25 @@ def test_repeat_runs_are_byte_identical(run, argv, fmt):
     second = run(argv + ["--format", fmt])
     assert first == second
     assert first[0] == 0
+
+
+def _readme_block(after):
+    # the first fenced block following the line `after` in README.md
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rest = text[text.index(after) :]
+    start = rest.index("```\n") + 4
+    return rest[start : rest.index("```", start)]
+
+
+def test_readme_command_examples_run(run, tmp_path, monkeypatch):
+    instance = tmp_path / "instances" / "my_set.txt"
+    instance.parent.mkdir()
+    instance.write_text(_readme_block("Instance files carry their own dimension:"))
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_block("## Command line").splitlines()
+    assert len(lines) == 7
+    for line in lines:
+        program, *argv = shlex.split(line)
+        assert program == "cubesteiner"
+        code, _, err = run(argv)
+        assert (code, err) == (0, ""), line

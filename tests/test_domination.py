@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from cubesteiner import domination
 from cubesteiner.cube import (
@@ -286,33 +286,118 @@ def test_steinerize_keeps_connected_input():
 
 
 def test_steinerize_budget_caps_the_pairs_it_scans():
-    # the greedy set of Q_9 needs 67,260 cross-component pairs in all
+    # the greedy set of Q_9 needs 47,556 ring probes in all
     base = greedy_dominating_set(Dimension(9)).vertex_set
-    assert steinerize(base, budget=67_260).connected
+    assert steinerize(base, budget=47_556).connected
     with pytest.raises(BudgetExceededError, match="steinerize pair scan"):
-        steinerize(base, budget=67_259)
+        steinerize(base, budget=47_555)
+
+
+def _pairwise_closest_merge(base):
+    # reference: every cross-component pair keyed (distance, low, high);
+    # returns the connected set and each round's components
+    dim = base.dim
+    current, rounds = set(base), []
+    while len(comps := bfs_forest(dim.n, current)) > 1:
+        rounds.append(comps)
+        _, a, b = min(
+            (hamming_distance(dim, u, v), min(u, v), max(u, v))
+            for i, comp in enumerate(comps)
+            for other in comps[i + 1 :]
+            for u in comp
+            for v in other
+        )
+        for e in _geodesic(a, b):
+            current.update(e.endpoints())
+    return sorted(current), rounds
 
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_steinerize_matches_pairwise_closest_merge(n):
-    # reference: every cross-component pair keyed (distance, low, high)
     dim = Dimension(n)
     bases = [greedy_dominating_set(dim).vertex_set]
     if n == 7:
         bases.append(hamming_code_dominating_set(dim).vertex_set)
     for base in bases:
-        current = set(base)
-        while len(comps := bfs_forest(n, current)) > 1:
-            _, a, b = min(
-                (hamming_distance(dim, u, v), min(u, v), max(u, v))
-                for i, comp in enumerate(comps)
-                for other in comps[i + 1 :]
+        assert list(steinerize(base).vertex_set) == _pairwise_closest_merge(base)[0]
+
+
+@st.composite
+def dominating_sets(draw):
+    # Random seeds, each uncovered vertex then covered by itself or a
+    # drawn neighbour. With `antipodal`, every vertex brings v ^ (2^n - 1)
+    # along, so components come in antipodal pairs and the largest one is
+    # often tied with its mirror image.
+    n = draw(st.integers(2, 7))
+    top = (1 << n) - 1
+    antipodal = draw(st.booleans())
+    chosen = set(draw(st.lists(st.integers(0, top), max_size=12)))
+    flips = draw(st.lists(st.integers(0, n), min_size=1, max_size=16))
+    covered = set()
+
+    def add(v):
+        for w in {v, v ^ top} if antipodal else {v}:
+            chosen.add(w)
+            covered.update([w] + [w ^ (1 << b) for b in range(n)])
+
+    for v in list(chosen):
+        add(v)
+    for v in range(top + 1):
+        if v not in covered:
+            b = flips[v % len(flips)]
+            add(v if b == n else v ^ (1 << b))
+    return VertexSet.of(Dimension(n), chosen)
+
+
+@given(dominating_sets())
+def test_steinerize_matches_pairwise_closest_merge_on_random_sets(base):
+    assert list(steinerize(base).vertex_set) == _pairwise_closest_merge(base)[0]
+
+
+def test_dominating_sets_strategy_ties_the_largest_components():
+    def tied(base):
+        sizes = sorted(map(len, bfs_forest(base.dim.n, base)))
+        return len(sizes) > 1 and sizes[-1] == sizes[-2] > 1
+
+    find(dominating_sets(), tied, settings=settings(database=None))
+
+
+def test_steinerize_charges_the_probes_it_makes(monkeypatch):
+    # Each ring probes u ^ x for every member u outside the largest
+    # component and every x of popcount d; the rings run from d = 2 to the
+    # first one that reaches another component. The probes are counted
+    # here by brute force and must equal the running totals charged.
+    charged = []
+
+    def recording_check_budget(what, projected, limit):
+        if what == "steinerize pair scan":
+            charged.append(projected)
+        return check_budget(what, projected, limit)
+
+    monkeypatch.setattr(domination, "check_budget", recording_check_budget)
+    bases = [greedy_dominating_set(Dimension(n)).vertex_set for n in range(3, 10)]
+    bases.append(hamming_code_dominating_set(Dimension(7)).vertex_set)
+    for base in bases:
+        n = base.dim.n
+        charged.clear()
+        steinerize(base)
+        expected, probes = [], 0
+        for comps in _pairwise_closest_merge(base)[1]:
+            largest = max(comps, key=len)
+            reach = min(
+                (u ^ v).bit_count()
+                for comp in comps
+                if comp is not largest
+                for other in comps
+                if other is not comp
                 for u in comp
                 for v in other
             )
-            for e in _geodesic(a, b):
-                current.update(e.endpoints())
-        assert list(steinerize(base).vertex_set) == sorted(current)
+            outside = sum(len(comp) for comp in comps if comp is not largest)
+            for d in range(2, reach + 1):
+                probes += outside * sum(x.bit_count() == d for x in range(1 << n))
+                expected.append(probes)
+        assert charged == expected
 
 
 def test_steinerize_rejects_non_dominating():
