@@ -169,19 +169,21 @@ def build_intersection_experiment(
     of the terminals and of two neighbours of a vertex, dp'[mask][phi(v)] =
     dp[mask][v], half-splits read values only, geodesics flip the same bits.
 
-    T is the tree `_dp_solve` rebuilds from the rooted DP with unit weights
-    on S itself, even where `steiner_exact` would answer by the
-    Steiner-vertex search or by the DP on S's column classes: the overlap
-    statistics (max_overlap, min_lhs, sampled means) depend on which optimal
-    tree T is, and the statement above about phi is one about that tree.
-    `_dp_solve` charges the budget that DP's own work, 2^(k-1) rows of 2^n
-    fields, and nothing for a single terminal."""
+    T comes from the dispatch's DP entry `steiner._dp_solve`, called on the
+    trivial reduction (one class per coordinate, base 0) rather than on S's
+    column classes: the tree the rooted DP rebuilds with unit weights on S
+    itself, even where `steiner_exact` would answer by the Steiner-vertex
+    search or by the column classes. The overlap statistics (max_overlap,
+    min_lhs, sampled means) depend on which optimal tree T is, and the
+    statement above about phi is one about that tree. `_dp_solve` charges
+    the budget its 2^(k-1) rows of 2^n fields, and nothing for a single
+    terminal."""
     if any(parity(v) for v in terminals):
         raise ValueError("experiment requires an all-even terminal set")
     dim = terminals.dim
     mirrored = mirror_set(terminals)
     members = SteinerInstance(dim, terminals).terminals.members
-    d, edges = _dp_solve((1,) * dim.n, members, budget, witness=True)
+    d, edges = _dp_solve([1 << b for b in range(dim.n)], 0, members, budget, witness=True)
     tree = _certified_tree(dim, edges, members)
     edges = (_edge(e.even_end ^ 1, e.bit_index) for e in tree.edges)
     mtree = _certified_tree(dim, edges, mirrored)

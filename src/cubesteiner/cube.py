@@ -73,25 +73,6 @@ def _closed_ball(n: int, v: int) -> int:
     return m
 
 
-def _block_masks(n: int, w: int) -> list[int]:
-    """low[b] is all ones on the w-bit fields of the vertices with bit b
-    clear, for a row packing one w-bit field per vertex v of Q_n in bits
-    w*v .. w*v + w - 1: the lower half of a row for b = n - 1, halved
-    blocks below that."""
-    low = [0] * n
-    m = (1 << (w << n >> 1)) - 1
-    for b in reversed(range(n)):
-        low[b] = m
-        m ^= m << (w << b >> 1)
-    return low
-
-
-def _across(row: int, lo: int, s: int) -> int:
-    """Move every field of a row to the vertex across coordinate b, given
-    lo = low[b] and s = w << b: the blocks of 2^b fields swap pairwise."""
-    return ((row >> s) & lo) | ((row & lo) << s)
-
-
 def hamming_distance(dim: Dimension, u: int, v: int) -> int:
     """Graph distance between two vertices of Q_n (popcount of the XOR)."""
     check_vertex(dim, u)
@@ -250,7 +231,7 @@ def parity_class(
 def vertex_to_string(dim: Dimension, v: int) -> str:
     """Coordinate string v_0 v_1 ... v_{n-1} (position i = coordinate i)."""
     check_vertex(dim, v)
-    return "".join("1" if (v >> i) & 1 else "0" for i in range(dim.n))
+    return format(v, f"0{dim.n}b")[::-1]
 
 
 def canonical_int(text: str) -> int:

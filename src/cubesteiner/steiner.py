@@ -14,8 +14,8 @@ which S + A induces a connected subgraph. Three routes compute it:
   the other k - 1 terminals and reads d(S) = dp[S - r][r], in
   O(3^(k-1) 2^n + 2^(k-1) 2^n n) time (`_subset_dp`). It takes one weight
   m_b >= 1 per coordinate, the cost of an edge across b; all ones is Q_n.
-  `_dp_solve` is its one entry, and rebuilds a tree from its values when
-  asked.
+  `_dp_solve` is its one entry: it takes a reduction of S to a weighted
+  cube (below), and rebuilds a tree of Q_n from its values when asked.
 - the Steiner-vertex search: a branch-and-bound over the Steiner vertices
   A (`_steiner_vertex_search`), fast when S is dense and A small, exactly
   where the DP's 3^(k-1) merge work is largest.
@@ -40,10 +40,11 @@ d(S) = k - 1 + |A| and the witness is the BFS spanning tree of S + A: it
 has |S| + |A| - 1 = d(S) edges, and every leaf is a terminal, because
 S + A - a stays connected when a is a leaf, so a leaf a in A would
 contradict the minimality of |A|. Every other set, a single terminal
-included, and a search that runs past its allowance go to the DP on S's
-column classes (`_class_dp_solve`), the one DP path, which rebuilds its
-tree only when a witness is asked for. The overlap experiment keeps the
-unit-weight DP's tree on S itself on every set (see
+included, and a search that runs past its allowance go to `_dp_solve` on
+S's column classes (`_column_classes`), which rebuilds its tree only when
+a witness is asked for. The overlap experiment calls the same entry on
+the trivial reduction, one class per coordinate and base 0, so its tree
+is the unit-weight DP's tree on S itself on every set (see
 `bounds.build_intersection_experiment`).
 
 Column classes. XOR with the first terminal r is an automorphism, so take
@@ -58,19 +59,22 @@ sit at path ends. By the Hanan grid theorem for rectilinear Steiner trees,
 which holds in every dimension (Hanan, SIAM J. Appl. Math. 1966; Snyder,
 SIAM J. Comput. 1992), some minimum tree uses path ends only: it lives in
 Q_c with weight m_i on direction i, which the DP solves in rows of 2^c
-fields. Each edge of class i at x (bit i clear) lifts to the m_i cube
-edges that flip C_i's coordinates in increasing order from r ^ lift(x);
-distinct edges lift to paths sharing no edge or inner vertex, so the
-lifted tree has d(S) edges and only terminal leaves, and `validate_tree`
-certifies it. When all n columns are distinct and nonzero, c = n: the
-reduced terminals are the translate of S by r, with unit weights, and
-each edge lifts to one edge.
+fields. `_column_classes` returns this reduction as the class masks, the
+base r and the reduced terminals x_t, with r ^ lift(x_t) = t, and
+`_dp_solve` takes it whole. Each edge of class i at x (bit i clear)
+lifts to the m_i cube edges that flip C_i's coordinates in increasing
+order from r ^ lift(x); distinct edges lift to paths sharing no edge or
+inner vertex, so the lifted tree has d(S) edges and only terminal leaves,
+and `validate_tree` certifies it. One class per coordinate with base 0
+is the trivial reduction, S itself with unit weights, where each edge
+lifts to itself; when all n columns are distinct and nonzero, S's own
+classes are that too, translated by r.
 
 A SteinerInstance checks its terminals once, when it is built. The
-dispatch `_solve` and `_class_dp_solve` take its dimension and sorted
-terminal tuple, and `_dp_solve` a weight vector and a terminal tuple;
-none checks them again, so the `sdiam` sweep passes the tuples it
-generates straight in.
+dispatch `_solve` takes its dimension and sorted terminal tuple,
+`_column_classes` the tuple, and `_dp_solve` a reduction; none checks
+them again, so the `sdiam` sweep passes the tuples it generates straight
+in.
 
 The DP keeps each row dp[mask] (one value per vertex) packed in one Python
 int, one w-bit field per vertex, and updates whole rows with big-int
@@ -93,7 +97,9 @@ starting at the state (S - r, r); field v of a row is read as
 (row >> w*v) & (2^w - 1). At a state (mask, v) the first half-split of
 mask, in increasing submask order, whose two values sum to dp[mask][v] is
 followed; failing that, the smallest neighbour u across some b with
-dp[mask][u] = dp[mask][v] - m_b is.
+dp[mask][u] = dp[mask][v] - m_b is. A single terminal's state ends in the
+reduced geodesic from it to v. Every reduced edge is lifted to Q_n as it
+is emitted, so the rebuild yields Q_n edges and never a reduced tree.
 """
 
 from __future__ import annotations
@@ -106,8 +112,6 @@ from .cube import (
     Dimension,
     Edge,
     VertexSet,
-    _across,
-    _block_masks,
     _closed_ball,
     _edge,
     _geodesic,
@@ -257,6 +261,25 @@ def _pmin(a: int, b: int, guard: int, shift: int) -> int:
     return a ^ ((a ^ b) & ((t << 1) - (t >> shift)))
 
 
+def _block_masks(n: int, w: int) -> list[int]:
+    """low[b] is all ones on the w-bit fields of the vertices with bit b
+    clear, for a row packing one w-bit field per vertex v of Q_n in bits
+    w*v .. w*v + w - 1: the lower half of a row for b = n - 1, halved
+    blocks below that."""
+    low = [0] * n
+    m = (1 << (w << n >> 1)) - 1
+    for b in reversed(range(n)):
+        low[b] = m
+        m ^= m << (w << b >> 1)
+    return low
+
+
+def _across(row: int, lo: int, s: int) -> int:
+    """Move every field of a row to the vertex across coordinate b, given
+    lo = low[b] and s = w << b: the blocks of 2^b fields swap pairwise."""
+    return ((row >> s) & lo) | ((row & lo) << s)
+
+
 def _subset_dp(terms: list[int], weights: tuple[int, ...]) -> tuple[list[int], int]:
     """Every row dp[mask], mask = 0 .. 2^k - 1, packed, and the field width,
     on the cube Q_n, n = len(weights), whose edges across coordinate b
@@ -311,10 +334,10 @@ def _dp_projection(n: int, k: int) -> int:
     """The up-front ceiling on one exact solve of a k-set of Q_n, k >= 1:
     the rooted DP's 2^(k-1) rows times 2^c fields a row, at the most
     column classes a k-set can have, c = min(n, 2^(k-1) - 1). It bounds
-    what `_class_dp_solve` charges for any k-set of Q_n. `_solve` charges
-    it before a search, where n < k <= 2^(k-1) makes it 2^(k-1) 2^n,
-    above the search's 2^n-bit masks; the `sdiam` sweep charges it once
-    per swept set."""
+    what `_dp_solve` charges on the column classes of any k-set of Q_n.
+    `_solve` charges it before a search, where n < k <= 2^(k-1) makes it
+    2^(k-1) 2^n, above the search's 2^n-bit masks; the `sdiam` sweep
+    charges it once per swept set."""
     rows = 1 << (k - 1)
     return rows << min(n, rows - 1)
 
@@ -397,75 +420,17 @@ def _steiner_vertex_search(
     return found
 
 
-def _dp_solve(
-    weights: tuple[int, ...], terms: tuple[int, ...], budget: int, *, witness: bool
-) -> tuple[int, Optional[set[Edge]]]:
-    """The rooted DP's distance and, with `witness`, the edges of the tree
-    rebuilt from its values, on the cube whose edges across coordinate b
-    cost weights[b] (`_subset_dp`); without `witness` the edges are None
-    for k > 1. `terms` is a nonempty tuple of distinct vertices.
+def _column_classes(terms: tuple[int, ...]) -> tuple[list[int], int, tuple[int, ...]]:
+    """S's column classes as the reduction `_dp_solve` takes: the
+    coordinate masks of the classes, in order of each class's lowest
+    coordinate, the base r = terms[0], and the reduced terminals.
 
-    The DP is rooted at r = terms[0] (Dreyfus-Wagner): it runs over the
-    other k - 1 terminals only, and d(S) = dp[full][r] with full the mask
-    of all of them, since a tree spanning them together with r spans S.
-    A single terminal returns before any row is built, and is charged
-    nothing; otherwise the budget is charged the 2^(k-1) rows of 2^c
-    fields, c = len(weights), before the first is built. The tree is
-    rebuilt from the packed values, starting at (full, r); its edge
-    weights add up to d(S). The caller certifies the tree.
-    """
-    k = len(terms)
-    if k == 1:
-        return 0, set()
-
-    root, others = terms[0], terms[1:]
-    full = (1 << (k - 1)) - 1
-    check_budget("subset DP states", (full + 1) << len(weights), budget)
-    dp, w = _subset_dp(others, weights)
-    field = (1 << w) - 1
-    dist = dp[full] >> (w * root) & field
-    if not witness:
-        return dist, None
-
-    edges: set[Edge] = set()
-    stack = [(full, root)]
-    while stack:
-        mask, v = stack.pop()
-        if mask & (mask - 1) == 0:
-            edges.update(_geodesic(others[mask.bit_length() - 1], v))
-            continue
-        row = dp[mask]
-        at = w * v
-        here = row >> at & field
-        for sub in _half_splits(mask):
-            if (dp[sub] >> at & field) + (dp[mask ^ sub] >> at & field) == here:
-                stack.append((sub, v))
-                stack.append((mask ^ sub, v))
-                break
-        else:
-            u = min(
-                v ^ (1 << b)
-                for b, m in enumerate(weights)
-                if row >> (w * (v ^ (1 << b))) & field == here - m
-            )
-            edges.add(_edge(v, (u ^ v).bit_length() - 1))
-            stack.append((mask, u))
-
-    weight = sum(weights[e.bit_index] for e in edges)
-    if weight != dist:
-        raise AssertionError(f"witness weighs {weight} but DP value is {dist}")
-    return dist, edges
-
-
-def _column_classes(terms: tuple[int, ...]) -> list[int]:
-    """The coordinate masks of S's column classes, in order of each
-    class's lowest coordinate.
-
-    Coordinate b's column is its bit in t ^ r over the other terminals t,
-    r = terms[0] (bit j for terms[j + 1]), read in one pass over the set
-    bits of each t ^ r; zero columns are dropped and equal ones form a
-    class. All coordinates of a class share its column, so each t ^ r
-    holds all of a class's coordinates or none.
+    Coordinate b's column is its bit in t ^ r over the other terminals t
+    (bit j for terms[j + 1]), read in one pass over the set bits of each
+    t ^ r; zero columns are dropped and equal ones form a class. All
+    coordinates of a class share its column, so each t ^ r holds all of a
+    class's coordinates or none, and reduced terminal x_t has bit i set
+    where t ^ r meets class i's mask: r ^ lift(x_t) = t and x_r = 0.
     """
     r = terms[0]
     columns: dict[int, int] = {}
@@ -481,48 +446,89 @@ def _column_classes(terms: tuple[int, ...]) -> list[int]:
     for bit in sorted(columns):
         column = columns[bit]
         classes[column] = classes.get(column, 0) | bit
-    return list(classes.values())
-
-
-def _class_dp_solve(
-    dim: Dimension, terms: tuple[int, ...], budget: int, *, witness: bool
-) -> tuple[int, Optional[SteinerTree]]:
-    """d(S) and, with `witness`, a certified tree, from the rooted DP on
-    the weighted cube Q_c of S's column classes (see the module
-    docstring); without `witness` the tree is None. `_dp_solve` charges
-    the budget its 2^(k-1) rows of 2^c fields.
-
-    Class i has weight m_i, its coordinate count. Reduced terminal x_t has
-    bit i set where class i's column is 1 at t, that is where t ^ r meets
-    the class's coordinate mask, which it holds whole or not at all. So
-    r ^ lift(x_t) = t, with lift(x) the OR of the coordinate masks of the
-    classes in x, and x_r = 0. The reduced tree is lifted edge by edge: an
-    edge of class i with end x (bit i clear) becomes the m_i cube edges
-    that flip the class's coordinates in increasing order from
-    r ^ lift(x). Where all n columns are distinct and nonzero, class i is
-    coordinate i, x_t = t ^ r with unit weights, and each edge lifts to
-    one edge.
-    """
-    masks = _column_classes(terms)
-    r = terms[0]
+    masks = list(classes.values())
     reduced = [0] * len(terms)
     for i, m in enumerate(masks):
         for j, t in enumerate(terms):
             if (t ^ r) & m:
                 reduced[j] |= 1 << i
+    return masks, r, tuple(reduced)
+
+
+def _dp_solve(
+    masks: list[int], base: int, terms: tuple[int, ...], budget: int, *, witness: bool
+) -> tuple[int, Optional[set[Edge]]]:
+    """d(S) from the rooted DP on the reduced cube Q_c, c = len(masks),
+    and, with `witness`, the Q_n edges of the tree rebuilt from its
+    values; without `witness` the edges are None for k > 1.
+
+    Direction i of Q_c stands for the coordinates of masks[i] (disjoint
+    and nonempty) and weighs their count (`_subset_dp`). `terms` are the
+    reduced terminals, a nonempty tuple of distinct vertices of Q_c;
+    reduced vertex x stands for base ^ lift(x) of Q_n, lift(x) the OR of
+    masks[i] over the bits i of x. `_column_classes` gives S's reduction;
+    one class per coordinate with base 0 is S itself on unit weights.
+    The DP is rooted at r = terms[0] (Dreyfus-Wagner): it runs over the
+    other k - 1 terminals only, and d(S) = dp[full][r] with full the mask
+    of all of them, since a tree spanning them together with r spans S.
+    A single terminal returns before any row is built, and is charged
+    nothing; otherwise the budget is charged the 2^(k-1) rows of 2^c
+    fields before the first is built. The tree is rebuilt from the packed
+    values, starting at (full, r), and each edge is lifted as it is
+    emitted: an edge across i at x (bit i clear) becomes the m_i cube
+    edges that flip masks[i]'s coordinates in increasing order from
+    base ^ lift(x). Their count must equal d(S); the caller certifies the
+    tree.
+    """
+    k = len(terms)
+    if k == 1:
+        return 0, set()
+
     weights = tuple(m.bit_count() for m in masks)
-    dist, edges = _dp_solve(weights, tuple(reduced), budget, witness=witness)
+    root, others = terms[0], terms[1:]
+    full = (1 << (k - 1)) - 1
+    check_budget("subset DP states", (full + 1) << len(masks), budget)
+    dp, w = _subset_dp(others, weights)
+    field = (1 << w) - 1
+    dist = dp[full] >> (w * root) & field
     if not witness:
         return dist, None
-    lifted = []
-    for e in edges:
-        x = e.even_end & ~(1 << e.bit_index)
-        v = r
-        for i, mask in enumerate(masks):
-            if x >> i & 1:
-                v ^= mask
-        lifted += _geodesic(v, v ^ masks[e.bit_index])
-    return dist, _certified_tree(dim, lifted, terms)
+
+    def lift(e: Edge) -> list[Edge]:
+        i = e.bit_index
+        x = e.even_end & ~(1 << i)
+        # the masks are disjoint, so their sum is their OR
+        v = base ^ sum(m for j, m in enumerate(masks) if x >> j & 1)
+        return _geodesic(v, v ^ masks[i])
+
+    edges: set[Edge] = set()
+    stack = [(full, root)]
+    while stack:
+        mask, v = stack.pop()
+        if mask & (mask - 1) == 0:
+            for e in _geodesic(others[mask.bit_length() - 1], v):
+                edges.update(lift(e))
+            continue
+        row = dp[mask]
+        at = w * v
+        here = row >> at & field
+        for sub in _half_splits(mask):
+            if (dp[sub] >> at & field) + (dp[mask ^ sub] >> at & field) == here:
+                stack.append((sub, v))
+                stack.append((mask ^ sub, v))
+                break
+        else:
+            u = min(
+                v ^ (1 << b)
+                for b, m in enumerate(weights)
+                if row >> (w * (v ^ (1 << b))) & field == here - m
+            )
+            edges.update(lift(_edge(v, (u ^ v).bit_length() - 1)))
+            stack.append((mask, u))
+
+    if len(edges) != dist:
+        raise AssertionError(f"lifted tree has {len(edges)} edges but DP value is {dist}")
+    return dist, edges
 
 
 def _solve(
@@ -532,11 +538,11 @@ def _solve(
     module docstring): where S has more terminals than Q_n has coordinates
     (n < k), the budget charge `_dp_projection`, then the Steiner-vertex
     search within the rooted DP's work on Q_n; every other set and a
-    search past its allowance go to the DP on the column classes
-    (`_class_dp_solve`), which charges the rows it builds.
+    search past its allowance go to `_dp_solve` on S's column classes,
+    which charges the rows it builds.
     `terms` is sorted, nonempty and inside Q_n, as a `SteinerInstance`
     holds it; nothing here checks that again. Without `witness` the tree
-    may be None."""
+    is None."""
     k = len(terms)
     n = dim.n
     if n < k:
@@ -550,7 +556,8 @@ def _solve(
             [parent] = bfs_forest(n, set(terms).union(added))
             edges = (_edge(v, (v ^ p).bit_length() - 1) for v, p in parent.items() if v != p)
             return dist, _certified_tree(dim, edges, terms)
-    return _class_dp_solve(dim, terms, budget, witness=witness)
+    dist, edges = _dp_solve(*_column_classes(terms), budget, witness=witness)
+    return dist, _certified_tree(dim, edges, terms) if witness else None
 
 
 def steiner_distance(inst: SteinerInstance, *, budget: int = DEFAULT_BUDGET) -> int:
@@ -570,7 +577,7 @@ def steiner_exact(
     When the Steiner-vertex search finds a minimum A, the witness is the
     BFS spanning tree of S + A, with |S| + |A| - 1 = d(S) edges; otherwise
     it is the rooted DP's tree on S's column classes, lifted back to Q_n
-    (`_class_dp_solve`).
+    (`_dp_solve`).
     """
     dist, tree = _solve(inst.dim, inst.terminals.members, budget, witness=True)
     assert tree is not None

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import re
 import sys
 import types
 from pathlib import Path
@@ -87,3 +88,42 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def _documented_names():
+    """(where, name) for each backticked `module.name` naming a package
+    module, and each backticked `_name`, in README.md and in the package's
+    source, whose backticks stand in docstrings and comments only."""
+    package = Path(cubesteiner.__file__).parent
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__"}
+    sources = [package.parent.parent / "README.md", *sorted(package.glob("*.py"))]
+    for path in sources:
+        for span in re.findall(r"`([^`\n]+)`", path.read_text(encoding="utf-8")):
+            span = re.sub(r"\(.*\)$", "", span)
+            dotted = re.fullmatch(r"(?:cubesteiner\.)?(\w+)\.(\w+)", span)
+            if dotted and dotted[1] in modules:
+                yield path.name, dotted[1], dotted[2]
+            elif re.fullmatch(r"_\w+", span):
+                yield path.name, None, span
+
+
+def test_documentation_names_resolve():
+    # a renamed or deleted helper must not live on in the prose
+    package = Path(cubesteiner.__file__).parent
+    modules = [
+        importlib.import_module(f"cubesteiner.{p.stem}")
+        for p in sorted(package.glob("*.py"))
+        if p.stem != "__init__"
+    ]
+    missing = []
+    seen = 0
+    for where, module, name in _documented_names():
+        seen += 1
+        if module is not None:
+            found = hasattr(importlib.import_module(f"cubesteiner.{module}"), name)
+        else:
+            found = any(hasattr(m, name) for m in modules)
+        if not found:
+            missing.append((where, module, name))
+    assert missing == []
+    assert seen >= 20

@@ -204,7 +204,7 @@ def test_experiment_pairs_isomorphic_instances():
     assert exp.distance == 5
     assert exp.mirrored.members == parity_class(D3, 1).members
     assert len(exp.tree.edges) == len(exp.mirror_tree.edges) == 5
-    d, medges = _dp_solve((1,) * 3, exp.mirrored.members, DEFAULT_BUDGET, witness=True)
+    d, medges = _dp_solve([1, 2, 4], 0, exp.mirrored.members, DEFAULT_BUDGET, witness=True)
     assert d == 5
     assert medges == exp.mirror_tree.edges
     assert {v ^ 1 for v in exp.tree.vertices} == exp.mirror_tree.vertices
@@ -213,7 +213,8 @@ def test_experiment_pairs_isomorphic_instances():
 def _assert_mirror_tree_is_dp_tree(members):
     exp = build_intersection_experiment(members)
     n = members.dim.n
-    d, medges = _dp_solve((1,) * n, mirror_set(members).members, DEFAULT_BUDGET, witness=True)
+    units = [1 << b for b in range(n)]
+    d, medges = _dp_solve(units, 0, mirror_set(members).members, DEFAULT_BUDGET, witness=True)
     assert d == exp.distance
     assert medges == exp.mirror_tree.edges
 
@@ -239,15 +240,15 @@ def test_mirror_tree_equals_dp_solve_of_mirror_q7():
 def test_experiment_runs_one_exact_solve(monkeypatch):
     calls = []
 
-    def counting(weights, terms, budget, *, witness):
-        calls.append((weights, terms, witness))
-        return _dp_solve(weights, terms, budget, witness=witness)
+    def counting(masks, base, terms, budget, *, witness):
+        calls.append((masks, base, terms, witness))
+        return _dp_solve(masks, base, terms, budget, witness=witness)
 
     monkeypatch.setattr("cubesteiner.bounds._dp_solve", counting)
     members = VertexSet.of(D4, [0, 3, 5, 9])
     exp = build_intersection_experiment(members)
     # unit weights on the terminals themselves, not on their column classes
-    assert calls == [((1,) * 4, members.members, True)]
+    assert calls == [([1, 2, 4, 8], 0, members.members, True)]
     validate_tree(exp.mirror_tree, exp.mirrored)
 
 
@@ -643,10 +644,10 @@ def test_report_and_sweep_never_build_a_witness(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("witness solver called")
 
-    def distance_only(weights, terms, budget, *, witness):
+    def distance_only(masks, base, terms, budget, *, witness):
         if witness:
             refuse()
-        return _dp_solve(weights, terms, budget, witness=False)
+        return _dp_solve(masks, base, terms, budget, witness=False)
 
     monkeypatch.setattr("cubesteiner.bounds._dp_solve", distance_only)
     monkeypatch.setattr("cubesteiner.steiner._dp_solve", distance_only)

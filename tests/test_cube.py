@@ -216,6 +216,17 @@ def test_vertex_string_round_trip(n, data):
     assert parse_vertex(d, vertex_to_string(d, v)) == v
 
 
+def test_vertex_string_ends_of_q64_and_invalid_vertices():
+    d = Dimension(64)
+    assert vertex_to_string(d, 0) == "0" * 64
+    assert vertex_to_string(d, 1) == "1" + "0" * 63
+    assert vertex_to_string(d, 1 << 63) == "0" * 63 + "1"
+    assert vertex_to_string(d, (1 << 64) - 1) == "1" * 64
+    for bad in (True, -1, 1 << 64, 2.0):
+        with pytest.raises(ValueError):
+            vertex_to_string(d, bad)
+
+
 def test_parse_vertex_errors():
     d = Dimension(3)
     with pytest.raises(ParseError):

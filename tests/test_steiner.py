@@ -27,7 +27,6 @@ from cubesteiner.steiner import (
     _across,
     _block_masks,
     _certified_tree,
-    _class_dp_solve,
     _column_classes,
     _dp_projection,
     _dp_solve,
@@ -48,6 +47,11 @@ D4 = Dimension(4)
 
 def _inst(dim, vertices):
     return SteinerInstance.from_vertices(dim, vertices)
+
+
+def _units(n):
+    """The trivial reduction's class masks: one class per coordinate."""
+    return [1 << b for b in range(n)]
 
 
 def test_instance_rejects_empty_and_duplicates():
@@ -433,7 +437,7 @@ def test_nine_bit_fields_on_a_q4_set_embedded_in_q13(monkeypatch):
 
     monkeypatch.setattr(steiner, "_subset_dp", recording_dp)
     # 2^10 rows of 2^13 fields
-    d13, edges = _dp_solve((1,) * 13, tuple(sorted(lifted)), 1 << 23, witness=True)
+    d13, edges = _dp_solve(_units(13), 0, tuple(sorted(lifted)), 1 << 23, witness=True)
     assert widths == [(10, 13, 9)]
     assert d13 == d4 == len(edges)
     _certified_tree(Dimension(13), edges, lifted)
@@ -469,7 +473,7 @@ def _unrooted_witness(terms, n):
 
 
 def _assert_rooted_witness_matches_unrooted(terms, n):
-    dist, edges = _dp_solve((1,) * n, tuple(sorted(terms)), DEFAULT_BUDGET, witness=True)
+    dist, edges = _dp_solve(_units(n), 0, tuple(sorted(terms)), DEFAULT_BUDGET, witness=True)
     assert (dist, edges) == _unrooted_witness(sorted(terms), n)
 
 
@@ -508,8 +512,8 @@ def test_distance_search_dp_and_oracle_agree(n, all_even, data):
     inst = _inst(Dimension(n), terms)
     d = steiner_distance(inst)
     members = inst.terminals.members
-    assert d == _dp_solve((1,) * n, members, DEFAULT_BUDGET, witness=False)[0]
-    assert d == _dp_solve((1,) * n, members, DEFAULT_BUDGET, witness=True)[0]
+    assert d == _dp_solve(_units(n), 0, members, DEFAULT_BUDGET, witness=False)[0]
+    assert d == _dp_solve(_units(n), 0, members, DEFAULT_BUDGET, witness=True)[0]
     assert d == steiner_brute_oracle(inst)
     # within the allowance `_solve` gives it
     allowance = (3 ** (k - 1) - (1 << k) + 1) // 2 + ((1 << (k - 1)) - k) * n
@@ -577,7 +581,7 @@ def test_distance_falls_back_to_the_dp_on_a_sparse_set(monkeypatch):
     # coordinate 0 is constant and the other nine fall into five classes
     assert calls == [(3, 5)]
     assert d == steiner_exact(_inst(q10, terms))[0]
-    assert d == _dp_solve((1,) * 10, tuple(sorted(terms)), DEFAULT_BUDGET, witness=False)[0]
+    assert d == _dp_solve(_units(10), 0, tuple(sorted(terms)), DEFAULT_BUDGET, witness=False)[0]
 
 
 def test_distance_budget_exit_matches_exact():
@@ -634,7 +638,7 @@ def test_charge_covers_the_dp_that_runs(monkeypatch):
                 assert 1 << n <= _dp_projection(n, k) >> (k - 1)
             for _ in range(6):
                 inst = _inst(dim, rng.sample(range(1 << n), k))
-                c = len(_column_classes(inst.terminals.members))
+                c = len(_column_classes(inst.terminals.members)[0])
                 below += c < min(n, (1 << (k - 1)) - 1)
                 built, (d, tree) = charged_as_built(steiner_exact, inst, head)
                 assert len(tree.edges) == d
@@ -672,7 +676,7 @@ def test_sets_with_n_at_least_2_to_the_k_minus_1_skip_the_search(monkeypatch, k)
             assert len(tree.edges) == d == steiner_distance(inst)
             if n <= 13:
                 members = inst.terminals.members
-                assert d == _dp_solve((1,) * n, members, DEFAULT_BUDGET, witness=False)[0]
+                assert d == _dp_solve(_units(n), 0, members, DEFAULT_BUDGET, witness=False)[0]
 
 
 def test_search_runs_only_where_terminals_outnumber_coordinates(monkeypatch):
@@ -743,7 +747,9 @@ def test_exact_takes_both_branches_on_a_seeded_sample():
 
 def test_exact_keeps_the_dp_tree_on_a_sparse_set(monkeypatch):
     inst = _inst(Dimension(10), random.Random(4).sample(range(1 << 10), 4))
-    want = _class_dp_solve(inst.dim, inst.terminals.members, DEFAULT_BUDGET, witness=True)
+    members = inst.terminals.members
+    d, edges = _dp_solve(*_column_classes(members), DEFAULT_BUDGET, witness=True)
+    want = d, _certified_tree(inst.dim, edges, members)
     calls = _count_dp_calls(monkeypatch)
     assert steiner_exact(inst) == want
     assert calls == [(3, 5)]
@@ -767,17 +773,45 @@ def _few_column_set(n, k, data):
 def test_column_class_dp_agrees_with_unit_dp_and_oracle(n, k, data):
     terms = _few_column_set(n, k, data)
     dim = Dimension(n)
-    masks = _column_classes(terms)
+    masks, base, reduced = _column_classes(terms)
     assert sum(m.bit_count() for m in masks) <= n
     assert len(masks) <= min(n, (1 << (len(terms) - 1)) - 1)
     assert masks == sorted(masks, key=lambda m: m & -m)
-    d, tree = _class_dp_solve(dim, terms, DEFAULT_BUDGET, witness=True)
+    d, edges = _dp_solve(masks, base, reduced, DEFAULT_BUDGET, witness=True)
+    tree = _certified_tree(dim, edges, terms)
     validate_tree(tree, terms)
     assert len(tree.edges) == d
-    assert d == _class_dp_solve(dim, terms, DEFAULT_BUDGET, witness=False)[0]
-    assert d == _dp_solve((1,) * n, terms, DEFAULT_BUDGET, witness=False)[0]
+    assert d == _dp_solve(masks, base, reduced, DEFAULT_BUDGET, witness=False)[0]
+    assert d == _dp_solve(_units(n), 0, terms, DEFAULT_BUDGET, witness=False)[0]
     if n <= 5:
         assert d == steiner_brute_oracle(SteinerInstance(dim, VertexSet.of(dim, terms)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 8), st.integers(1, 7), st.data())
+def test_one_dp_entry_agrees_on_both_reductions(n, k, data):
+    # S's column classes and the trivial reduction (one class per
+    # coordinate, base 0) are two inputs to the same entry: the same d,
+    # with or without a witness, and each witness lifts to d certified
+    # edges of Q_n
+    dim = Dimension(n)
+    drawn = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=k))
+    terms = tuple(sorted(drawn))
+    dists = set()
+    for reduction in (_column_classes(terms), (_units(n), 0, terms)):
+        d, edges = _dp_solve(*reduction, DEFAULT_BUDGET, witness=True)
+        assert len(edges) == d
+        _certified_tree(dim, edges, terms)
+        assert _dp_solve(*reduction, DEFAULT_BUDGET, witness=False)[0] == d
+        dists.add(d)
+    [d] = dists
+    inst = SteinerInstance(dim, VertexSet.of(dim, terms))
+    try:
+        oracle = steiner_brute_oracle(inst, budget=20000)
+    except BudgetExceededError:
+        assert n >= 5
+    else:
+        assert oracle == d
 
 
 @pytest.mark.parametrize("n", [13, 64])
@@ -785,7 +819,8 @@ def test_antipodal_pair_is_one_class_of_weight_n(monkeypatch, n):
     # c = 1, m = n: one field per vertex of Q_1 holds values up to n
     calls = _count_dp_calls(monkeypatch)
     terms = (0, (1 << n) - 1)
-    d, tree = _class_dp_solve(Dimension(n), terms, DEFAULT_BUDGET, witness=True)
+    d, edges = _dp_solve(*_column_classes(terms), DEFAULT_BUDGET, witness=True)
+    tree = _certified_tree(Dimension(n), edges, terms)
     assert calls == [(1, 1)]
     assert d == len(tree.edges) == n
     validate_tree(tree, terms)
@@ -798,8 +833,9 @@ def test_heaviest_class_of_weight_n_minus_one(n):
     # up to 2n - 1, and 3n - 2 needs more bits than (k - 1)*n + 1 = 2n + 1
     # at n = 6 and 12.
     terms = (0, (1 << (n - 1)) - 1, (1 << n) - 1)
-    assert _column_classes(terms) == [(1 << (n - 1)) - 1, 1 << (n - 1)]
-    d, tree = _class_dp_solve(Dimension(n), terms, DEFAULT_BUDGET, witness=True)
+    assert _column_classes(terms)[0] == [(1 << (n - 1)) - 1, 1 << (n - 1)]
+    d, edges = _dp_solve(*_column_classes(terms), DEFAULT_BUDGET, witness=True)
+    tree = _certified_tree(Dimension(n), edges, terms)
     assert d == len(tree.edges) == n
     validate_tree(tree, terms)
     assert steiner_exact(_inst(Dimension(n), terms))[0] == n
