@@ -23,6 +23,7 @@ left shift of the coordinate string is a *right* rotation of the bit word.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -157,6 +158,8 @@ def sample_uniform(dim: Dimension, rng: random.Random) -> Automorphism:
     The shift is uniform on [0, n). The mask draws one fair bit per
     coordinate except the last, which is set to whatever makes the total
     popcount even; every even-weight mask arises from exactly one draw.
+    This is the reference that the bulk draw `_sample_elements` matches
+    element for element and generator word for generator word.
     """
     shift = rng.randrange(dim.n)
     mask = 0
@@ -166,6 +169,54 @@ def sample_uniform(dim: Dimension, rng: random.Random) -> Automorphism:
     if mask.bit_count() & 1:
         mask |= 1 << (dim.n - 1)
     return Automorphism(shift, mask)
+
+
+def _sample_elements(dim: Dimension, rng: random.Random, count: int) -> list[Automorphism]:
+    """[sample_uniform(dim, rng) for _ in range(count)] from a few bulk
+    draws, leaving `rng` in the same state.
+
+    Each draw of `sample_uniform` reads 32-bit generator words:
+    `randrange(n)` keeps the top k = n.bit_length() bits of one word and
+    takes another while they are n or more, and each `getrandbits(1)`
+    keeps one word's top bit. So an element is some rejected shift words,
+    one accepted shift word and n - 1 mask words, and only each word's top
+    byte matters. `getrandbits(32 j)` returns j words, the first in the
+    lowest bits. An element takes at least n words, so owing e elements
+    and carrying t < n words of a partial one (its rejected words
+    dropped), drawing e n - t words reads none past the last element. One
+    regex splits the top bytes into whole elements and the rest, whose
+    partial element is carried to the next draw; each distinct (shift,
+    mask bits) key is decoded once.
+    """
+    n = dim.n
+    k = n.bit_length()
+    cut = n << (8 - k)  # top bytes below `cut` hold an accepted shift
+    rejected = bytes(range(cut, 256))
+    element = re.compile(b"[\\x%02x-\\xff]*([\\x00-\\x%02x].{%d})" % (cut, cut - 1, n - 1), re.S)
+    chunk = re.compile(b".{%d}" % n, re.S)
+    top_bit = b"0" * 128 + b"1" * 128
+    shift_of = bytes(b >> (8 - k) for b in range(256))
+    decoded: dict[bytes, Automorphism] = {}
+    out: list[Automorphism] = []
+    tail = b""
+    while len(out) < count:
+        words = (count - len(out)) * n - len(tail)
+        top = tail + rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        # split alternates empty separators and whole elements, then the rest
+        *whole, rest = element.split(top)
+        stream = b"".join(whole)
+        # an element's key is its shift, then "0"/"1" for mask bits 0..n-2
+        marks = bytearray(stream.translate(top_bit))
+        marks[::n] = stream[::n].translate(shift_of)
+        keys = chunk.findall(marks)
+        for key in set(keys).difference(decoded):
+            mask = int(b"0" + key[:0:-1], 2)
+            if mask.bit_count() & 1:
+                mask |= 1 << (n - 1)
+            decoded[key] = Automorphism(key[0], mask)
+        out += map(decoded.__getitem__, keys)
+        tail = rest.lstrip(rejected)
+    return out
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
-from .autgroup import Automorphism, _edge_image, enumerate_group, sample_uniform
+from .autgroup import Automorphism, _edge_image, _sample_elements, enumerate_group
 from .cube import (
     Dimension,
     VertexSet,
@@ -190,6 +190,18 @@ def build_intersection_experiment(
     return IntersectionExperiment(terminals, mirrored, tree, mtree, d)
 
 
+def _sampled_pairs(
+    dim: Dimension, seed: int, samples: int
+) -> Iterator[tuple[Automorphism, Automorphism]]:
+    """`samples` pairs of consecutive `sample_uniform` draws from
+    random.Random(seed), drawn in bulk a block of at most 1024 pairs at a
+    time, and only as the pairs are read."""
+    rng = random.Random(seed)
+    for start in range(0, samples, 1024):
+        drawn = _sample_elements(dim, rng, 2 * min(1024, samples - start))
+        yield from zip(drawn[::2], drawn[1::2])
+
+
 @dataclass(frozen=True)
 class IntersectionSummary:
     """Aggregates of the overlap X over automorphism pairs."""
@@ -224,11 +236,16 @@ def run_intersection_experiment(
     mean is always taken over the pairs read. Either way it insists the
     exact mean equals d^2/(n 2^{n-1}): the row sums to d^2 only if the
     enumerated group lists each counted h exactly once. Otherwise
-    it draws that many independent uniform pairs from the seeded generator.
+    it reads that many independent uniform pairs: consecutive
+    `sample_uniform` draws from random.Random(seed), so the pairs depend
+    only on (seed, n, samples). They are drawn in bulk by
+    `_sample_elements`, a block of at most 1024 pairs at a time as the
+    loop reads them, so memory stays bounded.
     min_lhs reports the smallest value of 2d - X seen. The budget is
-    charged one unit per pair read: |group| without a transcript and
-    |group|^2 with one, or the sample count; pair_count is |group|^2 for
-    any exhaustive run.
+    charged one unit per pair read, before any pair is built or drawn:
+    |group| without a transcript and |group|^2 with one, or the sample
+    count, so a refused sampled run draws nothing; pair_count is |group|^2
+    for any exhaustive run.
     """
     dim = exp.dim
     if type(seed) is not int or not (samples is None or type(samples) is int):
@@ -242,11 +259,7 @@ def run_intersection_experiment(
     else:
         if samples < 1:
             raise ValueError("need at least one sample")
-        rng = random.Random(seed)
-        pairs = (
-            (sample_uniform(dim, rng), sample_uniform(dim, rng))
-            for _ in range(samples)
-        )
+        pairs = _sampled_pairs(dim, seed, samples)
         count = charged = samples
     check_budget("automorphism pair sweep", charged, budget)
 

@@ -248,6 +248,25 @@ def test_sample_uniform_frequencies_near_uniform():
         assert abs(c - total * p) <= tol
 
 
+@pytest.mark.parametrize("n", range(1, 65))
+def test_bulk_draw_matches_repeated_sample_uniform(n):
+    # the same elements from the same generator words, so the generator
+    # ends in the same state; counts around 1024 cross the experiment's
+    # block of pairs, and 2500 needs draws that carry a partial element
+    d = Dimension(n)
+    counts = (0, 1, 2, 1023, 1024, 1025, 2500)
+    for seed in range(4):
+        rng = random.Random(seed)
+        reference, states = [], {}
+        for count in counts:
+            reference += [sample_uniform(d, rng) for _ in range(count - len(reference))]
+            states[count] = rng.getstate()
+        for count in counts:
+            bulk = random.Random(seed)
+            assert autgroup._sample_elements(d, bulk, count) == reference[:count]
+            assert bulk.getstate() == states[count]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_sharp_edge_transitivity_small_dimensions(n):
     # the default budget covers the n * |E| shift images up to n = 15

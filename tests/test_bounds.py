@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubesteiner import bounds
 from cubesteiner.autgroup import (
-    apply_edge, compose, enumerate_group, group_order, identity, inverse
+    apply_edge, compose, enumerate_group, group_order, identity, inverse, sample_uniform
 )
 from cubesteiner.bounds import (
     BoundsReport,
@@ -329,6 +329,16 @@ def test_exhaustive_transcript_starts_at_identity_pair():
     assert x == (exp.tree.edges & exp.mirror_tree.edges).__len__()
 
 
+def test_sampled_pairs_cross_the_draw_block():
+    # 1500 pairs take two bulk draws; the pairs run on across the block
+    # boundary as consecutive sample_uniform pairs from the seeded source
+    exp = build_intersection_experiment(parity_class(D4, 0))
+    summary = run_intersection_experiment(exp, samples=1500, seed=5, keep_transcript=True)
+    rng = random.Random(5)
+    expected = [(sample_uniform(D4, rng), sample_uniform(D4, rng)) for _ in range(1500)]
+    assert [(g1, g2) for g1, g2, _ in summary.transcript] == expected
+
+
 def _two_sided_overlap(exp, g1, g2):
     # X = |g1(E(T)) n g2(E(T'))| by its definition, both trees mapped through
     # the checked apply_edge: the reference for the one-sided X(1, g1^-1 g2)
@@ -430,12 +440,25 @@ def test_exhaustive_mean_rejects_a_group_that_drops_or_repeats_an_element(
             run_intersection_experiment(exp, keep_transcript=keep)
 
 
-def test_experiment_budget_and_sample_guards():
+def test_experiment_budget_and_sample_guards(monkeypatch):
     exp = build_intersection_experiment(EVEN3)
     with pytest.raises(ValueError):
         run_intersection_experiment(exp, samples=0)
+    drawn = []
+    sample_elements = bounds._sample_elements
+
+    def sampler(dim, rng, count):
+        drawn.append(count)
+        return sample_elements(dim, rng, count)
+
+    monkeypatch.setattr(bounds, "_sample_elements", sampler)
+    # the pairs are charged before any element is drawn
     with pytest.raises(BudgetExceededError):
         run_intersection_experiment(exp, samples=1000, budget=999)
+    assert drawn == []
+    # then drawn a block of at most 1024 pairs at a time
+    run_intersection_experiment(exp, samples=2500)
+    assert drawn == [2048, 2048, 904]
     # a transcript reads all 12^2 = 144 pairs; without one only 12 are read
     with pytest.raises(BudgetExceededError):
         run_intersection_experiment(exp, budget=100, keep_transcript=True)

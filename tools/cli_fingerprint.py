@@ -20,11 +20,13 @@ exit codes were.
 The list covers `exact`, `bound` and `experiment` on the even, odd and
 full vertex sets of Q_1..Q_6; `exact` and `bound` on 25 seeded inline
 sets of each Q_2..Q_13; exhaustive and sampled overlap experiments on
-seeded all-even sets of Q_2..Q_7; `sdiam` for n = 2..5, k = 2..6;
-`cds` for n = 1..9; `group-verify` for n = 1..8; and a few runs that
-must fail with a parse, budget or precondition error. Every run goes
-through all three formats, except `bound` at n = 12 and 13 (three sets,
-one format each) and exhaustive csv transcripts at n = 6 and 7.
+seeded all-even sets of Q_2..Q_7; sampled experiments of 1025 to 2425
+pairs, more than one draw block, on seeded all-even sets of Q_5, Q_8 and
+Q_13; `sdiam` for n = 2..5, k = 2..6; `cds` for n = 1..9; `group-verify`
+for n = 1..8; and a few runs that must fail with a parse, budget or
+precondition error. Every run goes through all three formats, except
+`bound` at n = 12 and 13 (three sets, one format each) and exhaustive csv
+transcripts at n = 6 and 7.
 """
 
 from __future__ import annotations
@@ -80,6 +82,18 @@ def runs() -> list[list[str]]:
             formats = FORMATS if n <= 5 else FORMATS[:2]
             out.extend([*argv, "--exhaustive", "--format", fmt] for fmt in formats)
             each_format(*argv, "--samples", str(10 + 7 * i), "--seed", str(i))
+
+    for n in (5, 8, 13):
+        # more than one block of 1024 sampled pairs; randrange(n) rejects
+        # 3/8, 1/2 and 3/16 of its tries here
+        rng = random.Random(f"sample-blocks/{n}")
+        evens = [v for v in range(1 << n) if v.bit_count() % 2 == 0]
+        for i in range(3):
+            selector = _inline(n, rng.sample(evens, rng.randint(2, 5)))
+            each_format(
+                "experiment", "--n", str(n), "--set", selector,
+                "--samples", str(1025 + 700 * i), "--seed", str(i),
+            )
 
     for n in range(2, 6):
         for k in range(2, 7):
