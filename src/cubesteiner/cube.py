@@ -18,6 +18,7 @@ Conventions used by every other module:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, permutations
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DEFAULT_BUDGET, ParseError, check_budget
@@ -71,6 +72,21 @@ def _closed_ball(n: int, v: int) -> int:
     for b in range(n):
         m |= 1 << (v ^ (1 << b))
     return m
+
+
+def _coordinate_permutations(n: int) -> list[list[int]]:
+    """Vertex-image tables of the n! - 1 non-identity permutations of the
+    coordinates of Q_n, in `itertools.permutations` order. The table of
+    p moves bit i of each vertex to bit p[i]; it is built by the low-bit
+    recurrence img[v] = img[v & (v-1)] | 1 << p[i], i the lowest set bit
+    of v. Every table fixes vertex 0 and maps edges to edges."""
+    tables = []
+    for p in islice(permutations(range(n)), 1, None):
+        img = [0] * (1 << n)
+        for v in range(1, 1 << n):
+            img[v] = img[v & (v - 1)] | 1 << p[(v & -v).bit_length() - 1]
+        tables.append(img)
+    return tables
 
 
 def hamming_distance(dim: Dimension, u: int, v: int) -> int:

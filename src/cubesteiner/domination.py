@@ -20,6 +20,10 @@ neighbor in it. Constructions provided:
   `exact_connected_dominating_set`: a pruned branch and bound over vertex
   bitmasks that tests connectivity by a flood fill over closed-neighborhood
   masks and settles its last vertex in one step instead of branching on it.
+  It cuts a node when each vertex still to be added, newly covering at
+  most n - 1 vertices because the final set is connected, cannot cover
+  the rest; and once a child is refuted it excludes the child's whole
+  orbit under the coordinate permutations that fix the node.
 
 `cds_constructions` is the one policy for which of these are affordable
 at a given n and which connected set is best. A DominatingSetCertificate
@@ -33,7 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .cube import Dimension, VertexSet, _closed_ball, _geodesic, bfs_forest
+from .cube import (
+    Dimension,
+    VertexSet,
+    _closed_ball,
+    _coordinate_permutations,
+    _geodesic,
+    bfs_forest,
+)
 from .errors import DEFAULT_BUDGET, check_budget
 
 METHODS = ("greedy", "hamming_code", "exact", "steinerized")
@@ -212,11 +223,27 @@ def exact_connected_dominating_set(
     Each node branches on which closed-neighborhood member covers the
     smallest uncovered vertex, with tried candidates excluded down the
     remaining branches; the sizes are tried in increasing order from the
-    sphere-covering floor, so the first witness found is minimum. Its one
-    bound: each vertex still to be added covers at most n + 1 of the
-    uncovered vertices, so a node needing more than the size limit allows
-    is cut. The chosen set is carried as a vertex mask, and connectivity
-    is tested by `_is_connected_mask` only where the cube is covered.
+    sphere-covering floor, so the first witness found is minimum. The
+    chosen set is carried as a vertex mask, and connectivity is tested by
+    `_is_connected_mask` only where the cube is covered. Two cuts prune
+    only subtrees that hold no witness, so the search meets the same first
+    witness as the full branching:
+
+    - Coverage. The final set S is connected and holds the nonempty chosen
+      set M, so the vertices of S outside M can be ordered with each one
+      adjacent to an earlier vertex w of S. That vertex and w both lie in
+      the already covered N[w], so it newly covers at most n - 1
+      vertices, and a node whose uncovered vertices need more than the
+      size limit allows is cut (the divisor is 1 at n = 1, where vertex
+      0 alone covers Q_1).
+    - Orbits. The coordinate permutations fix vertex 0 and act on the
+      search. Each node carries, as vertex-image tables, permutations that
+      fix its chosen set and its excluded set; the root carries all
+      n! - 1 non-identity ones. Once a child c is refuted, its whole orbit
+      under the node's tables is excluded: a witness through g(c) would map
+      under g^-1 to one through c. A child keeps the tables that fix c,
+      which are exactly those that fix its chosen and excluded sets, since
+      the excluded set grows by whole orbits; deep nodes carry none.
 
     A node with one vertex left to add does not branch. That vertex must
     cover every uncovered vertex, so the candidates are the non-excluded
@@ -224,19 +251,21 @@ def exact_connected_dominating_set(
     exactly the children that could succeed, every other child being cut
     at once, and trying them in increasing order keeps the first witness
     of the full branching. Only the nodes that are entered are charged:
-    the budget caps their count (134 for Q_4, 66,266 for Q_5).
+    the budget caps their count (8 for Q_3, 43 for Q_4, 4,372 for Q_5).
     """
     if dim.n > 5:
         raise ValueError("exact connected domination limited to n <= 5")
     closed = closed_neighborhood_masks(dim)
     full = (1 << dim.num_vertices) - 1
-    ball = dim.n + 1
+    ball = max(dim.n - 1, 1)
     nodes = 0
 
-    def search(mask: int, covered: int, excluded: int, left: int) -> int:
+    def search(
+        mask: int, covered: int, excluded: int, left: int, group: list[list[int]]
+    ) -> int:
         # returns the witness mask, or 0; `left` vertices may still be
-        # added, and excluded vertices were exhausted in an earlier sibling
-        # branch, so no cover using them remains down this subtree
+        # added, excluded vertices lie in no witness down this subtree, and
+        # every table in `group` fixes both `mask` and `excluded` setwise
         nonlocal nodes
         nodes += 1
         check_budget("connected domination search", nodes, budget)
@@ -260,15 +289,23 @@ def exact_connected_dominating_set(
         cand = closed[(uncovered & -uncovered).bit_length() - 1] & ~excluded
         while cand:
             low = cand & -cand
-            found = search(mask | low, covered | closed[low.bit_length() - 1], excluded, left - 1)
+            c = low.bit_length() - 1
+            # `excluded` only ever grows by whole orbits of `group`, so the
+            # child's group is the stabiliser of c
+            stab = [g for g in group if g[c] == c]
+            found = search(mask | low, covered | closed[c], excluded, left - 1, stab)
             if found:
                 return found
-            excluded |= low
-            cand ^= low
+            orbit = low
+            for g in group:
+                orbit |= 1 << g[c]
+            excluded |= orbit
+            cand &= ~orbit
         return 0
 
+    perms = _coordinate_permutations(dim.n)
     for limit in range(sphere_covering_floor(dim), dim.num_vertices + 1):
-        found = search(1, closed[0], 0, limit - 1)
+        found = search(1, closed[0], 0, limit - 1, perms)
         if found:
             members = [v for v in range(dim.num_vertices) if (found >> v) & 1]
             return DominatingSetCertificate(VertexSet.of(dim, members), "exact")
@@ -290,11 +327,13 @@ def cds_constructions(
 
     Builds, in this order and each once: "greedy", "steinerized_greedy",
     "hamming" and "steinerized_hamming" when n = 2^m - 1, and "exact"
-    when n <= 4 (the n = 5 search took 0.27-0.28 s in five fresh
-    processes on a shared 2-core Xeon). The best is the
-    smallest of the exact, steinerized greedy and steinerized perfect-code
-    sets, ties kept in that order; a raw greedy or perfect-code set is
-    never chosen.
+    when n <= 4. The n = 5 search takes 0.014-0.018 s (five fresh
+    processes on a shared 2-core Xeon), but the gate stays: at n = 5 its
+    size-10 set would replace the size-12 steinerized greedy set that
+    `cds --n 5` and `bound --n 5` print and the benchmark pins. The best
+    is the smallest of the exact, steinerized greedy and steinerized
+    perfect-code sets, ties kept in that order; a raw greedy or
+    perfect-code set is never chosen.
     """
     built = {"greedy": greedy_dominating_set(dim, budget=budget)}
     built["steinerized_greedy"] = steinerize(built["greedy"].vertex_set, budget=budget)

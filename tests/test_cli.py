@@ -760,11 +760,12 @@ def test_budget_exit_code(run):
     assert code == 3
     assert "error[budget]: vertex set enumeration: projected 4194304" in err
 
-    # the connected domination search is charged per node, 441 on Q_4
-    code, _, err = run(["cds", "--n", "4", "--budget-states", "100"])
+    # the connected domination search is charged per node, 43 on Q_4, so
+    # `cds --n 4` is refused first by the greedy sweep's 4 picks x 16
+    code, _, err = run(["cds", "--n", "4", "--budget-states", "63"])
     assert code == 3
-    assert "error[budget]: connected domination search" in err
-    code, out, _ = run(["cds", "--n", "4", "--budget-states", "1000"])
+    assert "error[budget]: greedy domination sweep: projected 64" in err
+    code, out, _ = run(["cds", "--n", "4", "--budget-states", "64"])
     assert code == 0
     assert _parse_text(out)["exact_size"] == "6"
 

@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +7,7 @@ from cubesteiner.cube import (
     Dimension,
     Edge,
     VertexSet,
+    _coordinate_permutations,
     all_edges,
     bfs_forest,
     check_edge,
@@ -136,6 +139,22 @@ def test_bfs_forest_roots_order_and_parents():
     members = VertexSet.of(Dimension(3), [6, 0, 1])
     forest = bfs_forest(3, members)
     assert forest == [{0: 0, 1: 0}, {6: 6}]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_coordinate_permutation_tables(n):
+    # the automorphisms of Q_n fixing 0 are the n! coordinate
+    # permutations, so these checks pin the tables as the non-identity ones
+    dim = Dimension(n)
+    tables = _coordinate_permutations(n)
+    assert len(tables) == factorial(n) - 1
+    assert len({tuple(img) for img in tables} | {tuple(range(1 << n))}) == factorial(n)
+    for img in tables:
+        assert img[0] == 0
+        assert sorted(img) == list(range(1 << n))
+        for e in all_edges(dim):
+            u, v = e.endpoints()
+            assert (img[u] ^ img[v]).bit_count() == 1
 
 
 def test_check_edge_rejects_bad_fields():

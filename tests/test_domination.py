@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from cubesteiner import domination
 from cubesteiner.cube import (
     Dimension,
     VertexSet,
+    _closed_ball,
     _geodesic,
     bfs_forest,
     hamming_distance,
@@ -140,13 +142,106 @@ def test_branch_and_bound_matches_exhaustive():
         assert cert.vertex_set == _reference_lex_first_cds(dim)
 
 
+def _reference_unpruned_cds(dim):
+    """The branch and bound without orbit pruning and with the weaker
+    bound of n + 1 newly covered vertices per added vertex; returns the
+    first witness's sorted members and the nodes entered."""
+    closed = closed_neighborhood_masks(dim)
+    full = (1 << dim.num_vertices) - 1
+    ball = dim.n + 1
+    nodes = 0
+
+    def search(mask, covered, excluded, left):
+        nonlocal nodes
+        nodes += 1
+        if covered == full:
+            return mask if domination._is_connected_mask(closed, mask) else 0
+        uncovered = full & ~covered
+        if -(uncovered.bit_count() // -ball) > left:
+            return 0
+        if left == 1:
+            cand = full & ~excluded
+            while uncovered and cand:
+                low = uncovered & -uncovered
+                cand &= closed[low.bit_length() - 1]
+                uncovered ^= low
+            while cand:
+                low = cand & -cand
+                if domination._is_connected_mask(closed, mask | low):
+                    return mask | low
+                cand ^= low
+            return 0
+        cand = closed[(uncovered & -uncovered).bit_length() - 1] & ~excluded
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            found = search(mask | low, covered | closed[v], excluded, left - 1)
+            if found:
+                return found
+            excluded |= low
+            cand ^= low
+        return 0
+
+    for limit in range(sphere_covering_floor(dim), dim.num_vertices + 1):
+        found = search(1, closed[0], 0, limit - 1)
+        if found:
+            return [v for v in range(dim.num_vertices) if (found >> v) & 1], nodes
+    raise AssertionError("the full vertex set is connected and dominating")
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pruned_search_matches_unpruned_reference(n, monkeypatch):
+    # both cuts drop only subtrees without a witness, so the first witness
+    # is the same, and the pruned search enters no more nodes
+    charged = []
+
+    def recording_check_budget(what, projected, limit):
+        if what == "connected domination search":
+            charged.append(projected)
+        return check_budget(what, projected, limit)
+
+    monkeypatch.setattr(domination, "check_budget", recording_check_budget)
+    dim = Dimension(n)
+    witness, reference_nodes = _reference_unpruned_cds(dim)
+    assert list(exact_connected_dominating_set(dim).vertex_set) == witness
+    assert max(charged) <= reference_nodes
+
+
+def _closed_cover(n, members):
+    covered = 0
+    for v in members:
+        covered |= _closed_ball(n, v)
+    return covered
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_connected_set_covers_at_most_n_minus_1_new_vertices_each(n):
+    # the search's coverage cut: a connected S holding a nonempty M has
+    # |N[S] \ N[M]| <= (n - 1) |S \ M|, with equality met somewhere
+    rng = random.Random(n)
+    tight = False
+    for _ in range(300):
+        grown = [rng.randrange(1 << n)]
+        for _ in range(rng.randrange(1 << n)):
+            v = rng.choice(grown) ^ (1 << rng.randrange(n))
+            if v not in grown:
+                grown.append(v)
+        assert is_connected_subset(VertexSet.of(Dimension(n), grown))
+        kept = rng.sample(grown, rng.randint(1, len(grown)))
+        new = _closed_cover(n, grown) & ~_closed_cover(n, kept)
+        slack = (n - 1) * (len(grown) - len(kept)) - new.bit_count()
+        assert slack >= 0
+        tight |= slack == 0 and len(kept) < len(grown)
+    assert tight
+
+
 # Search nodes to the first minimum witness, and that witness; the budget
-# caps the node count, so these pin every `cds --budget-states` exit.
+# caps the node count, so each count is the least budget that answers.
 SEARCH_NODES = {
     1: (1, [0]),
     2: (1, [0, 1]),
-    3: (9, [0, 1, 2, 3]),
-    4: (134, [0, 1, 2, 5, 10, 13]),
+    3: (8, [0, 1, 2, 3]),
+    4: (43, [0, 1, 2, 5, 10, 13]),
 }
 
 
@@ -170,7 +265,7 @@ def test_connected_domination_number_q5(monkeypatch):
 
     monkeypatch.setattr(domination, "check_budget", recording_check_budget)
     cert = exact_connected_dominating_set(Dimension(5))
-    assert max(charged) == 66_266
+    assert max(charged) == 4_372
     assert cert.size == 10
     assert cert.connected
     assert cert.method == "exact"
@@ -458,7 +553,7 @@ def test_cds_constructions_names_and_best():
 
 def test_search_budget_guards():
     with pytest.raises(BudgetExceededError):
-        exact_connected_dominating_set(Dimension(4), budget=100)
+        exact_connected_dominating_set(Dimension(4), budget=42)
     with pytest.raises(BudgetExceededError):
         exact_connected_domination_number(Dimension(5), budget=100)
 
