@@ -12,10 +12,11 @@ neighbor in it. Constructions provided:
   n >= 3); the budget caps the 2^n words it scans.
 - steinerize: connect a disconnected dominating set by repeatedly joining
   the two closest components along a deterministic geodesic. Each round
-  finds the closest pair by probing the distance-d rings, d = 2, 3, ...,
+  finds the closest pair by probing the distance-d rings, d = 2 and 3,
   around the members outside the largest component (every cross pair
-  has such an end, and no two components are adjacent); the budget caps
-  the probes its rounds make.
+  has such an end, no two components are adjacent, and a dominating
+  set's closest components lie within distance 3); the rings are built
+  once per call, and the budget caps the probes its rounds make.
 - exact: a minimum connected dominating set for n <= 5 from one function,
   `exact_connected_dominating_set`: a pruned branch and bound over vertex
   bitmasks that tests connectivity by a flood fill over closed-neighborhood
@@ -161,28 +162,33 @@ def steinerize(
 
     A round labels the current vertices by component and probes the rings
     v = u ^ x, popcount(x) = d, around each vertex u outside the largest
-    component, for d = 2, 3, ...; the first ring that reaches another
+    component, for d = 2, 3; the first ring that reaches another
     component gives the round's pair, the least (min(u, v), max(u, v))
     found in it. This is the closest pair over all components: every
     pair across two components has an end outside the largest one, no
     two components are adjacent (so d = 1 finds nothing), and among the
     pairs at the least distance the least (low, high) is the least
     (distance, low, high). A dominating set's closest components are
-    within distance 3, so each round probes at most three rings and each
-    merge adds at most min(2, n-1) vertices. The budget caps the running
-    total of probes, (|current| - |largest|) C(n, d) per ring, checked
-    before each ring.
+    within distance 3, and so are those of every superset the rounds
+    build, so the rings d = 2 and d = 3 (those that fit in Q_n) are built
+    once per call, each round probes at most these two, and each merge
+    adds at most min(2, n-1) vertices. The budget caps the running total
+    of probes, (|current| - |largest|) C(n, d) per ring, checked before
+    each ring.
     """
     if not is_dominating(members):
         raise ValueError("steinerize requires a dominating input set")
     n = members.dim.n
+    rings = [
+        [sum(1 << b for b in bits) for bits in combinations(range(n), d)]
+        for d in range(2, min(n, 3) + 1)
+    ]
     current, probes = set(members), 0
     while len(comps := bfs_forest(n, current)) > 1:
         label = {v: i for i, comp in enumerate(comps) for v in comp}
         largest = comps.index(max(comps, key=len))
         outside = [(u, i) for u, i in label.items() if i != largest]
-        for d in range(2, n + 1):
-            ring = [sum(1 << b for b in bits) for bits in combinations(range(n), d)]
+        for ring in rings:
             probes += len(outside) * len(ring)
             check_budget("steinerize pair scan", probes, budget)
             pairs = [

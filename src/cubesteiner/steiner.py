@@ -18,7 +18,8 @@ which S + A induces a connected subgraph. Three routes compute it:
   cube (below), and rebuilds a tree of Q_n from its values when asked.
 - the Steiner-vertex search: a branch-and-bound over the Steiner vertices
   A (`_steiner_vertex_search`), fast when S is dense and A small, exactly
-  where the DP's 3^(k-1) merge work is largest.
+  where the DP's 3^(k-1) merge work is largest. One join step (`_join`)
+  makes every component state it visits, its start state included.
 
 steiner_exact (distance and witness) and steiner_distance (distance only)
 share one dispatch, so both exit on the same sets. One density rule picks
@@ -222,8 +223,10 @@ def steiner_brute_oracle(
 
     Any connected W admits a spanning tree with |W| - 1 edges, and a
     Steiner tree's vertex set is such a W, so the first hit is exact. It
-    shares no code with the DP or the Steiner-vertex search beyond
-    `bfs_forest`, so it is the reference for both.
+    shares no solver code with the DP or the Steiner-vertex search: its
+    connectivity test, `bfs_forest`, is called by neither (the dispatch
+    uses it only to lay the search's witness tree), so it is the reference
+    for both.
     """
     dim = inst.dim
     terms = frozenset(inst.terminals)
@@ -346,6 +349,29 @@ class _OutOfAllowance(Exception):
     """The Steiner-vertex search charged more than its allowance."""
 
 
+def _join(n: int, comps: list[tuple[int, int]], v: int) -> list[tuple[int, int]]:
+    """The components of X + v, given those of a vertex set X of Q_n that
+    does not hold v, each as a pair (mask, N) of bitmasks over the 2^n
+    vertices with N its outside neighbourhood.
+
+    The components whose N holds v merge with v into one, placed last, and
+    the others keep their order. The merged one gets
+    N = (B(v) + the merged N's) - merged, where B(v) is the closed ball of
+    v (`_closed_ball`: bit v and the n bits v ^ 2^b); v is in merged, so
+    only its n neighbours can survive the difference.
+    """
+    bit = 1 << v
+    merged, around, rest = bit, _closed_ball(n, v), []
+    for comp, nbrs in comps:
+        if nbrs & bit:
+            merged |= comp
+            around |= nbrs
+        else:
+            rest.append((comp, nbrs))
+    rest.append((merged, around & ~merged))
+    return rest
+
+
 def _steiner_vertex_search(
     n: int, terms: list[int], allowance: int
 ) -> Optional[tuple[int, ...]]:
@@ -354,18 +380,18 @@ def _steiner_vertex_search(
     search has charged more than `allowance`.
 
     Inside the search, vertex sets are bitmasks over the 2^n vertices.
-    Each component of terms + A is kept with its outside neighbourhood N;
-    adding v merges the components whose neighbourhood holds v, and the
-    merged one gets (B(v) + the merged N's) - merged, where B(v) is the
-    closed ball of v (`_closed_ball`: bit v and the n bits v ^ 2^b); v is
-    in merged, so only its n neighbours can survive the difference.
-    A node branches on the component with the fewest non-excluded outside
-    neighbours, one of which must join A, tries them in increasing order,
-    and excludes each tried vertex from its later siblings. One vertex
-    merges at most n components, so c components need ceil((c - 1)/(n - 1))
-    more vertices; a node needing more than its limit leaves is cut. The
-    limit on |A| deepens from that bound at the root, so the first hit is
-    minimum. Each node is charged its component count + 1.
+    Each component of terms + A is kept with its outside neighbourhood, and
+    one step, `_join`, makes every state: the start state is the fold of
+    `_join` over the terminals from no component, sorted once by lowest
+    member (the order `bfs_forest` gives), and each child is `_join` of its
+    parent's state and the added vertex. A node branches on the first
+    component with the fewest non-excluded outside neighbours, one of
+    which must join A, tries them in increasing order, and excludes each
+    tried vertex from its later siblings. One vertex merges at most n
+    components, so c components need ceil((c - 1)/(n - 1)) more vertices;
+    a node needing more than its limit leaves is cut. The limit on |A|
+    deepens from that bound at the root, so the first hit is minimum. Each
+    node is charged its component count + 1.
     """
     # Q_1 is connected, so there c = 1 and the divisor never matters.
     per = max(n - 1, 1)
@@ -387,30 +413,17 @@ def _steiner_vertex_search(
         while cands:
             bit = cands & -cands
             v = bit.bit_length() - 1
-            merged = bit
-            around = _closed_ball(n, v)
-            rest = []
-            for comp, nbrs in comps:
-                if nbrs & bit:
-                    merged |= comp
-                    around |= nbrs
-                else:
-                    rest.append((comp, nbrs))
-            rest.append((merged, around & ~merged))
-            found = search(rest, added + (v,), excluded, left - 1)
+            found = search(_join(n, comps, v), added + (v,), excluded, left - 1)
             if found is not None:
                 return found
             excluded |= bit
             cands ^= bit
         return None
 
-    comps = []
-    for tree in bfs_forest(n, terms):
-        comp = around = 0
-        for v in tree:
-            comp |= 1 << v
-            around |= _closed_ball(n, v)
-        comps.append((comp, around & ~comp))
+    comps: list[tuple[int, int]] = []
+    for t in terms:
+        comps = _join(n, comps, t)
+    comps.sort(key=lambda pair: pair[0] & -pair[0])
     limit = -((len(comps) - 1) // -per)
     try:
         while (found := search(comps, (), 0, limit)) is None:

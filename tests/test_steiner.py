@@ -535,6 +535,112 @@ def test_even_class_anchors_by_steiner_vertex_search(n, d):
     assert not set(added) & set(evens)
 
 
+def _bfs_components(n, terms):
+    """(mask, outside neighbourhood mask) per component of the subgraph
+    induced by terms, in `bfs_forest` order, built from vertex sets."""
+    pairs = []
+    for tree in bfs_forest(n, terms):
+        around = {v ^ (1 << b) for v in tree for b in range(n)} - set(tree)
+        pairs.append((sum(1 << v for v in tree), sum(1 << u for u in around)))
+    return pairs
+
+
+def _inline_merge_search(n, terms, cap):
+    """The Steiner-vertex search with its start state read off a
+    `bfs_forest` BFS and each child merged inline, as the search was
+    built before `_join`: the A it finds (None once it has charged more
+    than `cap`) and the units it charged."""
+    per = max(n - 1, 1)
+    spent = 0
+
+    def search(comps, added, excluded, left):
+        nonlocal spent
+        c = len(comps)
+        spent += c + 1
+        if spent > cap:
+            raise steiner._OutOfAllowance
+        if c == 1:
+            return added
+        if -((c - 1) // -per) > left:
+            return None
+        cands = min((nbrs & ~excluded for _, nbrs in comps), key=int.bit_count)
+        while cands:
+            bit = cands & -cands
+            v = bit.bit_length() - 1
+            merged = bit
+            around = sum(1 << (v ^ (1 << b)) for b in range(n)) | bit
+            rest = []
+            for comp, nbrs in comps:
+                if nbrs & bit:
+                    merged |= comp
+                    around |= nbrs
+                else:
+                    rest.append((comp, nbrs))
+            rest.append((merged, around & ~merged))
+            found = search(rest, added + (v,), excluded, left - 1)
+            if found is not None:
+                return found
+            excluded |= bit
+            cands ^= bit
+        return None
+
+    comps = _bfs_components(n, terms)
+    limit = -((len(comps) - 1) // -per)
+    try:
+        while (found := search(comps, (), 0, limit)) is None:
+            limit += 1
+    except steiner._OutOfAllowance:
+        return None, spent
+    return found, spent
+
+
+# dense sets whose minimum A the branching's first-component tie-break picks
+PINNED_DENSE_SETS = [
+    (5, [2, 4, 7, 9, 13, 20, 23, 24, 26], (0, 3, 8)),
+    (6, [3, 6, 11, 14, 16, 17, 18, 27, 30, 32, 36, 37, 39, 40, 41, 55, 56], (1, 7)),
+]
+
+
+def test_search_by_join_matches_the_inline_merge_search_and_its_charge(monkeypatch):
+    # same A, and the same charge to the unit: the search answers at an
+    # allowance equal to what the inline-merge search charged, and runs
+    # out one unit below it; sets that run past the cap run out in both
+    def refuse(n, vertices):
+        raise AssertionError("bfs_forest called by the search")
+
+    monkeypatch.setattr(steiner, "bfs_forest", refuse)
+    cap = 4000
+    for n, terms, want in PINNED_DENSE_SETS:
+        assert _inline_merge_search(n, terms, cap)[0] == want
+    rng = random.Random("dense-join")
+    cases = [(n, terms) for n, terms, _ in PINNED_DENSE_SETS]
+    while len(cases) < 2002:
+        n = rng.randint(2, 7)
+        k = rng.randint(n + 1, min(1 << n, n + 14))
+        cases.append((n, sorted(rng.sample(range(1 << n), k))))
+    found = 0
+    for n, terms in cases:
+        want, charged = _inline_merge_search(n, terms, cap)
+        if want is None:
+            assert _steiner_vertex_search(n, terms, cap) is None
+            continue
+        found += 1
+        assert _steiner_vertex_search(n, terms, charged) == want
+        assert _steiner_vertex_search(n, terms, charged - 1) is None
+    assert found >= 1500
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 7), st.data())
+def test_sorted_join_fold_is_the_bfs_forest_components(n, data):
+    terms = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=24))
+    comps = []
+    for t in sorted(terms):
+        comps = steiner._join(n, comps, t)
+    comps.sort(key=lambda pair: pair[0] & -pair[0])
+    assert comps == _bfs_components(n, terms)
+
+
 def test_single_terminal_of_q64_builds_no_dp_row(monkeypatch):
     # one DP row over Q_64 would hold 2^64 fields
     def refuse(terms, weights):

@@ -15,18 +15,26 @@ same line as its parent:
     python3 tools/cli_fingerprint.py ../parent-checkout/src
 
 The script exits 0 once every run has returned, whatever the runs' own
-exit codes were.
+exit codes were. The line it prints for the committed source is kept in
+`tools/cli_fingerprint.expected`, and CI fails when the printed line
+differs from it, so a change that alters any CLI output must update that
+file:
+
+    python3 tools/cli_fingerprint.py | diff tools/cli_fingerprint.expected -
 
 The list covers `exact`, `bound` and `experiment` on the even, odd and
 full vertex sets of Q_1..Q_6; `exact` and `bound` on 25 seeded inline
-sets of each Q_2..Q_13; exhaustive and sampled overlap experiments on
-seeded all-even sets of Q_2..Q_7; sampled experiments of 1025 to 2425
-pairs, more than one draw block, on seeded all-even sets of Q_5, Q_8 and
-Q_13; `sdiam` for n = 2..5, k = 2..6; `cds` for n = 1..9; `group-verify`
-for n = 1..8; and a few runs that must fail with a parse, budget or
-precondition error. Every run goes through all three formats, except
-`bound` at n = 12 and 13 (three sets, one format each) and exhaustive csv
-transcripts at n = 6 and 7.
+sets of each Q_2..Q_13; `exact` on 50 seeded dense sets (n < k <=
+n + 14, where the dispatch runs the Steiner-vertex search) of each
+Q_3..Q_6 and on two pinned dense sets of Q_5 and Q_6; exhaustive and
+sampled overlap experiments on seeded all-even sets of Q_2..Q_7; sampled
+experiments of 1025 to 2425 pairs, more than one draw block, on seeded
+all-even sets of Q_5, Q_8 and Q_13; `sdiam` for n = 2..5, k = 2..6; `cds`
+for n = 1..9; `group-verify` for n = 1..8; and a few runs that must fail
+with a parse, budget or precondition error. Every run goes through all
+three formats, except `bound` at n = 12 and 13 (three sets, one format
+each), the dense `exact` sets (json only) and exhaustive csv transcripts
+at n = 6 and 7.
 """
 
 from __future__ import annotations
@@ -40,6 +48,13 @@ import sys
 from pathlib import Path
 
 FORMATS = ("text", "json", "csv")
+
+# dense sets where the search's order of components picks its minimum A
+# among equal-size ones: (0, 3, 8) on the Q_5 set, (1, 7) on the Q_6 set
+DENSE_TIE_SETS = (
+    (5, [2, 4, 7, 9, 13, 20, 23, 24, 26]),
+    (6, [3, 6, 11, 14, 16, 17, 18, 27, 30, 32, 36, 37, 39, 40, 41, 55, 56]),
+)
 
 
 def _inline(n: int, vertices: list[int]) -> str:
@@ -71,6 +86,17 @@ def runs() -> list[list[str]]:
             elif i < 3:
                 # a connected dominating set of Q_12 takes about a second
                 out.append(["bound", "--n", str(n), "--set", selector, "--format", FORMATS[i]])
+
+    for n in range(3, 7):
+        # dense sets, k > n, which the Steiner-vertex search answers with
+        # its own witness tree; json only
+        rng = random.Random(f"dense/{n}")
+        for _ in range(50):
+            k = rng.randint(n + 1, min(1 << n, n + 14))
+            selector = _inline(n, rng.sample(range(1 << n), k))
+            out.append(["exact", "--n", str(n), "--set", selector, "--format", "json"])
+    for n, vertices in DENSE_TIE_SETS:
+        out.append(["exact", "--n", str(n), "--set", _inline(n, vertices), "--format", "json"])
 
     for n in range(2, 8):
         rng = random.Random(f"experiment/{n}")
