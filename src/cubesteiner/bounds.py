@@ -310,7 +310,9 @@ class BootstrapCase:
     With excess x = d - s, the premise is the averaged inequality
     2d - d^2/(n 2^{n-1}) >= 2s - (n+1); when it holds with x > 0 the
     conclusion x >= s^2/(n 2^n) - (n+1)/2 must follow. Cells where the
-    premise fails or x <= 0 are vacuous and hold by convention.
+    premise fails or x <= 0 are vacuous and hold by convention. Only cells
+    that can occur are built: 1 <= s <= 2^n terminals and
+    s - 1 <= d <= 2^n - 1, the most edges a tree in Q_n has.
     """
 
     dim: Dimension
@@ -326,8 +328,9 @@ class BootstrapCase:
 def bootstrap_case(dim: Dimension, s: int, d: int) -> BootstrapCase:
     if type(s) is not int or type(d) is not int:
         raise ValueError(f"need int s and d, got s={s!r}, d={d!r}")
-    if d < s - 1:
-        raise ValueError("d below s - 1 is impossible for s terminals")
+    # s terminals of Q_n, and a tree on them: s - 1 <= d <= 2^n - 1 edges
+    if not (1 <= s <= dim.num_vertices and s - 1 <= d < dim.num_vertices):
+        raise ValueError(f"no tree on s={s} terminals of Q_{dim.n} has d={d} edges")
     n = dim.n
     x = d - s
     premise = 2 * d - Fraction(d * d, dim.num_edges) >= 2 * s - (n + 1)

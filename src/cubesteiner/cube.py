@@ -74,6 +74,31 @@ def _closed_ball(n: int, v: int) -> int:
     return m
 
 
+def _join(comps: list[tuple[int, int]], v: int, ball: int) -> list[tuple[int, int]]:
+    """The components of X + v, given those of a vertex set X of Q_n that
+    does not hold v, each as a pair (mask, N) of bitmasks over the 2^n
+    vertices with N its outside neighbourhood, and v's closed ball `ball`
+    (the `_closed_ball` mask, which the caller already holds).
+
+    The components whose N holds v merge with v into one, placed last, and
+    the others keep their order. The merged one gets
+    N = (ball + the merged N's) - merged; v is in merged, so only its n
+    neighbours can survive the difference. Both exact searches make every
+    state with it: `steiner._steiner_vertex_search` and
+    `domination.exact_connected_dominating_set`.
+    """
+    bit = 1 << v
+    merged, around, rest = bit, ball, []
+    for comp, nbrs in comps:
+        if nbrs & bit:
+            merged |= comp
+            around |= nbrs
+        else:
+            rest.append((comp, nbrs))
+    rest.append((merged, around & ~merged))
+    return rest
+
+
 def _coordinate_permutations(n: int) -> list[list[int]]:
     """Vertex-image tables of the n! - 1 non-identity permutations of the
     coordinates of Q_n, in `itertools.permutations` order. The table of

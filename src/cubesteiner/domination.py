@@ -18,9 +18,10 @@ neighbor in it. Constructions provided:
   set's closest components lie within distance 3); the rings are built
   once per call, and the budget caps the probes its rounds make.
 - exact: a minimum connected dominating set for n <= 5 from one function,
-  `exact_connected_dominating_set`: a pruned branch and bound over vertex
-  bitmasks that tests connectivity by a flood fill over closed-neighborhood
-  masks and settles its last vertex in one step instead of branching on it.
+  `exact_connected_dominating_set`: a pruned branch and bound that keeps
+  its chosen set as components with their outside neighborhoods, made by
+  the join step `cube._join` that the Steiner-vertex search uses too, and
+  settles its last vertex in one step instead of branching on it.
   It cuts a node when each vertex still to be added, newly covering at
   most n - 1 vertices because the final set is connected, cannot cover
   the rest; and once a child is refuted it excludes the child's whole
@@ -44,6 +45,7 @@ from .cube import (
     _closed_ball,
     _coordinate_permutations,
     _geodesic,
+    _join,
     bfs_forest,
 )
 from .errors import DEFAULT_BUDGET, check_budget
@@ -204,22 +206,6 @@ def steinerize(
     return DominatingSetCertificate(VertexSet.of(members.dim, current), "steinerized")
 
 
-def _is_connected_mask(closed: list[int], members: int) -> bool:
-    """Whether the vertex mask `members` induces a connected subgraph,
-    by a flood fill over the closed-neighborhood masks from its lowest
-    member. The empty set is not connected."""
-    reached = frontier = members & -members
-    while frontier:
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= closed[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & members & ~reached
-        reached |= frontier
-    return reached == members and members != 0
-
-
 def exact_connected_dominating_set(
     dim: Dimension, *, budget: int = DEFAULT_BUDGET
 ) -> DominatingSetCertificate:
@@ -230,10 +216,13 @@ def exact_connected_dominating_set(
     smallest uncovered vertex, with tried candidates excluded down the
     remaining branches; the sizes are tried in increasing order from the
     sphere-covering floor, so the first witness found is minimum. The
-    chosen set is carried as a vertex mask, and connectivity is tested by
-    `_is_connected_mask` only where the cube is covered. Two cuts prune
-    only subtrees that hold no witness, so the search meets the same first
-    witness as the full branching:
+    chosen set is carried as its components, each a vertex mask with its
+    outside neighborhood: the root is `_join` of vertex 0 and no
+    component, and each child is `_join` of its parent's components, the
+    added vertex and that vertex's closed-neighborhood mask. A node whose
+    chosen set covers the cube succeeds exactly when one component is
+    left. Two cuts prune only subtrees that hold no witness, so the search
+    meets the same first witness as the full branching:
 
     - Coverage. The final set S is connected and holds the nonempty chosen
       set M, so the vertices of S outside M can be ordered with each one
@@ -252,12 +241,14 @@ def exact_connected_dominating_set(
       the excluded set grows by whole orbits; deep nodes carry none.
 
     A node with one vertex left to add does not branch. That vertex must
-    cover every uncovered vertex, so the candidates are the non-excluded
-    members of the intersection of their closed neighborhoods; they are
-    exactly the children that could succeed, every other child being cut
-    at once, and trying them in increasing order keeps the first witness
-    of the full branching. Only the nodes that are entered are charged:
-    the budget caps their count (8 for Q_3, 43 for Q_4, 4,372 for Q_5).
+    cover every uncovered vertex, so it lies outside the chosen set M, and
+    M plus it is connected exactly when it lies in the outside
+    neighborhood of every component of M. So the candidates are the
+    non-excluded members of the intersection of those closed and outside
+    neighborhoods; they are exactly the children that would succeed, every
+    other child failing at once, and the lowest is the first witness of
+    the full branching. Only the nodes that are entered are charged: the
+    budget caps their count (8 for Q_3, 43 for Q_4, 4,372 for Q_5).
     """
     if dim.n > 5:
         raise ValueError("exact connected domination limited to n <= 5")
@@ -267,31 +258,35 @@ def exact_connected_dominating_set(
     nodes = 0
 
     def search(
-        mask: int, covered: int, excluded: int, left: int, group: list[list[int]]
+        comps: list[tuple[int, int]],
+        covered: int,
+        excluded: int,
+        left: int,
+        group: list[list[int]],
     ) -> int:
         # returns the witness mask, or 0; `left` vertices may still be
         # added, excluded vertices lie in no witness down this subtree, and
-        # every table in `group` fixes both `mask` and `excluded` setwise
+        # every table in `group` fixes both the chosen set and `excluded`
+        # setwise
         nonlocal nodes
         nodes += 1
         check_budget("connected domination search", nodes, budget)
         if covered == full:
-            return mask if _is_connected_mask(closed, mask) else 0
+            return comps[0][0] if len(comps) == 1 else 0
         uncovered = full & ~covered
         if -(uncovered.bit_count() // -ball) > left:
             return 0
         if left == 1:
             cand = full & ~excluded
+            for _, nbrs in comps:
+                cand &= nbrs
             while uncovered and cand:
                 low = uncovered & -uncovered
                 cand &= closed[low.bit_length() - 1]
                 uncovered ^= low
-            while cand:
-                low = cand & -cand
-                if _is_connected_mask(closed, mask | low):
-                    return mask | low
-                cand ^= low
-            return 0
+            if not cand:
+                return 0
+            return sum(comp for comp, _ in comps) | (cand & -cand)
         cand = closed[(uncovered & -uncovered).bit_length() - 1] & ~excluded
         while cand:
             low = cand & -cand
@@ -299,7 +294,8 @@ def exact_connected_dominating_set(
             # `excluded` only ever grows by whole orbits of `group`, so the
             # child's group is the stabiliser of c
             stab = [g for g in group if g[c] == c]
-            found = search(mask | low, covered | closed[c], excluded, left - 1, stab)
+            child = _join(comps, c, closed[c])
+            found = search(child, covered | closed[c], excluded, left - 1, stab)
             if found:
                 return found
             orbit = low
@@ -311,7 +307,7 @@ def exact_connected_dominating_set(
 
     perms = _coordinate_permutations(dim.n)
     for limit in range(sphere_covering_floor(dim), dim.num_vertices + 1):
-        found = search(1, closed[0], 0, limit - 1, perms)
+        found = search(_join([], 0, closed[0]), closed[0], 0, limit - 1, perms)
         if found:
             members = [v for v in range(dim.num_vertices) if (found >> v) & 1]
             return DominatingSetCertificate(VertexSet.of(dim, members), "exact")

@@ -18,8 +18,10 @@ which S + A induces a connected subgraph. Three routes compute it:
   cube (below), and rebuilds a tree of Q_n from its values when asked.
 - the Steiner-vertex search: a branch-and-bound over the Steiner vertices
   A (`_steiner_vertex_search`), fast when S is dense and A small, exactly
-  where the DP's 3^(k-1) merge work is largest. One join step (`_join`)
-  makes every component state it visits, its start state included.
+  where the DP's 3^(k-1) merge work is largest. One join step,
+  `cube._join`, makes every component state it visits, its start state
+  included; the connected-domination search keeps its components with
+  the same step.
 
 steiner_exact (distance and witness) and steiner_distance (distance only)
 share one dispatch, so both exit on the same sets. One density rule picks
@@ -116,6 +118,7 @@ from .cube import (
     _closed_ball,
     _edge,
     _geodesic,
+    _join,
     bfs_forest,
     canonical_int,
     check_vertex,
@@ -349,29 +352,6 @@ class _OutOfAllowance(Exception):
     """The Steiner-vertex search charged more than its allowance."""
 
 
-def _join(n: int, comps: list[tuple[int, int]], v: int) -> list[tuple[int, int]]:
-    """The components of X + v, given those of a vertex set X of Q_n that
-    does not hold v, each as a pair (mask, N) of bitmasks over the 2^n
-    vertices with N its outside neighbourhood.
-
-    The components whose N holds v merge with v into one, placed last, and
-    the others keep their order. The merged one gets
-    N = (B(v) + the merged N's) - merged, where B(v) is the closed ball of
-    v (`_closed_ball`: bit v and the n bits v ^ 2^b); v is in merged, so
-    only its n neighbours can survive the difference.
-    """
-    bit = 1 << v
-    merged, around, rest = bit, _closed_ball(n, v), []
-    for comp, nbrs in comps:
-        if nbrs & bit:
-            merged |= comp
-            around |= nbrs
-        else:
-            rest.append((comp, nbrs))
-    rest.append((merged, around & ~merged))
-    return rest
-
-
 def _steiner_vertex_search(
     n: int, terms: list[int], allowance: int
 ) -> Optional[tuple[int, ...]]:
@@ -381,17 +361,18 @@ def _steiner_vertex_search(
 
     Inside the search, vertex sets are bitmasks over the 2^n vertices.
     Each component of terms + A is kept with its outside neighbourhood, and
-    one step, `_join`, makes every state: the start state is the fold of
-    `_join` over the terminals from no component, sorted once by lowest
-    member (the order `bfs_forest` gives), and each child is `_join` of its
-    parent's state and the added vertex. A node branches on the first
-    component with the fewest non-excluded outside neighbours, one of
-    which must join A, tries them in increasing order, and excludes each
-    tried vertex from its later siblings. One vertex merges at most n
-    components, so c components need ceil((c - 1)/(n - 1)) more vertices;
-    a node needing more than its limit leaves is cut. The limit on |A|
-    deepens from that bound at the root, so the first hit is minimum. Each
-    node is charged its component count + 1.
+    one step, `cube._join`, makes every state from a vertex and its closed
+    ball (`_closed_ball`): the start state is the fold of `_join` over the
+    terminals from no component, sorted once by lowest member (the order
+    `bfs_forest` gives), and each child is `_join` of its parent's state
+    and the added vertex. A node branches on the first component with the
+    fewest non-excluded outside neighbours, one of which must join A,
+    tries them in increasing order, and excludes each tried vertex from
+    its later siblings. One vertex merges at most n components, so c
+    components need ceil((c - 1)/(n - 1)) more vertices; a node needing
+    more than its limit leaves is cut. The limit on |A| deepens from that
+    bound at the root, so the first hit is minimum. Each node is charged
+    its component count + 1.
     """
     # Q_1 is connected, so there c = 1 and the divisor never matters.
     per = max(n - 1, 1)
@@ -413,7 +394,8 @@ def _steiner_vertex_search(
         while cands:
             bit = cands & -cands
             v = bit.bit_length() - 1
-            found = search(_join(n, comps, v), added + (v,), excluded, left - 1)
+            child = _join(comps, v, _closed_ball(n, v))
+            found = search(child, added + (v,), excluded, left - 1)
             if found is not None:
                 return found
             excluded |= bit
@@ -422,7 +404,7 @@ def _steiner_vertex_search(
 
     comps: list[tuple[int, int]] = []
     for t in terms:
-        comps = _join(n, comps, t)
+        comps = _join(comps, t, _closed_ball(n, t))
     comps.sort(key=lambda pair: pair[0] & -pair[0])
     limit = -((len(comps) - 1) // -per)
     try:

@@ -533,6 +533,16 @@ def test_bootstrap_case_refuses_arguments_that_are_not_ints(s, d):
         bootstrap_case(D3, s, d)
 
 
+@pytest.mark.parametrize(
+    "n, s, d",
+    [(3, -3, 5), (3, 0, 0), (3, 9, 8), (3, 100, 200), (3, 4, 8), (1, 1, 2), (4, 2, 16)],
+)
+def test_bootstrap_case_refuses_cells_that_cannot_occur(n, s, d):
+    # s terminals must fit in Q_n, and a tree in Q_n has at most 2^n - 1 edges
+    with pytest.raises(ValueError, match="no tree on"):
+        bootstrap_case(Dimension(n), s, d)
+
+
 def test_bootstrap_grid_small():
     for n in range(1, 7):
         dim = Dimension(n)

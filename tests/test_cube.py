@@ -1,13 +1,15 @@
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cubesteiner.cube import (
     Dimension,
     Edge,
     VertexSet,
+    _closed_ball,
     _coordinate_permutations,
+    _join,
     all_edges,
     bfs_forest,
     check_edge,
@@ -139,6 +141,29 @@ def test_bfs_forest_roots_order_and_parents():
     members = VertexSet.of(Dimension(3), [6, 0, 1])
     forest = bfs_forest(3, members)
     assert forest == [{0: 0, 1: 0}, {6: 6}]
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 6), st.data())
+def test_join_fold_neighbourhoods_decide_connectivity_of_one_more_vertex(n, data):
+    # the one-vertex step of the connected-domination search: for a vertex
+    # set M and a vertex v outside it, M + v is connected exactly when v
+    # lies in the outside neighbourhood of every component of M
+    v = data.draw(st.integers(0, (1 << n) - 1))
+    near = [v ^ x for x in range(1 << n) if x.bit_count() <= 2]
+    members = data.draw(
+        st.one_of(
+            st.just(set()),
+            st.sets(st.sampled_from(near)),
+            st.sets(st.integers(0, (1 << n) - 1)),
+        )
+    )
+    members.discard(v)
+    comps = []
+    for t in sorted(members):
+        comps = _join(comps, t, _closed_ball(n, t))
+    joins_all = all((nbrs >> v) & 1 for _, nbrs in comps)
+    assert joins_all == (len(bfs_forest(n, members | {v})) == 1)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -83,23 +83,6 @@ def test_induced_components_ordering():
     assert not is_connected_subset(VertexSet.of(d3, [0, 7]))
 
 
-@given(st.data())
-def test_connected_mask_matches_bfs_forest(data):
-    n = data.draw(st.integers(1, 6))
-    dim = Dimension(n)
-    members = data.draw(
-        st.one_of(
-            st.just(set()),
-            st.builds(lambda v: {v}, st.integers(0, dim.num_vertices - 1)),
-            st.sets(st.integers(0, dim.num_vertices - 1)),
-        )
-    )
-    mask = sum(1 << v for v in members)
-    closed = closed_neighborhood_masks(dim)
-    expected = len(bfs_forest(n, members)) == 1
-    assert domination._is_connected_mask(closed, mask) == expected
-
-
 def test_is_dominating_small_cases():
     d3 = Dimension(3)
     assert is_dominating(VertexSet.of(d3, [0, 7]))
@@ -144,18 +127,23 @@ def test_branch_and_bound_matches_exhaustive():
 
 def _reference_unpruned_cds(dim):
     """The branch and bound without orbit pruning and with the weaker
-    bound of n + 1 newly covered vertices per added vertex; returns the
-    first witness's sorted members and the nodes entered."""
+    bound of n + 1 newly covered vertices per added vertex, on one vertex
+    mask whose connectivity `bfs_forest` tests; returns the first
+    witness's sorted members and the nodes entered."""
     closed = closed_neighborhood_masks(dim)
     full = (1 << dim.num_vertices) - 1
     ball = dim.n + 1
     nodes = 0
 
+    def connected(mask):
+        members = [v for v in range(dim.num_vertices) if (mask >> v) & 1]
+        return len(bfs_forest(dim.n, members)) == 1
+
     def search(mask, covered, excluded, left):
         nonlocal nodes
         nodes += 1
         if covered == full:
-            return mask if domination._is_connected_mask(closed, mask) else 0
+            return mask if connected(mask) else 0
         uncovered = full & ~covered
         if -(uncovered.bit_count() // -ball) > left:
             return 0
@@ -167,7 +155,7 @@ def _reference_unpruned_cds(dim):
                 uncovered ^= low
             while cand:
                 low = cand & -cand
-                if domination._is_connected_mask(closed, mask | low):
+                if connected(mask | low):
                     return mask | low
                 cand ^= low
             return 0

@@ -13,6 +13,8 @@ from cubesteiner.cube import (
     Dimension,
     Edge,
     VertexSet,
+    _closed_ball,
+    _join,
     bfs_forest,
     edge_between,
     hamming_distance,
@@ -636,7 +638,7 @@ def test_sorted_join_fold_is_the_bfs_forest_components(n, data):
     terms = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=24))
     comps = []
     for t in sorted(terms):
-        comps = steiner._join(n, comps, t)
+        comps = _join(comps, t, _closed_ball(n, t))
     comps.sort(key=lambda pair: pair[0] & -pair[0])
     assert comps == _bfs_components(n, terms)
 
