@@ -23,7 +23,8 @@ itself in exact rationals.
 The matching upper bound is constructive: a spanning tree of a connected
 dominating set plus one attachment edge per terminal spans S, and keeping
 only the edges with a terminal on both sides leaves at most |S| + |cds| - 1
-edges (`upper_bound_tree`). `build_bounds_report` packages both sides with
+edges (`upper_bound_tree`, which lays it with `steiner._cut_tree`, the
+step that also lays the Steiner-vertex search's witness). `build_bounds_report` packages both sides with
 certificates for one instance, and `sdiam_sandwich` brackets the k-set
 Steiner diameter max_{|S|=k} d(S).
 """
@@ -38,19 +39,14 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .autgroup import Automorphism, _edge_image, _sample_elements, enumerate_group
-from .cube import (
-    Dimension,
-    VertexSet,
-    _edge,
-    bfs_forest,
-    parity,
-)
+from .cube import Dimension, VertexSet, _edge, parity
 from .domination import DominatingSetCertificate, cds_constructions
 from .errors import BudgetExceededError, DEFAULT_BUDGET, check_budget
 from .steiner import (
     SteinerInstance,
     SteinerTree,
     _certified_tree,
+    _cut_tree,
     _dp_projection,
     _dp_solve,
     _solve,
@@ -98,14 +94,15 @@ def trivial_lower_floor(members: VertexSet) -> int:
 def upper_bound_tree(
     terminals: VertexSet, cds: DominatingSetCertificate
 ) -> tuple[SteinerTree, int]:
-    """Spanning tree of the dominating set plus one edge per terminal.
+    """Spanning tree of the dominating set plus one edge per terminal,
+    and its edge count.
 
-    Builds a deterministic BFS spanning tree of the induced subgraph on
-    the connected dominating set and attaches every terminal outside it
-    to its smallest dominating neighbor. It then keeps an edge exactly
-    when both of its sides hold a terminal, which cuts the tree down to
-    the unique smallest subtree spanning the terminals. The result has at
-    most |terminals| + |cds| - 1 edges.
+    `steiner._cut_tree` builds the deterministic BFS spanning tree of the
+    induced subgraph on the connected dominating set, attaches every
+    terminal outside it to its smallest dominating neighbor, and keeps an
+    edge exactly when both of its sides hold a terminal, which cuts the
+    tree down to the unique smallest subtree spanning the terminals. The
+    result has at most |terminals| + |cds| - 1 edges.
     """
     if len(terminals) == 0:
         raise ValueError("empty terminal set")
@@ -113,28 +110,10 @@ def upper_bound_tree(
         raise ValueError("terminal set and dominating set dimensions differ")
     if not cds.connected:
         raise ValueError("construction requires a connected dominating set")
-    dim = terminals.dim
-    members = set(cds.vertex_set)
-    [parent] = bfs_forest(dim.n, members)
-    for t in terminals:
-        if t not in members:
-            nbrs = (t ^ (1 << b) for b in range(dim.n))
-            parent[t] = min(u for u in nbrs if u in members)
-
-    # below[v] counts the terminals under v; children follow their parents
-    # in `parent`, so a reverse pass finishes each count before it is read.
-    s = len(terminals)
-    below = {v: int(v in terminals) for v in parent}
-    edges = []
-    for v in reversed(parent):
-        p = parent[v]
-        if v != p:
-            below[p] += below[v]
-            if 0 < below[v] < s:
-                edges.append(_edge(v, (v ^ p).bit_length() - 1))
-    if len(edges) > s + cds.size - 1:
+    tree = _cut_tree(terminals.dim, frozenset(cds.vertex_set), terminals)
+    if len(tree.edges) > len(terminals) + cds.size - 1:
         raise AssertionError("construction exceeded its own edge budget")
-    return _certified_tree(dim, edges, terminals), len(edges)
+    return tree, len(tree.edges)
 
 
 def best_connected_dominating_set(

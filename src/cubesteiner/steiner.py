@@ -39,10 +39,12 @@ n < k <= 2^(k-1), so it is 2^(k-1) 2^n, above the search's bitmasks of
 rooted DP's work on Q_n as its allowance, (3^(k-1) - 2^k + 1)/2 merge
 pairs plus (2^(k-1) - k) n grow steps, with each search node charged its
 component count + 1. When the search finds a minimum A,
-d(S) = k - 1 + |A| and the witness is the BFS spanning tree of S + A: it
-has |S| + |A| - 1 = d(S) edges, and every leaf is a terminal, because
-S + A - a stays connected when a is a leaf, so a leaf a in A would
-contradict the minimality of |A|. Every other set, a single terminal
+d(S) = k - 1 + |A| and the witness is `_cut_tree` of S + A, the one
+BFS-and-cut step that also lays `bounds.upper_bound_tree`. The cut keeps
+the whole BFS spanning tree of S + A, |S| + |A| - 1 = d(S) edges: every
+leaf is a terminal, because S + A - a stays connected when a is a leaf,
+so a leaf a in A would contradict the minimality of |A|; hence every edge
+has a terminal on both sides. Every other set, a single terminal
 included, and a search that runs past its allowance go to `_dp_solve` on
 S's column classes (`_column_classes`), which rebuilds its tree only when
 a witness is asked for. The overlap experiment calls the same entry on
@@ -109,7 +111,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .cube import (
     Dimension,
@@ -121,6 +123,7 @@ from .cube import (
     _join,
     bfs_forest,
     canonical_int,
+    check_edge,
     check_vertex,
     parse_vertex,
 )
@@ -142,7 +145,7 @@ class SteinerInstance:
 
     @classmethod
     def from_vertices(cls, dim: Dimension, vertices: Iterable[int]) -> "SteinerInstance":
-        vs = list(vertices)
+        vs = [check_vertex(dim, v) for v in vertices]
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate terminals rejected")
         return cls(dim, VertexSet.of(dim, vs))
@@ -150,7 +153,10 @@ class SteinerInstance:
 
 @dataclass(frozen=True)
 class SteinerTree:
-    """An edge set certified connected, acyclic, spanning its terminals."""
+    """An edge set spanning its terminals. Building one checks nothing:
+    a tree is certified connected, acyclic, inside Q_n and spanning its
+    terminals only by `validate_tree`, which every tree the package
+    reports has passed (`_certified_tree`)."""
 
     dim: Dimension
     edges: frozenset[Edge]
@@ -160,9 +166,10 @@ class SteinerTree:
 def validate_tree(tree: SteinerTree, terminals: Iterable[int]) -> None:
     """Re-check every SteinerTree invariant; raises ValueError on failure.
 
-    Checks that the edge endpoints stay inside the vertex set, the edge
-    count is |V|-1, one BFS reaches everything, the terminals are covered,
-    and every leaf is a terminal (edge-minimality).
+    Checks that every vertex is a vertex of Q_n and every edge a canonical
+    edge of Q_n (`check_edge`), the edge endpoints stay inside the vertex
+    set, the edge count is |V|-1, one BFS reaches everything, the
+    terminals are covered, and every leaf is a terminal (edge-minimality).
     """
     terms = set(terminals)
     if not terms <= tree.vertices:
@@ -171,9 +178,9 @@ def validate_tree(tree: SteinerTree, terminals: Iterable[int]) -> None:
         raise ValueError(
             f"edge count {len(tree.edges)} != vertex count {len(tree.vertices)} - 1"
         )
-    adjacency: dict[int, list[int]] = {v: [] for v in tree.vertices}
+    adjacency: dict[int, list[int]] = {check_vertex(tree.dim, v): [] for v in tree.vertices}
     for e in tree.edges:
-        u, v = e.endpoints()
+        u, v = check_edge(tree.dim, e).endpoints()
         if u not in adjacency or v not in adjacency:
             raise ValueError(f"edge {e} leaves the tree's vertex set")
         adjacency[u].append(v)
@@ -211,6 +218,38 @@ def _certified_tree(
     return tree
 
 
+def _cut_tree(dim: Dimension, members: frozenset[int], terminals: Collection[int]) -> SteinerTree:
+    """The `bfs_forest` spanning tree of the connected vertex set
+    `members`, with each terminal outside it hung on its least neighbour
+    inside it, cut down to the edges with a terminal on both sides: the
+    unique smallest subtree spanning the terminals, certified by
+    `_certified_tree`. `members` must dominate the terminals outside it,
+    and `terminals` must answer membership tests in O(1).
+
+    The witness of a Steiner-vertex search (members S + A for a minimum
+    A) loses no edge to the cut, since every leaf of its BFS tree is then
+    a terminal; `bounds.upper_bound_tree` cuts a connected dominating
+    set's tree with it.
+    """
+    [parent] = bfs_forest(dim.n, members)
+    for t in terminals:
+        if t not in members:
+            parent[t] = min(u for u in (t ^ (1 << b) for b in range(dim.n)) if u in members)
+
+    # below[v] counts the terminals under v; children follow their parents
+    # in `parent`, so a reverse pass finishes each count before it is read.
+    s = len(terminals)
+    below = {v: int(v in terminals) for v in parent}
+    edges = []
+    for v in reversed(parent):
+        p = parent[v]
+        if v != p:
+            below[p] += below[v]
+            if 0 < below[v] < s:
+                edges.append(_edge(v, (v ^ p).bit_length() - 1))
+    return _certified_tree(dim, edges, terminals)
+
+
 def shortest_path(dim: Dimension, u: int, v: int) -> list[Edge]:
     """The canonical geodesic: flip differing bits in increasing order."""
     check_vertex(dim, u)
@@ -227,9 +266,9 @@ def steiner_brute_oracle(
     Any connected W admits a spanning tree with |W| - 1 edges, and a
     Steiner tree's vertex set is such a W, so the first hit is exact. It
     shares no solver code with the DP or the Steiner-vertex search: its
-    connectivity test, `bfs_forest`, is called by neither (the dispatch
-    uses it only to lay the search's witness tree), so it is the reference
-    for both.
+    connectivity test, `bfs_forest`, is called by neither (`_cut_tree`
+    uses it only to lay the search's witness tree once A is found), so it
+    is the reference for both.
     """
     dim = inst.dim
     terms = frozenset(inst.terminals)
@@ -532,9 +571,10 @@ def _solve(
     """The dispatch behind `steiner_distance` and `steiner_exact` (see the
     module docstring): where S has more terminals than Q_n has coordinates
     (n < k), the budget charge `_dp_projection`, then the Steiner-vertex
-    search within the rooted DP's work on Q_n; every other set and a
-    search past its allowance go to `_dp_solve` on S's column classes,
-    which charges the rows it builds.
+    search within the rooted DP's work on Q_n, whose witness is
+    `_cut_tree` of S + A; every other set and a search past its allowance
+    go to `_dp_solve` on S's column classes, which charges the rows it
+    builds.
     `terms` is sorted, nonempty and inside Q_n, as a `SteinerInstance`
     holds it; nothing here checks that again. Without `witness` the tree
     is None."""
@@ -548,9 +588,8 @@ def _solve(
             dist = k - 1 + len(added)
             if not witness:
                 return dist, None
-            [parent] = bfs_forest(n, set(terms).union(added))
-            edges = (_edge(v, (v ^ p).bit_length() - 1) for v, p in parent.items() if v != p)
-            return dist, _certified_tree(dim, edges, terms)
+            terminals = frozenset(terms)
+            return dist, _cut_tree(dim, terminals.union(added), terminals)
     dist, edges = _dp_solve(*_column_classes(terms), budget, witness=witness)
     return dist, _certified_tree(dim, edges, terms) if witness else None
 
@@ -569,8 +608,9 @@ def steiner_exact(
 ) -> tuple[int, SteinerTree]:
     """Exact Steiner distance plus a witness tree checked by `validate_tree`.
 
-    When the Steiner-vertex search finds a minimum A, the witness is the
-    BFS spanning tree of S + A, with |S| + |A| - 1 = d(S) edges; otherwise
+    When the Steiner-vertex search finds a minimum A, the witness is
+    `_cut_tree` of S + A, the whole BFS spanning tree of S + A with
+    |S| + |A| - 1 = d(S) edges (the cut drops none); otherwise
     it is the rooted DP's tree on S's column classes, lifted back to Q_n
     (`_dp_solve`).
     """

@@ -65,6 +65,14 @@ def test_instance_rejects_empty_and_duplicates():
         SteinerInstance(D3, VertexSet.of(D4, [0]))
 
 
+@pytest.mark.parametrize("vertices, bad", [([2, 2.0], "2.0"), ([1, True], "True")])
+def test_instance_names_the_invalid_vertex_before_any_duplicate(vertices, bad):
+    # 2.0 == 2 and True == 1, so a duplicate test run first would see a
+    # repeated terminal, not the vertex that is no int
+    with pytest.raises(ValueError, match=f"vertex {bad} not valid"):
+        _inst(Dimension(2), vertices)
+
+
 def test_shortest_path_examples():
     assert shortest_path(D3, 0, 0) == []
     assert shortest_path(D3, 0, 3) == [Edge(0, 0), Edge(3, 1)]
@@ -234,6 +242,23 @@ def test_validate_tree_rejects_missing_terminal():
     tree = SteinerTree(D3, frozenset([Edge(0, 0)]), frozenset([0, 1]))
     with pytest.raises(ValueError):
         validate_tree(tree, [0, 2])
+
+
+@pytest.mark.parametrize(
+    "edges, vertices, terminals, match",
+    [
+        ([Edge(4, 0)], [4, 5], [4, 5], "vertex 4 not valid"),  # outside Q_2
+        ([Edge(1, 0)], [0, 1], [0, 1], "does not store its even endpoint"),
+        ([Edge(0, True)], [0, 1], [0, 1], "not an int"),
+        ([], [99], [99], "vertex 99 not valid"),  # a lone vertex outside Q_2
+    ],
+    ids=["outside-q2", "odd-stored-end", "bool-bit-index", "lone-vertex-99"],
+)
+def test_validate_tree_rejects_trees_that_leave_the_cube(edges, vertices, terminals, match):
+    # each is connected, acyclic and spans its terminals as a graph
+    tree = SteinerTree(Dimension(2), frozenset(edges), frozenset(vertices))
+    with pytest.raises(ValueError, match=match):
+        validate_tree(tree, terminals)
 
 
 def test_parse_instance_text_round_trip():
@@ -603,6 +628,18 @@ PINNED_DENSE_SETS = [
 ]
 
 
+def _dense_cases():
+    """The pinned dense sets and 2,000 seeded ones, (n, sorted terminals)
+    with n < k <= n + 14 and k <= 2^n, over Q_2..Q_7."""
+    rng = random.Random("dense-join")
+    cases = [(n, terms) for n, terms, _ in PINNED_DENSE_SETS]
+    while len(cases) < 2002:
+        n = rng.randint(2, 7)
+        k = rng.randint(n + 1, min(1 << n, n + 14))
+        cases.append((n, sorted(rng.sample(range(1 << n), k))))
+    return cases
+
+
 def test_search_by_join_matches_the_inline_merge_search_and_its_charge(monkeypatch):
     # same A, and the same charge to the unit: the search answers at an
     # allowance equal to what the inline-merge search charged, and runs
@@ -614,14 +651,8 @@ def test_search_by_join_matches_the_inline_merge_search_and_its_charge(monkeypat
     cap = 4000
     for n, terms, want in PINNED_DENSE_SETS:
         assert _inline_merge_search(n, terms, cap)[0] == want
-    rng = random.Random("dense-join")
-    cases = [(n, terms) for n, terms, _ in PINNED_DENSE_SETS]
-    while len(cases) < 2002:
-        n = rng.randint(2, 7)
-        k = rng.randint(n + 1, min(1 << n, n + 14))
-        cases.append((n, sorted(rng.sample(range(1 << n), k))))
     found = 0
-    for n, terms in cases:
+    for n, terms in _dense_cases():
         want, charged = _inline_merge_search(n, terms, cap)
         if want is None:
             assert _steiner_vertex_search(n, terms, cap) is None
@@ -630,6 +661,28 @@ def test_search_by_join_matches_the_inline_merge_search_and_its_charge(monkeypat
         assert _steiner_vertex_search(n, terms, charged) == want
         assert _steiner_vertex_search(n, terms, charged - 1) is None
     assert found >= 1500
+
+
+def test_search_witness_is_the_whole_bfs_tree_of_s_and_a():
+    # the cut to the terminals drops no edge of the BFS tree of S + A,
+    # since a minimum A leaves no leaf that is not a terminal; the search
+    # is deterministic, so an A it finds within 4,000 units and within
+    # the allowance `_solve` gives it is the one the dispatch finds
+    witnessed = 0
+    for n, terms in _dense_cases():
+        k = len(terms)
+        allowance = (3 ** (k - 1) - (1 << k) + 1) // 2 + ((1 << (k - 1)) - k) * n
+        added = _steiner_vertex_search(n, terms, min(allowance, 4000))
+        if added is None:
+            continue
+        witnessed += 1
+        dim = Dimension(n)
+        # a budget above every projection here, so the search always runs
+        _, tree = steiner_exact(_inst(dim, terms), budget=1 << 40)
+        [parent] = bfs_forest(n, set(terms).union(added))
+        assert tree.vertices == set(parent)
+        assert tree.edges == {edge_between(dim, v, p) for v, p in parent.items() if v != p}
+    assert witnessed >= 1500
 
 
 @settings(deadline=None, max_examples=200)
