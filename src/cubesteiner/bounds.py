@@ -426,9 +426,10 @@ def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> S
     attachment construction. The exact value is computed when the sweep's
     charge, the dispatch's ceiling `steiner._dp_projection` once per swept
     set, fits the budget, and is omitted otherwise.
-    Each swept tuple, sorted and distinct as `combinations` yields it, goes
-    straight to the distance-only dispatch `steiner._solve`, which builds
-    no witness; only the worst set becomes a VertexSet, after the loop.
+    A tuple that is solved goes, sorted and distinct as `combinations`
+    yields it, straight to the distance-only dispatch `steiner._solve`,
+    which builds no witness; only the worst set becomes a VertexSet, after
+    the loop.
 
     The sweep solves only the C(2^n - 1, k - 1) k-sets that contain vertex
     0, in lexicographic order: Q_n is vertex-transitive under translation
@@ -438,6 +439,18 @@ def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> S
     C(2^n, k) k-sets: if that maximiser T had t = min T != 0, then T ^ t
     would be a maximiser containing 0 whose sorted tuple begins with 0 < t,
     so it would come before T.
+
+    Within the call, a dict keyed by each swept tuple's column multiset
+    keeps d for the first tuple with that key, and `_solve` runs only on
+    that first tuple. Column b is bit b of each terminal of `rest`, in
+    sweep order, and the key is the sorted tuple of the n columns. Two
+    tuples with equal keys differ by a coordinate permutation pi that maps
+    the j-th terminal of one onto the j-th terminal of the other for every
+    j; pi fixes 0 and is an automorphism of Q_n, so both sets have the same
+    d. Every set thus gets the d it would get from its own solve, and the
+    strict `d > best_d` update still keeps the lexicographically first
+    maximiser. The charge is unchanged: one ceiling per swept set, solved
+    or looked up.
     """
     if type(k) is not int or not 2 <= k <= dim.num_vertices:
         raise ValueError(f"need 2 <= k <= {dim.num_vertices}, got k={k!r}")
@@ -455,9 +468,14 @@ def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> S
         reason = f"budget: {exc}"
     else:
         best_d = -1
+        fmt = f"0{dim.n}b"
+        solved: dict[tuple[tuple[str, ...], ...], int] = {}
         for rest in combinations(range(1, dim.num_vertices), k - 1):
             cand = (0,) + rest
-            d = _solve(dim, cand, budget, witness=False)[0]
+            key = tuple(sorted(zip(*[format(t, fmt) for t in rest])))
+            d = solved.get(key)
+            if d is None:
+                d = solved[key] = _solve(dim, cand, budget, witness=False)[0]
             if d > best_d:
                 best_d, best = d, cand
         exact = best_d

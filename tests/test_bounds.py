@@ -39,7 +39,7 @@ from cubesteiner.domination import (
     steinerize,
 )
 from cubesteiner.errors import DEFAULT_BUDGET, BudgetExceededError
-from cubesteiner.steiner import SteinerInstance, _dp_solve, steiner_exact, validate_tree
+from cubesteiner.steiner import SteinerInstance, _dp_solve, _solve, steiner_exact, validate_tree
 
 D3 = Dimension(3)
 D4 = Dimension(4)
@@ -664,12 +664,49 @@ def _full_sdiam_sweep(dim, k):
 @pytest.mark.parametrize(
     "n, k",
     [(n, k) for n in (1, 2, 3) for k in range(2, (1 << n) + 1)]
-    + [(4, k) for k in (2, 3, 4, 6)],
+    + [(4, k) for k in (2, 3, 4, 5, 6)],
 )
 def test_sdiam_sweep_over_sets_with_zero_matches_full_sweep(n, k):
     dim = Dimension(n)
     rep = sdiam_sandwich(dim, k)
     assert (rep.exact, rep.worst_set.members) == _full_sdiam_sweep(dim, k)
+
+
+def _column_multiset(n, rest):
+    """The sweep's key spelled with bit operations: the sorted n columns,
+    column b being bit b of each terminal of `rest`, in order."""
+    return tuple(sorted(tuple(t >> b & 1 for t in rest) for b in range(n)))
+
+
+@pytest.mark.parametrize(
+    "n, k, solves",
+    # one solve per set containing 0 would be 3, 21, 35, 35 on Q_3 and
+    # 4, 105, 455, 1365 on Q_4
+    [(3, 2, 3), (3, 3, 7), (3, 4, 15), (3, 5, 22)]
+    + [(4, 2, 4), (4, 3, 16), (4, 4, 76), (4, 5, 336)],
+)
+def test_sdiam_sweep_solves_once_per_column_multiset(monkeypatch, n, k, solves):
+    dim = Dimension(n)
+    solved = []
+
+    def counting(cube, terms, budget, *, witness):
+        solved.append(terms)
+        return _solve(cube, terms, budget, witness=witness)
+
+    monkeypatch.setattr("cubesteiner.bounds._solve", counting)
+    sdiam_sandwich(dim, k)
+    assert len(solved) == solves
+    first = {}
+    for rest in combinations(range(1, dim.num_vertices), k - 1):
+        first.setdefault(_column_multiset(n, rest), (0,) + rest)
+    assert solved == list(first.values())
+    # the lemma: a set solved on its own has its key's first set's distance
+    d_first = {
+        key: _solve(dim, cand, DEFAULT_BUDGET, witness=False)[0] for key, cand in first.items()
+    }
+    for rest in combinations(range(1, dim.num_vertices), k - 1):
+        d = _solve(dim, (0,) + rest, DEFAULT_BUDGET, witness=False)[0]
+        assert d == d_first[_column_multiset(n, rest)]
 
 
 def test_report_and_sweep_never_build_a_witness(monkeypatch):
@@ -696,11 +733,11 @@ def test_report_and_sweep_never_build_a_witness(monkeypatch):
     "n, k, d",
     [(4, 6, 8), (5, 4, 8), (8, 2, 8), (9, 2, 9), (11, 2, 11)]
     # Q_n is a median graph, so d(S) = (d12 + d13 + d23)/2 <= n for a 3-set
-    + [(n, 3, n) for n in range(2, 8)],
+    + [(n, 3, n) for n in range(2, 10)],
 )
 def test_sdiam_sweeps_every_set_containing_zero_within_the_default_budget(n, k, d):
     # the sweep is charged C(2^n - 1, k - 1) dispatch ceilings, one per set
-    # it solves, so these fit the default budget
+    # it sweeps, so these fit the default budget
     rep = sdiam_sandwich(Dimension(n), k)
     assert (rep.exact, rep.exact_reason) == (d, "computed")
     assert rep.lower <= d <= rep.upper

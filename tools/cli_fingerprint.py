@@ -29,8 +29,9 @@ n + 14, where the dispatch runs the Steiner-vertex search) of each
 Q_3..Q_6 and on two pinned dense sets of Q_5 and Q_6; exhaustive and
 sampled overlap experiments on seeded all-even sets of Q_2..Q_7; sampled
 experiments of 1025 to 2425 pairs, more than one draw block, on seeded
-all-even sets of Q_5, Q_8 and Q_13; `sdiam` for n = 2..5, k = 2..6; `cds`
-for n = 1..9; `group-verify` for n = 1..8; and a few runs that must fail
+all-even sets of Q_5, Q_8 and Q_13; `sdiam` for n = 2..5, k = 2..6, for
+k = 3 at n = 6..8, and at n = 4, k = 5 one unit below its sweep's charge;
+`cds` for n = 1..9; `group-verify` for n = 1..8; and a few runs that must fail
 with a parse, budget or precondition error. Every run goes through all
 three formats, except `bound` at n = 12 and 13 (three sets, one format
 each), the dense `exact` sets (json only) and exhaustive csv transcripts
@@ -124,6 +125,10 @@ def runs() -> list[list[str]]:
     for n in range(2, 6):
         for k in range(2, 7):
             each_format("sdiam", "--n", str(n), "--k", str(k))
+    for n in (6, 7, 8):
+        each_format("sdiam", "--n", str(n), "--k", "3")
+    # one unit below the sweep's charge of C(15, 4) ceilings of 2^4 * 2^4
+    each_format("sdiam", "--n", "4", "--k", "5", "--budget-states", "349439")
     for n in range(1, 10):
         each_format("cds", "--n", str(n))
     for n in range(1, 9):
