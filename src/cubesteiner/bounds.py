@@ -16,9 +16,14 @@ s disjoint even/odd mirror pairs. `run_intersection_experiment`
 evaluates both facts exactly from the overlaps X(1, h) = |E(T) n E(h(T'))|,
 since X(g1, g2) = X(1, g1^-1 g2), and counts them all at once: the group
 acts sharply transitively on edges, so exactly one h takes each edge of T'
-onto each edge of T. `bootstrap_case` checks the algebra that turns the
-two facts into the displayed bound; `lower_bound_even` evaluates the bound
-itself in exact rationals.
+onto each edge of T. Every run is charged n d^2 for that table of counts.
+The exhaustive run reads its identity row, and so its exact mean and
+largest overlap, from the table alone, with no further charge. A csv
+transcript also enumerates the group, charged |G|, and reads all |G|^2
+pairs; a sampled run reads its pairs; both are charged one unit per pair.
+`bootstrap_case` checks the algebra that turns the two facts into the
+displayed bound; `lower_bound_even` evaluates the bound itself in exact
+rationals.
 
 The matching upper bound is constructive: a spanning tree of a connected
 dominating set plus one attachment edge per terminal spans S, and keeping
@@ -38,7 +43,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .autgroup import Automorphism, _edge_image, _sample_elements, enumerate_group
+from .autgroup import Automorphism, _edge_image, _sample_elements, enumerate_group, group_order
 from .cube import Dimension, VertexSet, _edge, parity
 from .domination import DominatingSetCertificate, cds_constructions
 from .errors import BudgetExceededError, DEFAULT_BUDGET, check_budget
@@ -207,69 +212,80 @@ def run_intersection_experiment(
     g1 permutes the edges, so X(g1, g2) = X(1, h) = |E(T) n E(h(T'))| with
     h = g1^-1 g2. Sharp edge transitivity matches each pair (e in T, e' in
     T') with exactly one h, so X(1, h) counts the pairs h matches; n images
-    per mirror edge, one per shift, give every count, and each pair read
-    looks its count up (0 if h matches none). samples=None covers all
-    |group|^2 ordered pairs: with a transcript it lists them in
-    lexicographic order, without one it reads only the identity row (1, h),
-    whose mean is that of all pairs, since every row repeats that row; the
-    mean is always taken over the pairs read. Either way it insists the
-    exact mean equals d^2/(n 2^{n-1}): the row sums to d^2 only if the
-    enumerated group lists each counted h exactly once. Otherwise
-    it reads that many independent uniform pairs: consecutive
+    per mirror edge, one per shift, give the table of every nonzero count,
+    charged its n d^2 edge comparisons as "overlap table" before it is built.
+
+    samples=None covers all |group|^2 ordered pairs, and pair_count is
+    |group|^2. Without a transcript it reads the identity row (1, h) straight
+    from the table: each h the table holds once, every other element 0. The
+    row's mean is that of all pairs, since every row repeats it, so the mean
+    is the table's sum over |group| and max_overlap its largest count (0 for
+    an empty table); nothing more is charged and the group is not
+    enumerated. With a transcript it enumerates the group and lists every
+    pair in lexicographic order, looking each one's count up (0 if h matches
+    none). Either way it insists the exact mean equals d^2/(n 2^{n-1}): the
+    table sums to d^2 only if each mirror edge's shift images take the n
+    directions once each, and a transcript's row only if the enumerated
+    group lists each counted h exactly once.
+
+    Otherwise it reads that many independent uniform pairs: consecutive
     `sample_uniform` draws from random.Random(seed), so the pairs depend
     only on (seed, n, samples). They are drawn in bulk by
     `_sample_elements`, a block of at most 1024 pairs at a time as the
     loop reads them, so memory stays bounded.
-    min_lhs reports the smallest value of 2d - X seen. The budget is
-    charged one unit per pair read, before any pair is built or drawn:
-    |group| without a transcript and |group|^2 with one, or the sample
-    count, so a refused sampled run draws nothing; pair_count is |group|^2
-    for any exhaustive run.
+
+    min_lhs reports the smallest value of 2d - X seen. After the table, a
+    transcript is charged |group| as "group enumeration", and a transcript
+    or a sampled run one unit per pair it reads, |group|^2 or the sample
+    count, as "automorphism pair sweep", before any pair is built or drawn,
+    so a refused sampled run draws nothing.
     """
     dim = exp.dim
+    n, d, coord_mask = dim.n, exp.distance, dim.coord_mask
     if type(seed) is not int or not (samples is None or type(samples) is int):
         raise ValueError(f"samples {samples!r} and seed {seed!r} must be ints")
-    if samples is None:
-        group = enumerate_group(dim, budget=budget)
-        count = len(group) ** 2
-        rows = group if keep_transcript else group[:1]  # group[0] is the identity
-        pairs = ((g1, g2) for g1 in rows for g2 in group)
-        charged = len(rows) * len(group)
-    else:
-        if samples < 1:
-            raise ValueError("need at least one sample")
-        pairs = _sampled_pairs(dim, seed, samples)
-        count = charged = samples
-    check_budget("automorphism pair sweep", charged, budget)
-
+    if samples is not None and samples < 1:
+        raise ValueError("need at least one sample")
+    check_budget("overlap table", n * d * d, budget)
     # (s, m) maps e' to (r ^ m, c), where (r, c) is its image under (s, 0),
     # so the one h taking e' onto a tree edge (u, c) is (s, r ^ u).
     overlap: dict[Automorphism, int] = {}
     for e in exp.mirror_tree.edges:
-        for s in range(dim.n):
+        for s in range(n):
             r, c = _edge_image(dim, Automorphism(s, 0), e)
             for u, b in exp.tree.edges:
                 if b == c:
                     h = Automorphism(s, r ^ u)
                     overlap[h] = overlap.get(h, 0) + 1
-    # Each pair reads X(1, h), h = g1^-1 g2 = (s2 - s1, rotate_coords(m1 ^ m2,
-    # -s1)): a left shift of the mask word by s1 wrapped at bit n, where the
-    # wrapped part is empty for s1 = 0.
-    n, coord_mask = dim.n, dim.coord_mask
-    total = max_overlap = 0
-    transcript: Optional[list] = [] if keep_transcript else None
-    for g1, g2 in pairs:
-        (s1, m1), (s2, m2) = g1, g2
-        m = m1 ^ m2
-        x = overlap.get(((s2 - s1) % n, ((m << s1) | (m >> (n - s1))) & coord_mask), 0)
-        total += x
-        if x > max_overlap:
-            max_overlap = x
-        if transcript is not None:
-            transcript.append((g1, g2, x))
 
-    mean = Fraction(total, charged)
-    if samples is None and mean != Fraction(exp.distance**2, dim.num_edges):
+    transcript: Optional[list] = [] if keep_transcript else None
+    if samples is None and transcript is None:
+        # the identity row: each h the table holds once, every other element 0
+        total, max_overlap = sum(overlap.values()), max(overlap.values(), default=0)
+        count, mean = group_order(dim) ** 2, Fraction(total, group_order(dim))
+    else:
+        if samples is None:
+            group = enumerate_group(dim, budget=budget)
+            pairs, count = ((g1, g2) for g1 in group for g2 in group), len(group) ** 2
+        else:
+            pairs, count = _sampled_pairs(dim, seed, samples), samples
+        check_budget("automorphism pair sweep", count, budget)
+        # Each pair reads X(1, h), h = g1^-1 g2 = (s2 - s1, rotate_coords(m1 ^
+        # m2, -s1)): a left shift of the mask word by s1 wrapped at bit n,
+        # where the wrapped part is empty for s1 = 0.
+        total = max_overlap = 0
+        for g1, g2 in pairs:
+            (s1, m1), (s2, m2) = g1, g2
+            m = m1 ^ m2
+            x = overlap.get(((s2 - s1) % n, ((m << s1) | (m >> (n - s1))) & coord_mask), 0)
+            total += x
+            if x > max_overlap:
+                max_overlap = x
+            if transcript is not None:
+                transcript.append((g1, g2, x))
+        mean = Fraction(total, count)
+
+    if samples is None and mean != Fraction(d * d, dim.num_edges):
         raise AssertionError("exhaustive overlap mean broke the group identity")
     return IntersectionSummary(
         mean=mean,

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -113,6 +114,9 @@ def test_criterion_2_expectation_identity():
             assert summary.pair_count == group_order(exp.dim) ** 2
             expected = Fraction(exp.distance**2, exp.dim.num_edges)
             assert summary.mean == expected, exp.terminals
+            # the same summary through the enumerated group's |G|^2 pairs
+            swept = run_intersection_experiment(exp, keep_transcript=True)
+            assert replace(swept, transcript=None) == summary, exp.terminals
             per_dim[exp.dim.n] += 1
         assert per_dim[3] >= 10 and per_dim[4] >= 10
 

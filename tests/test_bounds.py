@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -426,10 +427,12 @@ def test_overlap_maps_each_mirror_edge_once_per_shift(monkeypatch):
     assert summary.mean == Fraction(exp.distance**2, D4.num_edges)
 
 
-@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("keep", [True])
 def test_exhaustive_mean_rejects_a_group_that_drops_or_repeats_an_element(
     monkeypatch, keep
 ):
+    # a transcript reads the enumerated group; the run without one never
+    # enumerates it (see the next test)
     real = bounds.enumerate_group
     exp = build_intersection_experiment(EVEN3)
     for faulty in (lambda g: g[:-1], lambda g: g + g[-1:]):
@@ -438,6 +441,21 @@ def test_exhaustive_mean_rejects_a_group_that_drops_or_repeats_an_element(
         )
         with pytest.raises(AssertionError, match="broke the group identity"):
             run_intersection_experiment(exp, keep_transcript=keep)
+
+
+def test_exhaustive_mean_rejects_shift_images_that_repeat_a_direction(monkeypatch):
+    # Without a transcript the identity row is the overlap table. Reading
+    # shift 1 as shift 0 sends a mirror edge of direction b to b twice and
+    # never to b - 1, so the table of even Q_3 sums to 26, not 25.
+    real = bounds._edge_image
+    exp = build_intersection_experiment(EVEN3)
+    monkeypatch.setattr(
+        bounds,
+        "_edge_image",
+        lambda dim, g, e: real(dim, g._replace(shift=0) if g.shift == 1 else g, e),
+    )
+    with pytest.raises(AssertionError, match="broke the group identity"):
+        run_intersection_experiment(exp)
 
 
 def test_experiment_budget_and_sample_guards(monkeypatch):
@@ -459,16 +477,21 @@ def test_experiment_budget_and_sample_guards(monkeypatch):
     # then drawn a block of at most 1024 pairs at a time
     run_intersection_experiment(exp, samples=2500)
     assert drawn == [2048, 2048, 904]
-    # a transcript reads all 12^2 = 144 pairs; without one only 12 are read
+    # a transcript reads all 12^2 = 144 pairs; without one the 3 * 5^2 = 75
+    # comparisons that build the overlap table are the whole charge
     with pytest.raises(BudgetExceededError):
         run_intersection_experiment(exp, budget=100, keep_transcript=True)
     assert run_intersection_experiment(exp, budget=100).pair_count == 144
+    with pytest.raises(BudgetExceededError, match="overlap table: projected 75 units"):
+        run_intersection_experiment(exp, budget=74)
+    assert run_intersection_experiment(exp, budget=75).pair_count == 144
 
 
-def test_exhaustive_q9_is_charged_for_the_identity_row():
-    # |G| = 2304 at n = 9; |G|^2 = 5,308,416 pairs exceed the default budget
+def test_exhaustive_q9_reads_the_overlap_table():
+    # |G| = 2304 at n = 9; the table needs 9 * 2^2 comparisons, while a
+    # transcript's |G|^2 = 5,308,416 pairs exceed the default budget
     exp = build_intersection_experiment(VertexSet.of(Dimension(9), [0, 3]))
-    summary = run_intersection_experiment(exp)
+    summary = run_intersection_experiment(exp, budget=36)
     assert summary.pair_count == 2304**2
     assert summary.mean == Fraction(4, Dimension(9).num_edges)
     with pytest.raises(BudgetExceededError, match="automorphism pair sweep"):
@@ -481,9 +504,51 @@ def test_sampled_experiment_is_not_charged_for_the_edge_set():
     summary = run_intersection_experiment(exp, samples=5, budget=10)
     assert summary.pair_count == 5
     assert summary.max_overlap == 0
-    # the exhaustive sweep still needs the 12-element group
+    # the exhaustive run reads the empty table and enumerates nothing
+    summary = run_intersection_experiment(exp, budget=10)
+    assert (summary.pair_count, summary.mean, summary.max_overlap) == (144, 0, 0)
+    # a transcript still needs the 12-element group
     with pytest.raises(BudgetExceededError, match="group enumeration"):
-        run_intersection_experiment(exp, budget=10)
+        run_intersection_experiment(exp, budget=10, keep_transcript=True)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_exhaustive_table_summary_matches_the_transcript_sweep(n):
+    # the identity row read from the table against all |G|^2 pairs read one
+    # by one from the enumerated group, singletons included
+    dim = Dimension(n)
+    evens = list(parity_class(dim, 0))
+    rng = random.Random(f"table/{n}")
+    for size in sorted({min(k, len(evens)) for k in (1, 2, rng.randint(3, 7), 8)}):
+        exp = build_intersection_experiment(VertexSet.of(dim, rng.sample(evens, size)))
+        table = run_intersection_experiment(exp)
+        swept = run_intersection_experiment(exp, keep_transcript=True)
+        assert swept.pair_count == group_order(dim) ** 2
+        assert replace(swept, transcript=None) == table
+
+
+@pytest.mark.parametrize(
+    "n, far, max_overlap, mean",
+    [
+        (18, (1 << 18) - 1, 17, Fraction(9, 65536)),
+        (19, (1 << 18) - 1, 17, Fraction(81, 1245184)),
+        (21, (1 << 20) - 1, 19, Fraction(25, 1376256)),
+    ],
+)
+def test_exhaustive_two_sets_beyond_group_enumeration(monkeypatch, n, far, max_overlap, mean):
+    # |G| = n 2^(n-1) is 2,359,296 at n = 18 and over the default budget
+    # from n = 19 on; the run without a transcript never enumerates it
+    def refuse(dim, **kw):
+        raise AssertionError("enumerate_group called")
+
+    monkeypatch.setattr(bounds, "enumerate_group", refuse)
+    dim = Dimension(n)
+    exp = build_intersection_experiment(VertexSet.of(dim, [0, far]))
+    summary = run_intersection_experiment(exp)
+    assert exp.distance == far.bit_count()
+    assert (summary.max_overlap, summary.mean) == (max_overlap, mean)
+    assert summary.mean == Fraction(exp.distance**2, dim.num_edges)
+    assert summary.pair_count == group_order(dim) ** 2
 
 
 def test_mirror_union_floor():

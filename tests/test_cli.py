@@ -802,11 +802,31 @@ def test_sampled_experiment_fits_a_budget_below_the_edge_count(run):
     assert code == 0
     assert err == ""
     assert _parse_text(out)["pair_count"] == "5"
-    code, _, err = run(argv + ["--exhaustive"])
+    # the exhaustive run reads the empty overlap table of a single terminal
+    code, out, err = run(argv + ["--exhaustive"])
+    assert code == 0
+    assert err == ""
+    assert _parse_text(out)["pair_count"] == "144"
+    # a csv transcript still enumerates the 12-element group
+    code, _, err = run(argv + ["--exhaustive", "--format", "csv"])
     assert code == 3
     assert err == (
         "error[budget]: group enumeration: projected 12 units exceeds budget 10\n"
     )
+
+
+def test_exhaustive_experiment_is_charged_for_the_overlap_table(run):
+    # even Q_3: d = 5, so the table takes 3 * 5^2 = 75 edge comparisons
+    argv = ["experiment", "--n", "3", "--set", "even", "--budget-states"]
+    code, _, err = run(argv + ["74"])
+    assert code == 3
+    assert err == (
+        "error[budget]: overlap table: projected 75 units exceeds budget 74\n"
+    )
+    code, out, err = run(argv + ["75"])
+    assert code == 0
+    assert err == ""
+    assert _parse_text(out)["pair_count"] == "144"
 
 
 def test_parser_is_built_once():

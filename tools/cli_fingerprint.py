@@ -29,13 +29,17 @@ n + 14, where the dispatch runs the Steiner-vertex search) of each
 Q_3..Q_6 and on two pinned dense sets of Q_5 and Q_6; exhaustive and
 sampled overlap experiments on seeded all-even sets of Q_2..Q_7; sampled
 experiments of 1025 to 2425 pairs, more than one draw block, on seeded
-all-even sets of Q_5, Q_8 and Q_13; `sdiam` for n = 2..5, k = 2..6, for
+all-even sets of Q_5, Q_8 and Q_13; exhaustive experiments, which read
+the overlap table, on the 2-sets {0, 1^18} of Q_18, {0, 1^18 0} of Q_19
+and {0, 1^20 0} of Q_21 (text and json) and on the single terminal 0 of
+Q_20 and of Q_64 (text); `sdiam` for n = 2..5, k = 2..6, for
 k = 3 at n = 6..8, and at n = 4, k = 5 one unit below its sweep's charge;
-`cds` for n = 1..9; `group-verify` for n = 1..8; and a few runs that must fail
-with a parse, budget or precondition error. Every run goes through all
+`cds` for n = 1..9; `group-verify` for n = 1..8; `experiment` on even
+Q_3 one unit below and at the overlap table's charge of 75; and a few runs
+that must fail with a parse, budget or precondition error. Every run goes through all
 three formats, except `bound` at n = 12 and 13 (three sets, one format
-each), the dense `exact` sets (json only) and exhaustive csv transcripts
-at n = 6 and 7.
+each), the dense `exact` sets (json only), exhaustive csv transcripts
+at n = 6 and 7, and the overlap-table runs and budget pair above.
 """
 
 from __future__ import annotations
@@ -122,6 +126,16 @@ def runs() -> list[list[str]]:
                 "--samples", str(1025 + 700 * i), "--seed", str(i),
             )
 
+    # exhaustive runs that read the identity row from the overlap table
+    # where the group is too large to enumerate under the default budget
+    # (and at n = 18, where it is not): far 2-sets and single terminals
+    for n, far in ((18, (1 << 18) - 1), (19, (1 << 18) - 1), (21, (1 << 20) - 1)):
+        for fmt in FORMATS[:2]:
+            argv = ["experiment", "--n", str(n), "--set", _inline(n, [0, far]), "--exhaustive"]
+            out.append([*argv, "--format", fmt])
+    for n in (20, 64):
+        out.append(["experiment", "--n", str(n), "--set", _inline(n, [0]), "--exhaustive"])
+
     for n in range(2, 6):
         for k in range(2, 7):
             each_format("sdiam", "--n", str(n), "--k", str(k))
@@ -140,6 +154,9 @@ def runs() -> list[list[str]]:
         ["bound", "--n", "13", "--set", "inline:" + "0" * 13],
         ["sdiam", "--n", "6", "--k", "4"],
         ["experiment", "--n", "3", "--set", "inline:000,011", "--samples", "0"],
+        # one unit below and at the overlap table's charge, 3 * 5^2, on even Q_3
+        ["experiment", "--n", "3", "--set", "even", "--budget-states", "74"],
+        ["experiment", "--n", "3", "--set", "even", "--budget-states", "75"],
         ["exact", "--n", "3", "--set", "inline:000,000"],
         ["exact", "--n", "3", "--set", "inline:0001"],
         ["exact", "--n", "03", "--set", "even"],
