@@ -4,19 +4,22 @@ A set dominates Q_n when every vertex either belongs to it or has a
 neighbor in it. Constructions provided:
 
 - greedy: repeatedly take the vertex covering the most uncovered vertices
-  (ties to the smallest vertex int). Dominating, rarely connected; the
-  budget caps the 2^n gains each pick scans, summed over the picks.
+  (ties to the smallest vertex int). Dominating, rarely connected. A lazy
+  heap of stale gains, which only fall, recomputes only the gains that
+  reach its top; the budget caps 2^n gains per pick, summed over the
+  picks, which bounds what the heap recomputes.
 - hamming_code: for n = 2^m - 1, the perfect single-error-correcting code
   of length n; its distance-1 balls tile the cube, so it dominates with
   exactly 2^n/(n+1) words, pairwise at distance >= 3 (never connected for
   n >= 3); the budget caps the 2^n words it scans.
 - steinerize: connect a disconnected dominating set by repeatedly joining
-  the two closest components along a deterministic geodesic. Each round
-  finds the closest pair by probing the distance-d rings, d = 2 and 3,
-  around the members outside the largest component (every cross pair
-  has such an end, no two components are adjacent, and a dominating
-  set's closest components lie within distance 3); the rings are built
-  once per call, and the budget caps the probes its rounds make.
+  the two closest components along a deterministic geodesic. Components
+  live in a union-find, and each vertex probes the distance-d rings
+  around it, d = 2 and 3, once, when it enters the set, pushing the cross
+  pairs it finds onto one heap (a dominating set's closest components
+  lie within distance 3); each round pops the least pair still across
+  two components, and the budget caps the probes, C(n, 2) + C(n, 3) per
+  vertex.
 - exact: a minimum connected dominating set for n <= 5 from one function,
   `exact_connected_dominating_set`: a pruned branch and bound that keeps
   its chosen set as components with their outside neighborhoods, made by
@@ -37,6 +40,7 @@ trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush, heapreplace
 from itertools import combinations
 
 from .cube import (
@@ -111,21 +115,34 @@ def greedy_dominating_set(
 ) -> DominatingSetCertificate:
     """Max-coverage greedy; deterministic via smallest-vertex tie-breaks.
 
-    Each pick scans the gains of all 2^n vertices. The budget caps the
-    running total picks x 2^n, checked before each pick's scan and, at
-    the sphere-covering floor of picks, before the 2^n masks are built.
+    Lazy greedy (Minoux): a heap holds (-gain, v) with each vertex's gain
+    as last computed. A vertex's gain only falls as vertices are covered,
+    so a stale key bounds its true gain from above. Each pick pops the
+    top, recomputes its gain and takes it when the gain equals its key:
+    every other vertex then gains at most as much, and any tied vertex
+    has a key at least that gain and so would sort first if smaller.
+    Otherwise the vertex goes back with its true gain. Within one pick a
+    vertex is recomputed at most once, and the taken one at most twice, so
+    a pick computes at most 2^n + 1 gains. The budget caps the running total
+    picks x 2^n, checked before each pick and, at the sphere-covering
+    floor of picks, before the 2^n masks are built.
     """
     size = dim.num_vertices
     check_budget("greedy domination sweep", sphere_covering_floor(dim) * size, budget)
     closed = closed_neighborhood_masks(dim)
     uncovered = (1 << size) - 1
+    # every vertex first covers its n + 1 closed neighbors; sorted, so a heap
+    heap = [(-(dim.n + 1), v) for v in range(size)]
     chosen: list[int] = []
     while uncovered:
         check_budget("greedy domination sweep", (len(chosen) + 1) * size, budget)
-        gains = list(map(int.bit_count, map(uncovered.__and__, closed)))
-        best_v = gains.index(max(gains))
-        chosen.append(best_v)
-        uncovered &= ~closed[best_v]
+        key, v = heap[0]
+        while (gain := (uncovered & closed[v]).bit_count()) != -key:
+            heapreplace(heap, (-gain, v))
+            key, v = heap[0]
+        heappop(heap)
+        chosen.append(v)
+        uncovered &= ~closed[v]
     return DominatingSetCertificate(VertexSet.of(dim, chosen), "greedy")
 
 
@@ -162,48 +179,62 @@ def steinerize(
     two components at minimum Hamming distance (ties: smallest vertex
     pair), merging them; a superset of a dominating set still dominates.
 
-    A round labels the current vertices by component and probes the rings
-    v = u ^ x, popcount(x) = d, around each vertex u outside the largest
-    component, for d = 2, 3; the first ring that reaches another
-    component gives the round's pair, the least (min(u, v), max(u, v))
-    found in it. This is the closest pair over all components: every
-    pair across two components has an end outside the largest one, no
-    two components are adjacent (so d = 1 finds nothing), and among the
-    pairs at the least distance the least (low, high) is the least
-    (distance, low, high). A dominating set's closest components are
-    within distance 3, and so are those of every superset the rounds
-    build, so the rings d = 2 and d = 3 (those that fit in Q_n) are built
-    once per call, each round probes at most these two, and each merge
-    adds at most min(2, n-1) vertices. The budget caps the running total
-    of probes, (|current| - |largest|) C(n, d) per ring, checked before
-    each ring.
+    The components live in a union-find over the current vertices, and
+    one heap holds cross pairs (distance, low, high) at distance 2 and 3.
+    A vertex enters the set once: each member at the start, each geodesic
+    interior vertex in a later round. On entering it is united with its
+    current neighbors, which also merges any third component an interior
+    vertex touches, and then probes its rings v = u ^ x, popcount(x) = d,
+    for d = 2, 3 (those that fit in Q_n), pushing every current v in
+    another component. Every pair of current vertices is thus seen once,
+    by whichever end entered later, so no two components are adjacent and
+    the heap holds every cross pair at distance <= 3; pairs whose ends
+    have since merged are dropped when they reach the top. Each round pops
+    the least pair still across two components. That is the least
+    (distance, low, high) over all cross pairs, because a dominating set's
+    closest components lie within distance 3, as do those of every
+    superset the rounds build. So the heap runs empty exactly when one
+    component is left, and each merge adds at most min(2, n-1) vertices.
+    The budget caps the running total of probes, C(n, 2) + C(n, 3) per
+    entering vertex, checked before each batch of entering vertices: on
+    the greedy set of Q_9 that is 120 x 113 = 13,560.
     """
     if not is_dominating(members):
         raise ValueError("steinerize requires a dominating input set")
     n = members.dim.n
-    rings = [
-        [sum(1 << b for b in bits) for bits in combinations(range(n), d)]
-        for d in range(2, min(n, 3) + 1)
+    ring = [
+        sum(1 << b for b in bits) for d in (2, 3) for bits in combinations(range(n), d)
     ]
-    current, probes = set(members), 0
-    while len(comps := bfs_forest(n, current)) > 1:
-        label = {v: i for i, comp in enumerate(comps) for v in comp}
-        largest = comps.index(max(comps, key=len))
-        outside = [(u, i) for u, i in label.items() if i != largest]
-        for ring in rings:
-            probes += len(outside) * len(ring)
-            check_budget("steinerize pair scan", probes, budget)
-            pairs = [
-                (min(u, v), max(u, v))
-                for u, i in outside
-                for x in ring
-                if label.get(v := u ^ x, i) != i
-            ]
-            if pairs:
-                break
-        for e in _geodesic(*min(pairs)):
-            current.update(e.endpoints())
-    return DominatingSetCertificate(VertexSet.of(members.dim, current), "steinerized")
+    root: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        # with path halving
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    heap: list[tuple[int, int, int]] = []
+    batch, probes = list(members), 0
+    while True:
+        probes += len(batch) * len(ring)
+        check_budget("steinerize pair scan", probes, budget)
+        for u in batch:
+            # u enters as the root of its neighbors' components
+            root[u] = u
+            for bit in range(n):
+                if (v := u ^ (1 << bit)) in root:
+                    root[find(v)] = u
+            for v in root.keys() & map(u.__xor__, ring):
+                if find(v) != u:
+                    heappush(heap, ((u ^ v).bit_count(), min(u, v), max(u, v)))
+        while heap and find(heap[0][1]) == find(heap[0][2]):
+            heappop(heap)
+        if not heap:
+            break
+        _, low, high = heappop(heap)
+        path = {v for e in _geodesic(low, high) for v in e.endpoints()}
+        batch = list(path - root.keys())
+    return DominatingSetCertificate(VertexSet.of(members.dim, root), "steinerized")
 
 
 def exact_connected_dominating_set(

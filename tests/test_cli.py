@@ -522,7 +522,7 @@ def test_cds_report_is_pinned(run, n):
 
 
 def test_cds_q12_answers_under_the_default_budget(run):
-    # greedy needs 2,097,152 units and steinerizing its set 3,200,142
+    # greedy needs 2,097,152 units and steinerizing its set 218,218
     code, out, err = run(["cds", "--n", "12"])
     assert (code, err) == (0, "")
     fields = _parse_text(out)
@@ -774,7 +774,7 @@ def test_budget_exit_code(run):
     "argv", [["cds", "--n", "16"], ["bound", "--n", "16", "--set", "even"]]
 )
 def test_greedy_refuses_before_building_its_masks(run, monkeypatch, argv):
-    # 3,856 picks at least, each scanning 2^16 gains
+    # 3,856 picks at least, each charged 2^16 units
     def unreachable(dim):
         raise AssertionError("masks built before the budget check")
 
@@ -787,12 +787,18 @@ def test_greedy_refuses_before_building_its_masks(run, monkeypatch, argv):
     )
 
 
-def test_steinerize_pair_scan_is_charged(run):
-    # greedy on Q_9 needs 32,768 units and steinerizing its set 47,556
-    code, out, err = run(["cds", "--n", "9", "--budget-states", "40000"])
+def test_cds_q9_refuses_one_unit_below_greedys_charge(run):
+    # greedy on Q_9 needs 64 picks x 512 = 32,768 units and steinerizing
+    # its set 13,560, so greedy's charge is the one that refuses
+    code, out, err = run(["cds", "--n", "9", "--budget-states", "32767"])
     assert (code, out) == (3, "")
-    assert "error[budget]: steinerize pair scan: projected" in err
-    assert "exceeds budget 40000" in err
+    assert err == (
+        "error[budget]: greedy domination sweep: projected 32768 units "
+        "exceeds budget 32767\n"
+    )
+    code, out, err = run(["cds", "--n", "9", "--budget-states", "32768"])
+    assert (code, err) == (0, "")
+    assert _parse_text(out)["best_size"] == "113"
 
 
 def test_sampled_experiment_fits_a_budget_below_the_edge_count(run):

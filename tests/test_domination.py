@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -286,8 +287,25 @@ def test_greedy_is_deterministic():
     assert a.vertex_set.members == b.vertex_set.members
 
 
+def _full_scan_greedy(dim):
+    # reference: every pick scans all 2^n gains and takes the first maximum
+    closed = closed_neighborhood_masks(dim)
+    uncovered, chosen = (1 << dim.num_vertices) - 1, []
+    while uncovered:
+        gains = [(uncovered & mask).bit_count() for mask in closed]
+        chosen.append(gains.index(max(gains)))
+        uncovered &= ~closed[chosen[-1]]
+    return sorted(chosen)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_lazy_greedy_matches_the_full_scan(n):
+    dim = Dimension(n)
+    assert list(greedy_dominating_set(dim).vertex_set) == _full_scan_greedy(dim)
+
+
 def test_greedy_budget_caps_picks_times_the_cube():
-    # Q_6 takes 16 picks, each scanning the 64 vertices' gains
+    # Q_6 takes 16 picks, each charged the 64 vertices of the cube
     with pytest.raises(BudgetExceededError, match="greedy domination sweep"):
         greedy_dominating_set(Dimension(6), budget=1023)
     assert greedy_dominating_set(Dimension(6), budget=1024).size == 16
@@ -369,11 +387,11 @@ def test_steinerize_keeps_connected_input():
 
 
 def test_steinerize_budget_caps_the_pairs_it_scans():
-    # the greedy set of Q_9 needs 47,556 ring probes in all
+    # each of the 113 vertices of the result probes C(9, 2) + C(9, 3) = 120
     base = greedy_dominating_set(Dimension(9)).vertex_set
-    assert steinerize(base, budget=47_556).connected
+    assert steinerize(base, budget=13_560).connected
     with pytest.raises(BudgetExceededError, match="steinerize pair scan"):
-        steinerize(base, budget=47_555)
+        steinerize(base, budget=13_559)
 
 
 def _pairwise_closest_merge(base):
@@ -446,10 +464,10 @@ def test_dominating_sets_strategy_ties_the_largest_components():
 
 
 def test_steinerize_charges_the_probes_it_makes(monkeypatch):
-    # Each ring probes u ^ x for every member u outside the largest
-    # component and every x of popcount d; the rings run from d = 2 to the
-    # first one that reaches another component. The probes are counted
-    # here by brute force and must equal the running totals charged.
+    # Each vertex probes u ^ x for every x of popcount 2 or 3 once, when
+    # it enters: the members at the start, then each round's geodesic
+    # interior. The probes are counted here by brute force and must equal
+    # the running totals charged, one per batch of entering vertices.
     charged = []
 
     def recording_check_budget(what, projected, limit):
@@ -464,23 +482,26 @@ def test_steinerize_charges_the_probes_it_makes(monkeypatch):
         n = base.dim.n
         charged.clear()
         steinerize(base)
-        expected, probes = [], 0
-        for comps in _pairwise_closest_merge(base)[1]:
-            largest = max(comps, key=len)
-            reach = min(
-                (u ^ v).bit_count()
-                for comp in comps
-                if comp is not largest
-                for other in comps
-                if other is not comp
-                for u in comp
-                for v in other
-            )
-            outside = sum(len(comp) for comp in comps if comp is not largest)
-            for d in range(2, reach + 1):
-                probes += outside * sum(x.bit_count() == d for x in range(1 << n))
-                expected.append(probes)
-        assert charged == expected
+        ring = sum(x.bit_count() in (2, 3) for x in range(1 << n))
+        # after each batch, the probes so far are `ring` per current vertex
+        final, rounds = _pairwise_closest_merge(base)
+        sizes = [sum(map(len, comps)) for comps in rounds] + [len(final)]
+        assert charged == [size * ring for size in sizes]
+
+
+# (size, sha256 of the comma-joined members) of the steinerized greedy set
+STEINERIZED_GREEDY = {
+    10: (214, "ec222fdc09655b58edfad1a129e212be4552e2cddd17e279710f987146baa50d"),
+    11: (398, "87f685b09b59322130cf2b6d94312188357c99c533e1aaa083b3a78fd2826f77"),
+    12: (763, "fe2f98f16890194c5d40b46c2d2784da17fa850387d9472ff7aa02f9a8ecf2d0"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(STEINERIZED_GREEDY))
+def test_steinerized_greedy_is_pinned_at_scale(n):
+    members = steinerize(greedy_dominating_set(Dimension(n)).vertex_set).vertex_set
+    digest = hashlib.sha256(",".join(map(str, members)).encode()).hexdigest()
+    assert (len(members), digest) == STEINERIZED_GREEDY[n]
 
 
 def test_steinerize_rejects_non_dominating():

@@ -34,12 +34,13 @@ the overlap table, on the 2-sets {0, 1^18} of Q_18, {0, 1^18 0} of Q_19
 and {0, 1^20 0} of Q_21 (text and json) and on the single terminal 0 of
 Q_20 and of Q_64 (text); `sdiam` for n = 2..5, k = 2..6, for
 k = 3 at n = 6..8, and at n = 4, k = 5 one unit below its sweep's charge;
-`cds` for n = 1..9; `group-verify` for n = 1..8; `experiment` on even
+`cds` for n = 1..12; `group-verify` for n = 1..8; `experiment` on even
 Q_3 one unit below and at the overlap table's charge of 75; and a few runs
-that must fail with a parse, budget or precondition error. Every run goes through all
-three formats, except `bound` at n = 12 and 13 (three sets, one format
-each), the dense `exact` sets (json only), exhaustive csv transcripts
-at n = 6 and 7, and the overlap-table runs and budget pair above.
+that must fail with a parse, budget or precondition error. Every run goes
+through all three formats, except `bound` at n = 12 and 13 (three sets,
+one format each), `cds` at n = 10..12 and the dense `exact` sets (json
+only), exhaustive csv transcripts at n = 6 and 7, and the overlap-table
+runs and budget pair above.
 """
 
 from __future__ import annotations
@@ -145,6 +146,9 @@ def runs() -> list[list[str]]:
     each_format("sdiam", "--n", "4", "--k", "5", "--budget-states", "349439")
     for n in range(1, 10):
         each_format("cds", "--n", str(n))
+    for n in range(10, 13):
+        # the steinerized greedy sets of 214, 398 and 763 vertices; json only
+        out.append(["cds", "--n", str(n), "--format", "json"])
     for n in range(1, 9):
         each_format("group-verify", "--n", str(n))
 
