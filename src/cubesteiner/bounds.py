@@ -51,6 +51,7 @@ from .steiner import (
     SteinerInstance,
     SteinerTree,
     _certified_tree,
+    _columns,
     _cut_tree,
     _dp_projection,
     _dp_solve,
@@ -456,17 +457,16 @@ def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> S
     would be a maximiser containing 0 whose sorted tuple begins with 0 < t,
     so it would come before T.
 
-    Within the call, a dict keyed by each swept tuple's column multiset
-    keeps d for the first tuple with that key, and `_solve` runs only on
-    that first tuple. Column b is bit b of each terminal of `rest`, in
-    sweep order, and the key is the sorted tuple of the n columns. Two
-    tuples with equal keys differ by a coordinate permutation pi that maps
-    the j-th terminal of one onto the j-th terminal of the other for every
-    j; pi fixes 0 and is an automorphism of Q_n, so both sets have the same
-    d. Every set thus gets the d it would get from its own solve, and the
-    strict `d > best_d` update still keeps the lexicographically first
-    maximiser. The charge is unchanged: one ceiling per swept set, solved
-    or looked up.
+    Within the call, a dict keyed by each swept tuple's column multiset,
+    the sorted values of `steiner._columns` (one int per nonzero column,
+    bit j for the j-th terminal of `rest`), keeps d for the first tuple
+    with that key, and `_solve` runs only on that first tuple. Equal keys
+    mean equal d, by the lemma in the `steiner` module docstring ("Column
+    classes"); the zero columns need no place in the key, since their
+    count is n minus its length. Every set thus gets the d it would get
+    from its own solve, and the strict `d > best_d` update still keeps the
+    lexicographically first maximiser. The charge is unchanged: one
+    ceiling per swept set, solved or looked up.
     """
     if type(k) is not int or not 2 <= k <= dim.num_vertices:
         raise ValueError(f"need 2 <= k <= {dim.num_vertices}, got k={k!r}")
@@ -484,11 +484,10 @@ def sdiam_sandwich(dim: Dimension, k: int, *, budget: int = DEFAULT_BUDGET) -> S
         reason = f"budget: {exc}"
     else:
         best_d = -1
-        fmt = f"0{dim.n}b"
-        solved: dict[tuple[tuple[str, ...], ...], int] = {}
+        solved: dict[tuple[int, ...], int] = {}
         for rest in combinations(range(1, dim.num_vertices), k - 1):
             cand = (0,) + rest
-            key = tuple(sorted(zip(*[format(t, fmt) for t in rest])))
+            key = tuple(sorted(_columns(cand).values()))
             d = solved.get(key)
             if d is None:
                 d = solved[key] = _solve(dim, cand, budget, witness=False)[0]

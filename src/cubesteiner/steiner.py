@@ -53,9 +53,17 @@ is the unit-weight DP's tree on S itself on every set (see
 `bounds.build_intersection_experiment`).
 
 Column classes. XOR with the first terminal r is an automorphism, so take
-r = 0. Coordinate b's column is its bit over the other terminals; drop
-the zero columns and group equal ones into c classes C_i of m_i
-coordinates, c <= min(n, 2^(k-1) - 1). Summing the coordinates of each
+r = 0. Coordinate b's column is its bit over the other terminals, in
+order; `_columns` is the one reader of a set's columns. Lemma: two
+k-sets containing 0 whose columns form equal multisets have the same d.
+Pair each coordinate of one set with a coordinate of the other that has
+the same column, one to one; the coordinate permutation along the
+pairing fixes 0, maps the j-th terminal of one set onto the j-th of the
+other for every j, and is an automorphism of Q_n. Both sets have n - z
+zero columns, z the number of nonzero ones, so the multiset of the
+nonzero columns alone decides; `bounds.sdiam_sandwich` keys its memo by
+it. Drop the zero columns and group equal ones into c classes C_i of
+m_i coordinates, c <= min(n, 2^(k-1) - 1). Summing the coordinates of each
 class maps Q_n onto the grid P of the paths [0, m_i], every edge onto an
 edge of P or, across a dropped coordinate, onto one vertex; the prefix
 lift (set the first w_i coordinates of each C_i) embeds P back into Q_n.
@@ -454,39 +462,48 @@ def _steiner_vertex_search(
     return found
 
 
+def _columns(terms: tuple[int, ...]) -> dict[int, int]:
+    """The nonzero columns of S, as {coordinate bit: column}, where bit j
+    of a column is that coordinate's bit in terms[j + 1] ^ terms[0]; a
+    coordinate whose column is zero is left out.
+
+    One pass over the set bits of each t ^ terms[0]. The one reading of a
+    terminal set's columns: `_column_classes` groups them into the DP's
+    reduction, and `bounds.sdiam_sandwich` keys its memo by their sorted
+    values, the column multiset of the module docstring's lemma.
+    """
+    r = terms[0]
+    columns: dict[int, int] = {}
+    for j, t in enumerate(terms[1:]):
+        x = t ^ r
+        while x:
+            bit = x & -x
+            columns[bit] = columns.get(bit, 0) | 1 << j
+            x ^= bit
+    return columns
+
+
 def _column_classes(terms: tuple[int, ...]) -> tuple[list[int], int, tuple[int, ...]]:
     """S's column classes as the reduction `_dp_solve` takes: the
     coordinate masks of the classes, in order of each class's lowest
     coordinate, the base r = terms[0], and the reduced terminals.
 
-    Coordinate b's column is its bit in t ^ r over the other terminals t
-    (bit j for terms[j + 1]), read in one pass over the set bits of each
-    t ^ r; zero columns are dropped and equal ones form a class. All
-    coordinates of a class share its column, so each t ^ r holds all of a
-    class's coordinates or none, and reduced terminal x_t has bit i set
-    where t ^ r meets class i's mask: r ^ lift(x_t) = t and x_r = 0.
+    Coordinates with equal `_columns` form a class. All coordinates of a
+    class share its column, so each t ^ r holds all of a class's
+    coordinates or none, and reduced terminal x_j (for terms[j]) has bit
+    i set where bit j - 1 of class i's column is, read off the set bits
+    of each class's column: r ^ lift(x_j) = terms[j] and x_0 = 0.
     """
-    r = terms[0]
-    columns: dict[int, int] = {}
-    j = 1
-    for t in terms[1:]:
-        x = t ^ r
-        while x:
-            bit = x & -x
-            columns[bit] = columns.get(bit, 0) | j
-            x ^= bit
-        j <<= 1
     classes: dict[int, int] = {}
-    for bit in sorted(columns):
-        column = columns[bit]
+    for bit, column in sorted(_columns(terms).items()):
         classes[column] = classes.get(column, 0) | bit
-    masks = list(classes.values())
     reduced = [0] * len(terms)
-    for i, m in enumerate(masks):
-        for j, t in enumerate(terms):
-            if (t ^ r) & m:
-                reduced[j] |= 1 << i
-    return masks, r, tuple(reduced)
+    for i, column in enumerate(classes):
+        while column:
+            low = column & -column
+            reduced[low.bit_length()] |= 1 << i
+            column ^= low
+    return list(classes.values()), terms[0], tuple(reduced)
 
 
 def _dp_solve(

@@ -745,10 +745,12 @@ def _column_multiset(n, rest):
 
 @pytest.mark.parametrize(
     "n, k, solves",
-    # one solve per set containing 0 would be 3, 21, 35, 35 on Q_3 and
-    # 4, 105, 455, 1365 on Q_4
+    # one solve per set containing 0 would be 3, 21, 35, 35 on Q_3,
+    # 4, 105, 455, 1365 on Q_4, 4495 at (5, 4), and 1953 and 8001 for
+    # k = 3 on Q_6 and Q_7
     [(3, 2, 3), (3, 3, 7), (3, 4, 15), (3, 5, 22)]
-    + [(4, 2, 4), (4, 3, 16), (4, 4, 76), (4, 5, 336)],
+    + [(4, 2, 4), (4, 3, 16), (4, 4, 76), (4, 5, 336)]
+    + [(5, 4, 258), (6, 3, 50), (7, 3, 77)],
 )
 def test_sdiam_sweep_solves_once_per_column_multiset(monkeypatch, n, k, solves):
     dim = Dimension(n)
@@ -765,6 +767,9 @@ def test_sdiam_sweep_solves_once_per_column_multiset(monkeypatch, n, k, solves):
     for rest in combinations(range(1, dim.num_vertices), k - 1):
         first.setdefault(_column_multiset(n, rest), (0,) + rest)
     assert solved == list(first.values())
+    if n > 4:
+        # the check below solves every swept set; keep Tier-1's time flat
+        return
     # the lemma: a set solved on its own has its key's first set's distance
     d_first = {
         key: _solve(dim, cand, DEFAULT_BUDGET, witness=False)[0] for key, cand in first.items()

@@ -929,6 +929,68 @@ def _few_column_set(n, k, data):
     return tuple(sorted(terms))
 
 
+def _two_pass_column_classes(terms):
+    """An independent reading of the reduction: a bit loop for the
+    columns, then every terminal tested against every class mask."""
+    r = terms[0]
+    columns = {}
+    j = 1
+    for t in terms[1:]:
+        x = t ^ r
+        while x:
+            bit = x & -x
+            columns[bit] = columns.get(bit, 0) | j
+            x ^= bit
+        j <<= 1
+    classes = {}
+    for bit in sorted(columns):
+        column = columns[bit]
+        classes[column] = classes.get(column, 0) | bit
+    masks = list(classes.values())
+    reduced = [0] * len(terms)
+    for i, m in enumerate(masks):
+        for j, t in enumerate(terms):
+            if (t ^ r) & m:
+                reduced[j] |= 1 << i
+    return masks, r, tuple(reduced)
+
+
+def _seeded_sorted_sets():
+    rng = random.Random("column classes")
+    for n in range(1, 65):
+        for k in range(1, min(16, 1 << n) + 1):
+            for _ in range(3):
+                drawn = set()
+                while len(drawn) < k:
+                    drawn.add(rng.getrandbits(n))
+                yield tuple(sorted(drawn))
+
+
+def test_columns_read_each_coordinate_over_the_other_terminals():
+    for terms in _seeded_sorted_sets():
+        r = terms[0]
+        n = max(terms).bit_length()
+        want = {}
+        for b in range(n):
+            column = sum(((t ^ r) >> b & 1) << j for j, t in enumerate(terms[1:]))
+            if column:
+                want[1 << b] = column
+        assert steiner._columns(terms) == want
+
+
+def test_column_classes_match_the_two_pass_reading_on_seeded_sets():
+    for terms in _seeded_sorted_sets():
+        assert _column_classes(terms) == _two_pass_column_classes(terms)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 64), st.integers(1, 16), st.data())
+def test_column_classes_match_the_two_pass_reading(n, k, data):
+    # few distinct columns, so classes of several coordinates are common
+    terms = _few_column_set(n, k, data)
+    assert _column_classes(terms) == _two_pass_column_classes(terms)
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.integers(1, 8), st.integers(1, 7), st.data())
 def test_column_class_dp_agrees_with_unit_dp_and_oracle(n, k, data):

@@ -41,6 +41,18 @@ through all three formats, except `bound` at n = 12 and 13 (three sets,
 one format each), `cds` at n = 10..12 and the dense `exact` sets (json
 only), exhaustive csv transcripts at n = 6 and 7, and the overlap-table
 runs and budget pair above.
+
+The list ends with runs on instance files (`--set <path>`): `exact`,
+`bound` and `experiment` in all three formats on three all-even sets of
+Q_3, Q_4 and Q_5, one of them with a UTF-8 byte order mark, comments,
+blank lines, padded vertices and CRLF line ends; `exact` with an `--n`
+that agrees and one that disagrees with a file's header; files with a
+duplicate terminal, no `n=` header, a non-canonical header, no
+terminals, nothing but a comment, and bytes that are not UTF-8; and
+`--set even` without `--n` and `--budget-states 0`. The files are written
+to a temporary directory that is the working directory of every run, so
+messages quote only the relative names below. A missing file is left
+out: its message quotes the operating system's error text.
 """
 
 from __future__ import annotations
@@ -49,8 +61,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 FORMATS = ("text", "json", "csv")
@@ -61,6 +75,21 @@ DENSE_TIE_SETS = (
     (5, [2, 4, 7, 9, 13, 20, 23, 24, 26]),
     (6, [3, 6, 11, 14, 16, 17, 18, 27, 30, 32, 36, 37, 39, 40, 41, 55, 56]),
 )
+
+# instance files by name, for the `--set <path>` runs at the end of the
+# list: the first three hold all-even sets, and the rest must be refused
+INSTANCE_FILES = {
+    "q3.txt": b"n=3\n000\n011\n101\n110\n",
+    "q4-bom.txt": "\ufeff# the even 4-set\r\n\r\nn=4\r\n  0000 \r\n"
+    "# a comment\r\n1100\r\n\r\n0011\r\n1111\r\n".encode(),
+    "q5.txt": b"n=5\n00000\n11000\n10100\n01111\n",
+    "duplicate.txt": b"n=3\n000\n011\n000\n",
+    "no-header.txt": b"000\n011\n",
+    "leading-zero.txt": b"n=03\n000\n",
+    "no-terminals.txt": b"n=3\n",
+    "comment-only.txt": b"# nothing else\n\n",
+    "latin1.txt": b"n=3\n\xff00\n",
+}
 
 
 def _inline(n: int, vertices: list[int]) -> str:
@@ -166,6 +195,17 @@ def runs() -> list[list[str]]:
         ["exact", "--n", "03", "--set", "even"],
         ["cds"],
     ]
+
+    for name in list(INSTANCE_FILES)[:3]:
+        for command in ("exact", "bound", "experiment"):
+            each_format(command, "--set", name)
+    out += [
+        ["exact", "--n", "4", "--set", "q4-bom.txt"],
+        ["exact", "--n", "4", "--set", "q3.txt"],
+        *(["exact", "--set", name] for name in list(INSTANCE_FILES)[3:]),
+        ["exact", "--set", "even"],
+        ["cds", "--n", "3", "--budget-states", "0"],
+    ]
     return out
 
 
@@ -177,11 +217,20 @@ def main(argv: list[str]) -> int:
     print(f"cubesteiner from {Path(cli.__file__).parent}", file=sys.stderr)
     total = hashlib.sha256()
     listed = runs()
-    for run in listed:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(list(run))
-        total.update(json.dumps([run, code, out.getvalue(), err.getvalue()]).encode() + b"\n")
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        for name, data in INSTANCE_FILES.items():
+            Path(work, name).write_bytes(data)
+        os.chdir(work)
+        try:
+            for run in listed:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(list(run))
+                record = [run, code, out.getvalue(), err.getvalue()]
+                total.update(json.dumps(record).encode() + b"\n")
+        finally:
+            os.chdir(home)
     print(f"runs: {len(listed)} sha256: {total.hexdigest()}")
     return 0
 
