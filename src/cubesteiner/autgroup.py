@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import random
 import re
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .cube import (
     Dimension, Edge, all_edges, canonical_int, check_edge, check_vertex, parity, parse_vertex,
-    vertex_to_string,
 )
 from .errors import DEFAULT_BUDGET, ParseError, check_budget
 
@@ -158,7 +158,7 @@ def sample_uniform(dim: Dimension, rng: random.Random) -> Automorphism:
     The shift is uniform on [0, n). The mask draws one fair bit per
     coordinate except the last, which is set to whatever makes the total
     popcount even; every even-weight mask arises from exactly one draw.
-    This is the reference that the bulk draw `_sample_elements` matches
+    This is the reference that the bulk draw `_sample_stream` matches
     element for element and generator word for generator word.
     """
     shift = rng.randrange(dim.n)
@@ -171,9 +171,22 @@ def sample_uniform(dim: Dimension, rng: random.Random) -> Automorphism:
     return Automorphism(shift, mask)
 
 
-def _sample_elements(dim: Dimension, rng: random.Random, count: int) -> list[Automorphism]:
-    """[sample_uniform(dim, rng) for _ in range(count)] from a few bulk
-    draws, leaving `rng` in the same state.
+# the 0/1 mask bytes of an element's stream form and their ASCII digits
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _element_bytes(n: int, shift: int, mask: int) -> bytes:
+    """The n bytes of (shift, mask < 2^n) in a `_sample_stream` draw: the
+    shift, then mask bits 0..n-2 as 0/1 bytes. Bit n-1 is left out; for an
+    element it is the parity of the others."""
+    return bytes([shift]) + format(mask, f"0{n}b")[:0:-1].encode().translate(_BIT_BYTES)
+
+
+def _sample_stream(dim: Dimension, rng: random.Random, count: int) -> bytes:
+    """[sample_uniform(dim, rng) for _ in range(count)] as count n-byte
+    elements (`_element_bytes`), from a few bulk draws that leave `rng` in
+    the same state.
 
     Each draw of `sample_uniform` reads 32-bit generator words:
     `randrange(n)` keeps the top k = n.bit_length() bits of one word and
@@ -184,39 +197,66 @@ def _sample_elements(dim: Dimension, rng: random.Random, count: int) -> list[Aut
     lowest bits. An element takes at least n words, so owing e elements
     and carrying t < n words of a partial one (its rejected words
     dropped), drawing e n - t words reads none past the last element. One
-    regex splits the top bytes into whole elements and the rest, whose
-    partial element is carried to the next draw; each distinct (shift,
-    mask bits) key is decoded once.
+    regex splits the top bytes into runs of whole elements, separated by
+    rejected shift words, and the rest, whose partial element is carried to
+    the next draw; two translations turn a whole element's top bytes into
+    its shift and its 0/1 mask bits.
     """
     n = dim.n
     k = n.bit_length()
     cut = n << (8 - k)  # top bytes below `cut` hold an accepted shift
     rejected = bytes(range(cut, 256))
-    element = re.compile(b"[\\x%02x-\\xff]*([\\x00-\\x%02x].{%d})" % (cut, cut - 1, n - 1), re.S)
-    chunk = re.compile(b".{%d}" % n, re.S)
-    top_bit = b"0" * 128 + b"1" * 128
+    elements = re.compile(b"[\\x%02x-\\xff]*((?:[\\x00-\\x%02x].{%d})+)" % (cut, cut - 1, n - 1), re.S)
+    top_bit = bytes(128) + b"\x01" * 128
     shift_of = bytes(b >> (8 - k) for b in range(256))
-    decoded: dict[bytes, Automorphism] = {}
-    out: list[Automorphism] = []
-    tail = b""
-    while len(out) < count:
-        words = (count - len(out)) * n - len(tail)
+    drawn: list[bytes] = []
+    owed, tail = count, b""
+    while owed:
+        words = owed * n - len(tail)
         top = tail + rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
-        # split alternates empty separators and whole elements, then the rest
-        *whole, rest = element.split(top)
+        # split alternates empty separators and runs of whole elements,
+        # then the rest
+        *whole, rest = elements.split(top)
         stream = b"".join(whole)
-        # an element's key is its shift, then "0"/"1" for mask bits 0..n-2
-        marks = bytearray(stream.translate(top_bit))
-        marks[::n] = stream[::n].translate(shift_of)
-        keys = chunk.findall(marks)
-        for key in set(keys).difference(decoded):
-            mask = int(b"0" + key[:0:-1], 2)
-            if mask.bit_count() & 1:
-                mask |= 1 << (n - 1)
-            decoded[key] = Automorphism(key[0], mask)
-        out += map(decoded.__getitem__, keys)
+        out = bytearray(stream.translate(top_bit))
+        out[::n] = stream[::n].translate(shift_of)
+        drawn.append(out)
+        owed -= len(stream) // n
         tail = rest.lstrip(rejected)
-    return out
+    return b"".join(drawn)
+
+
+def _sample_elements(
+    dim: Dimension, stream: bytes, decoded: dict[bytes, Automorphism]
+) -> list[Automorphism]:
+    """The elements of an element stream (`_element_bytes`), such as a
+    `_sample_stream` draw, in order. `decoded` maps each element's n bytes
+    to its element; a key missing from it is decoded once and added, so a
+    caller that keeps the dict across draws decodes each distinct element
+    once."""
+    n = dim.n
+    # a Struct of its own: struct.unpack would cache one per block size
+    keys = struct.Struct(f"{n}s" * (len(stream) // n)).unpack(stream)
+    for key in set(keys).difference(decoded):
+        mask = int(b"0" + key[:0:-1].translate(_BIT_CHARS), 2)
+        if mask.bit_count() & 1:
+            mask |= 1 << (n - 1)
+        decoded[key] = Automorphism(key[0], mask)
+    return list(map(decoded.__getitem__, keys))
+
+
+def _pair_keys(n: int, stream: bytes) -> tuple[bytes, ...]:
+    """The 2n-byte key of each pair of consecutive elements (s1, m1),
+    (s2, m2) of an element stream: _element_bytes(n, s1, 0) +
+    _element_bytes(n, s1 ^ s2, m1 ^ m2). One XOR of the stream, read as a
+    little-endian int, against itself shifted one element puts the first
+    element over the second; a mask keeps that XOR and the first shift."""
+    pairs = len(stream) // (2 * n)
+    words = int.from_bytes(stream, "little")
+    second = int.from_bytes((bytes(n) + b"\xff" * n) * pairs, "little")
+    keep = int.from_bytes((b"\xff" + bytes(n - 1) + b"\xff" * n) * pairs, "little")
+    keys = (words ^ ((words << 8 * n) & second)) & keep
+    return struct.Struct(f"{2 * n}s" * pairs).unpack(keys.to_bytes(len(stream), "little"))
 
 
 @dataclass(frozen=True)
@@ -287,10 +327,14 @@ def verify_sharp_edge_transitivity(
     return TransitivityReport(True, order, len(edges), pairs, None)
 
 
+def _element_text(dim: Dimension, g: Automorphism) -> str:
+    """element_to_text without the check, for elements the code made."""
+    return f"s={g.shift};m={format(g.flip_mask, f'0{dim.n}b')[::-1]}"
+
+
 def element_to_text(dim: Dimension, g: Automorphism) -> str:
     """Log format "s=<shift>;m=<mask as coordinate string>"."""
-    check_element(dim, g)
-    return f"s={g.shift};m={vertex_to_string(dim, g.flip_mask)}"
+    return _element_text(dim, check_element(dim, g))
 
 
 def parse_element(dim: Dimension, text: str) -> Automorphism:

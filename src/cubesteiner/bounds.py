@@ -21,6 +21,10 @@ The exhaustive run reads its identity row, and so its exact mean and
 largest overlap, from the table alone, with no further charge. A csv
 transcript also enumerates the group, charged |G|, and reads all |G|^2
 pairs; a sampled run reads its pairs; both are charged one unit per pair.
+Pairs are read in bulk from their bytes: a pair of elements becomes one
+2n-byte key (g1's shift, s1 ^ s2 and the XOR of the two masks), and a keyed
+copy of the table, one entry per count and first shift and so at most
+n d^2 entries, gives each key's X in one lookup.
 `bootstrap_case` checks the algebra that turns the two facts into the
 displayed bound; `lower_bound_even` evaluates the bound itself in exact
 rationals.
@@ -40,10 +44,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator, Optional
+from itertools import combinations, repeat
+from typing import Optional
 
-from .autgroup import Automorphism, _edge_image, _sample_elements, enumerate_group, group_order
+from .autgroup import (
+    Automorphism, _edge_image, _element_bytes, _pair_keys, _sample_elements, _sample_stream,
+    enumerate_group, group_order,
+)
 from .cube import Dimension, VertexSet, _edge, parity
 from .domination import DominatingSetCertificate, cds_constructions
 from .errors import BudgetExceededError, DEFAULT_BUDGET, check_budget
@@ -175,18 +182,6 @@ def build_intersection_experiment(
     return IntersectionExperiment(terminals, mirrored, tree, mtree, d)
 
 
-def _sampled_pairs(
-    dim: Dimension, seed: int, samples: int
-) -> Iterator[tuple[Automorphism, Automorphism]]:
-    """`samples` pairs of consecutive `sample_uniform` draws from
-    random.Random(seed), drawn in bulk a block of at most 1024 pairs at a
-    time, and only as the pairs are read."""
-    rng = random.Random(seed)
-    for start in range(0, samples, 1024):
-        drawn = _sample_elements(dim, rng, 2 * min(1024, samples - start))
-        yield from zip(drawn[::2], drawn[1::2])
-
-
 @dataclass(frozen=True)
 class IntersectionSummary:
     """Aggregates of the overlap X over automorphism pairs."""
@@ -223,17 +218,27 @@ def run_intersection_experiment(
     is the table's sum over |group| and max_overlap its largest count (0 for
     an empty table); nothing more is charged and the group is not
     enumerated. With a transcript it enumerates the group and lists every
-    pair in lexicographic order, looking each one's count up (0 if h matches
-    none). Either way it insists the exact mean equals d^2/(n 2^{n-1}): the
-    table sums to d^2 only if each mirror edge's shift images take the n
-    directions once each, and a transcript's row only if the enumerated
-    group lists each counted h exactly once.
+    pair in lexicographic order, a row of |group| pairs at a time, with its
+    count (0 if h matches none). Either way it insists the exact mean
+    equals d^2/(n 2^{n-1}): the table sums to d^2 only if each mirror
+    edge's shift images take the n directions once each, and a
+    transcript's row only if the enumerated group lists each counted h
+    exactly once.
 
     Otherwise it reads that many independent uniform pairs: consecutive
     `sample_uniform` draws from random.Random(seed), so the pairs depend
-    only on (seed, n, samples). They are drawn in bulk by
-    `_sample_elements`, a block of at most 1024 pairs at a time as the
-    loop reads them, so memory stays bounded.
+    only on (seed, n, samples). They are drawn in bulk as the bytes of
+    `autgroup._sample_stream`, a block of at most 1024 pairs at a time as
+    the loop reads them, so memory stays bounded; only a transcript decodes
+    them into elements, each distinct element once per run.
+
+    Both score a block of pairs the same way. `autgroup._pair_keys` turns
+    it into 2n-byte keys (s1, s1 ^ s2, bits 0..n-2 of m1 ^ m2), which fix
+    h, and a keyed table holds the key of every pair whose h has a nonzero
+    count: for each such h = (delta, M) and each s1, the key with s2 =
+    s1 + delta and m1 ^ m2 = rotr(M, s1). That is n entries per count, at
+    most n d^2, covered by the "overlap table" charge; every other key
+    reads 0.
 
     min_lhs reports the smallest value of 2d - X seen. After the table, a
     transcript is charged |group| as "group enumeration", and a transcript
@@ -242,7 +247,7 @@ def run_intersection_experiment(
     so a refused sampled run draws nothing.
     """
     dim = exp.dim
-    n, d, coord_mask = dim.n, exp.distance, dim.coord_mask
+    n, d = dim.n, exp.distance
     if type(seed) is not int or not (samples is None or type(samples) is int):
         raise ValueError(f"samples {samples!r} and seed {seed!r} must be ints")
     if samples is not None and samples < 1:
@@ -265,25 +270,43 @@ def run_intersection_experiment(
         total, max_overlap = sum(overlap.values()), max(overlap.values(), default=0)
         count, mean = group_order(dim) ** 2, Fraction(total, group_order(dim))
     else:
+        # blocks of pairs as element streams; `decoded` takes each element's
+        # bytes back to the element, for the transcript
         if samples is None:
             group = enumerate_group(dim, budget=budget)
-            pairs, count = ((g1, g2) for g1 in group for g2 in group), len(group) ** 2
+            count = len(group) ** 2
+            codes = [_element_bytes(n, *g) for g in group]
+            decoded = dict(zip(codes, group))
+            # g1's row: its bytes before each element's
+            streams = (c + c.join(codes) for c in codes)
         else:
-            pairs, count = _sampled_pairs(dim, seed, samples), samples
+            count, decoded, rng = samples, {}, random.Random(seed)
+            streams = (
+                _sample_stream(dim, rng, 2 * min(1024, samples - start))
+                for start in range(0, samples, 1024)
+            )
         check_budget("automorphism pair sweep", count, budget)
-        # Each pair reads X(1, h), h = g1^-1 g2 = (s2 - s1, rotate_coords(m1 ^
-        # m2, -s1)): a left shift of the mask word by s1 wrapped at bit n,
-        # where the wrapped part is empty for s1 = 0.
+        # The pair (s1, m1), (s2, m2) reads X(1, h), h = g1^-1 g2 = (s2 - s1,
+        # rotl(m1 ^ m2, s1)). heads[delta][s1] is the first n + 1 bytes of
+        # its key; bits 0..n-2 of rotr(mask, s1) end it, bytes s1..s1+n-2 of
+        # mask's n bits (the tail of its n + 1 bytes) written twice.
+        heads = {
+            delta: [_element_bytes(n, s1, 0) + bytes([s1 ^ (s1 + delta) % n]) for s1 in range(n)]
+            for delta in {delta for delta, _ in overlap}
+        }
+        keyed = {}
+        for (delta, mask), x in overlap.items():
+            bits = _element_bytes(n + 1, 0, mask)[1:] * 2
+            for s1, head in enumerate(heads[delta]):
+                keyed[head + bits[s1 : s1 + n - 1]] = x
         total = max_overlap = 0
-        for g1, g2 in pairs:
-            (s1, m1), (s2, m2) = g1, g2
-            m = m1 ^ m2
-            x = overlap.get(((s2 - s1) % n, ((m << s1) | (m >> (n - s1))) & coord_mask), 0)
-            total += x
-            if x > max_overlap:
-                max_overlap = x
+        for stream in streams:
+            xs = list(map(keyed.get, _pair_keys(n, stream), repeat(0)))
+            total += sum(xs)
+            max_overlap = max(max_overlap, max(xs))
             if transcript is not None:
-                transcript.append((g1, g2, x))
+                drawn = _sample_elements(dim, stream, decoded)
+                transcript += zip(drawn[::2], drawn[1::2], xs)
         mean = Fraction(total, count)
 
     if samples is None and mean != Fraction(d * d, dim.num_edges):

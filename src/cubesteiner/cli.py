@@ -33,7 +33,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .autgroup import element_to_text, verify_sharp_edge_transitivity
+from .autgroup import _element_text, verify_sharp_edge_transitivity
 from .bounds import (
     build_bounds_report,
     build_intersection_experiment,
@@ -198,9 +198,9 @@ def _cmd_experiment(
     transcript = None
     if summary.transcript is not None:
         # at most |G| distinct elements, each formatted once
-        elements = dict.fromkeys(g for row in summary.transcript for g in row[:2])
-        text = {g: element_to_text(dim, g) for g in elements}
-        transcript = [(text[g1], text[g2], x) for g1, g2, x in summary.transcript]
+        firsts, seconds, xs = zip(*summary.transcript)
+        text = {g: _element_text(dim, g) for g in {*firsts, *seconds}}
+        transcript = list(zip(map(text.get, firsts), map(text.get, seconds), xs))
     return fields, transcript
 
 
@@ -248,14 +248,14 @@ def _render(fields: dict, transcript: Optional[list], fmt: str) -> str:
     if fmt == "json":
         return json.dumps({"schema": 1, **fields}, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
+        if transcript is not None:
+            # element texts and counts hold no comma, quote or line end, so
+            # the csv module would quote no field of these rows
+            return "lambda1,lambda2,x\n" + "".join([f"{a},{b},{x}\n" for a, b, x in transcript])
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        if transcript is not None:
-            writer.writerow(["lambda1", "lambda2", "x"])
-            writer.writerows(transcript)
-        else:
-            writer.writerow(fields.keys())
-            writer.writerow([_scalar_text(v) for v in fields.values()])
+        writer.writerow(fields.keys())
+        writer.writerow([_scalar_text(v) for v in fields.values()])
         return buf.getvalue()
     return "".join(f"{k}: {_scalar_text(v)}\n" for k, v in fields.items())
 

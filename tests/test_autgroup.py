@@ -263,7 +263,8 @@ def test_bulk_draw_matches_repeated_sample_uniform(n):
             states[count] = rng.getstate()
         for count in counts:
             bulk = random.Random(seed)
-            assert autgroup._sample_elements(d, bulk, count) == reference[:count]
+            stream = autgroup._sample_stream(d, bulk, count)
+            assert autgroup._sample_elements(d, stream, {}) == reference[:count]
             assert bulk.getstate() == states[count]
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubesteiner import bounds
 from cubesteiner.autgroup import (
-    apply_edge, compose, enumerate_group, group_order, identity, inverse, sample_uniform
+    apply_edge, compose, enumerate_group, group_order, identity, inverse, rotation, sample_uniform
 )
 from cubesteiner.bounds import (
     BoundsReport,
@@ -408,6 +408,63 @@ def test_sampled_overlap_reads_x_at_the_inverse_then_compose_element():
         _assert_matches_reference(exp, summary, xs)
 
 
+def _overlap_table(exp):
+    # the nonzero X(1, h): (s, m) maps e' to (r ^ m, c), where (r, c) is its
+    # image under the rotation by s, so h = (s, r ^ u) takes e' onto (u, c)
+    dim = exp.dim
+    table = {}
+    for e in exp.mirror_tree.edges:
+        for s in range(dim.n):
+            r, c = apply_edge(dim, rotation(dim, s), e)
+            for u, b in exp.tree.edges:
+                if b == c:
+                    table[(s, r ^ u)] = table.get((s, r ^ u), 0) + 1
+    return table
+
+
+def _assert_bulk_pairs_match_the_formula(exp, samples, seed):
+    # with and without a transcript the summaries agree, and every x is the
+    # per-pair formula overlap.get(((s2 - s1) % n, rotl(m1 ^ m2, s1)), 0)
+    n, full = exp.dim.n, exp.dim.coord_mask
+    table = _overlap_table(exp)
+    kept = run_intersection_experiment(exp, samples=samples, seed=seed, keep_transcript=True)
+    plain = run_intersection_experiment(exp, samples=samples, seed=seed)
+    fields = ("mean", "max_overlap", "min_lhs", "pair_count")
+    assert [getattr(plain, f) for f in fields] == [getattr(kept, f) for f in fields]
+    assert kept.pair_count == samples
+    xs = []
+    for (s1, m1), (s2, m2), _ in kept.transcript:
+        m = m1 ^ m2
+        xs.append(table.get(((s2 - s1) % n, ((m << s1) | (m >> (n - s1))) & full), 0))
+    assert [x for _, _, x in kept.transcript] == xs
+    _assert_matches_reference(exp, kept, xs)
+    return kept
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 13, 16])
+def test_bulk_pair_keys_match_the_per_pair_formula(n):
+    # a single terminal (an empty table) and, from n = 2, a seeded all-even
+    # 2..4-set, at sample counts on both sides of the 1024-pair block
+    dim = Dimension(n)
+    rng = random.Random(f"bulk-pairs/{n}")
+    evens = [v for v in range(1 << n) if v.bit_count() % 2 == 0]
+    sets = [[rng.choice(evens)]]
+    if n > 1:
+        sets.append(rng.sample(evens, rng.randint(2, 4)))
+    for members in sets:
+        exp = build_intersection_experiment(VertexSet.of(dim, members))
+        for samples in (1, 2, 1023, 1024, 1025, 2049):
+            _assert_bulk_pairs_match_the_formula(exp, samples, rng.randrange(1 << 30))
+
+
+def test_bulk_pair_keys_on_a_single_terminal_of_q64():
+    # shift bytes run up to 63; every pair reads the empty table
+    exp = build_intersection_experiment(VertexSet.of(Dimension(64), [0b11 << 40]))
+    kept = _assert_bulk_pairs_match_the_formula(exp, 1025, 11)
+    assert (kept.mean, kept.max_overlap) == (0, 0)
+    assert max(g.shift for g, _, _ in kept.transcript) == 63
+
+
 def test_overlap_maps_each_mirror_edge_once_per_shift(monkeypatch):
     # the counts X(1, h) take n images of each of the d mirror edges, however
     # many pairs the run reads: identity row, samples or a csv transcript
@@ -463,13 +520,13 @@ def test_experiment_budget_and_sample_guards(monkeypatch):
     with pytest.raises(ValueError):
         run_intersection_experiment(exp, samples=0)
     drawn = []
-    sample_elements = bounds._sample_elements
+    sample_stream = bounds._sample_stream
 
     def sampler(dim, rng, count):
         drawn.append(count)
-        return sample_elements(dim, rng, count)
+        return sample_stream(dim, rng, count)
 
-    monkeypatch.setattr(bounds, "_sample_elements", sampler)
+    monkeypatch.setattr(bounds, "_sample_stream", sampler)
     # the pairs are charged before any element is drawn
     with pytest.raises(BudgetExceededError):
         run_intersection_experiment(exp, samples=1000, budget=999)

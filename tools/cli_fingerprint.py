@@ -29,10 +29,13 @@ n + 14, where the dispatch runs the Steiner-vertex search) of each
 Q_3..Q_6 and on two pinned dense sets of Q_5 and Q_6; exhaustive and
 sampled overlap experiments on seeded all-even sets of Q_2..Q_7; sampled
 experiments of 1025 to 2425 pairs, more than one draw block, on seeded
-all-even sets of Q_5, Q_8 and Q_13; exhaustive experiments, which read
-the overlap table, on the 2-sets {0, 1^18} of Q_18, {0, 1^18 0} of Q_19
-and {0, 1^20 0} of Q_21 (text and json) and on the single terminal 0 of
-Q_20 and of Q_64 (text); `sdiam` for n = 2..5, k = 2..6, for
+all-even sets of Q_5, Q_8 and Q_13, of 1025 to 2525 pairs on the even
+sets of Q_1..Q_4, where randrange(n) rejects a quarter to a half of the
+shift words, and of 1025 pairs on the single terminal 0 of Q_64, whose
+shifts reach 63; exhaustive experiments, which read the overlap table,
+on the 2-sets {0, 1^18} of Q_18, {0, 1^18 0} of Q_19 and {0, 1^20 0} of
+Q_21 (text and json) and on the single terminal 0 of Q_20 and of Q_64
+(text); `sdiam` for n = 2..5, k = 2..6, for
 k = 3 at n = 6..8, and at n = 4, k = 5 one unit below its sweep's charge;
 `cds` for n = 1..12; `group-verify` for n = 1..8; `experiment` on even
 Q_3 one unit below and at the overlap table's charge of 75; and a few runs
@@ -155,6 +158,14 @@ def runs() -> list[list[str]]:
                 "experiment", "--n", str(n), "--set", selector,
                 "--samples", str(1025 + 700 * i), "--seed", str(i),
             )
+    for n in range(1, 5):
+        # randrange(n) rejects 1/2, 1/2, 1/4 and 1/2 of its tries here
+        each_format(
+            "experiment", "--n", str(n), "--set", "even",
+            "--samples", str(1025 + 500 * (n - 1)), "--seed", str(n),
+        )
+    # shift bytes up to 63, every pair reading the empty table
+    each_format("experiment", "--n", "64", "--set", _inline(64, [0]), "--samples", "1025")
 
     # exhaustive runs that read the identity row from the overlap table
     # where the group is too large to enumerate under the default budget
